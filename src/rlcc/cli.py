@@ -61,6 +61,10 @@ def _config_from_args(args, kind) -> harness.ExperimentConfig:
     opts = {}
     if args.config:
         opts.update(harness.parse_config_file(args.config))
+    if kind in EXPERIMENT_COMMANDS.values() and opts.get("kind", kind) != kind:
+        raise harness.ConfigError(
+            f"config kind {opts['kind']!r} does not match {args.command} ({kind})"
+        )
     for key in ("preset", "seed", "trials", "json_path", "csv_path"):
         val = getattr(args, key, None)
         if val is not None:
@@ -83,7 +87,7 @@ def cmd_experiment(args, kind) -> int:
 
 def cmd_encode(args) -> int:
     config = _config_from_args(args, "encode")
-    layout = composed.layout_build(config.rm, config.pcpp())
+    layout = composed.ComposedLayout(config.rm, config.pcpp())
     rng = random.Random(config.seed)
     if args.message:
         message = [int(s) for s in args.message.split(",")]
@@ -106,7 +110,7 @@ def cmd_encode(args) -> int:
 
 def cmd_correct(args) -> int:
     config = _config_from_args(args, "correct")
-    layout = composed.layout_build(config.rm, config.pcpp())
+    layout = composed.ComposedLayout(config.rm, config.pcpp())
     rng = random.Random(config.seed)
     message = [config.ctx.rand_element(rng) for _ in range(config.rm.k)]
     oracle = composed.CanonicalOracle(layout, message)
@@ -125,7 +129,7 @@ def cmd_correct(args) -> int:
 
 def cmd_layout_report(args) -> int:
     config = _config_from_args(args, "layout")
-    layout = composed.layout_build(config.rm, config.pcpp())
+    layout = composed.ComposedLayout(config.rm, config.pcpp())
     _print_report(composed.block_length_report(layout))
     return 0
 

@@ -60,8 +60,9 @@ from .rm import (
     POINT_KIND,
     RmParams,
     eval_table,
-    evaluate_many,
+    evaluate,
     restrict_to_plane,
+    restriction_triangles,
 )
 from .ctrw import walk_sample
 
@@ -223,10 +224,6 @@ class ComposedLayout:
         )
 
 
-def layout_build(rm: RmParams, pcpp: PcppParams) -> ComposedLayout:
-    return ComposedLayout(rm, pcpp)
-
-
 # ---------------------------------------------------------------------------
 # Oracles
 
@@ -254,11 +251,9 @@ class CanonicalOracle:
             return int(self._table[pcode])
         got = self._points.get(pcode)
         if got is None:
-            coords = np.array(
-                [[c] for c in point_from_code(self.layout.ctx, pcode)],
-                dtype=np.int64,
+            got = evaluate(
+                self.layout.rm, self.coeffs, point_from_code(self.layout.ctx, pcode)
             )
-            got = int(evaluate_many(self.layout.rm, self.coeffs, coords)[0])
             self._points[pcode] = got
         return got
 
@@ -318,9 +313,7 @@ def _batched_proofs(layout, message, rm_tab, region, count) -> np.ndarray:
     interpolates all keys at once.
     """
     ctx = layout.ctx
-    d = layout.rm.d
-    size = d + 1
-    n = ctx.n
+    size = layout.rm.d + 1
     planes = []
     live = []
     for key_idx in range(count):
@@ -342,43 +335,10 @@ def _batched_proofs(layout, message, rm_tab, region, count) -> np.ndarray:
                         ctx, plane_point_at(ctx, plane, j, k)
                     )
         grids = np.asarray(rm_tab, dtype=np.int64)[codes]
-        cgrids = _batched_interpolate(layout.rm.bivariate(), grids)
-        basis = layout.rm.bivariate().basis
-        cols = np.array([a * size + b for a, b in basis], dtype=np.int64)
-        flat = cgrids.reshape(len(planes), size * size)
-        assert not flat[
-            :, [a * size + b for a in range(size) for b in range(size) if a + b > d]
-        ].any(), "honest restriction must stay inside the degree triangle"
-        tris[np.array(live, dtype=np.int64)] = flat[:, cols]
+        tris[np.array(live, dtype=np.int64)] = restriction_triangles(
+            layout.rm.bivariate(), grids
+        )
     return tris
-
-
-def _batched_interpolate(params2d: RmParams, grids: np.ndarray) -> np.ndarray:
-    """interpolate_grid over a batch: Minv @ G @ Minv^T per batch entry."""
-    from .rm import _inverse_vandermonde
-
-    ctx = params2d.ctx
-    minv = _inverse_vandermonde(ctx, params2d.d)
-    left = _batched_fmatmul(ctx, minv, grids, left_fixed=True)
-    return _batched_fmatmul(ctx, minv, left, left_fixed=False)
-
-
-def _batched_fmatmul(ctx, fixed, batch, left_fixed):
-    exp_t, log_t, _, _ = ctx.tables
-    q = ctx.n - 1
-    if left_fixed:
-        # out[w, i, j] = sum_l fixed[i, l] * batch[w, l, j]
-        prod = exp_t[
-            (log_t[fixed][None, :, :, None] + log_t[batch][:, None, :, :]) % q
-        ]
-        prod[(fixed[None, :, :, None] == 0) | (batch[:, None, :, :] == 0)] = 0
-        return ctx.sum_elements(prod, axis=2)
-    # out[w, i, j] = sum_l batch[w, i, l] * fixed[j, l]  (right-multiply by fixed^T)
-    prod = exp_t[
-        (log_t[batch][:, :, :, None] + log_t[fixed.T][None, None, :, :]) % q
-    ]
-    prod[(batch[:, :, :, None] == 0) | (fixed.T[None, None, :, :] == 0)] = 0
-    return ctx.sum_elements(prod, axis=2)
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +423,7 @@ class Overlay:
             for lo in range(base, base + size, 4_000_000):
                 hi = min(lo + 4_000_000, base + size)
                 addrs = np.arange(lo, hi, dtype=np.int64)
-                mask = chain_vec(self._prefix, addrs) < np.uint64(rate[0])
+                mask = chain_vec(self._prefix, addrs) < rate[0]
                 idx = addrs[mask]
                 shift = 1 + chain_vec(self._salt, idx) % np.uint64(n - 1)
                 word[idx] = (word[idx] + shift.astype(np.int64)) % n

@@ -44,8 +44,6 @@ from .rm import (
     RmParams,
     dist_weighted,
     enumerate_codewords,
-    evaluate,
-    evaluate_many,
     is_low_degree_on_plane,
 )
 from .stats import DensityBound, wilson_interval
@@ -224,7 +222,7 @@ class PointCorruption:
         return chain(self._prefix, code) < self._threshold
 
     def corrupt_mask(self, codes: np.ndarray) -> np.ndarray:
-        mask = chain_vec(self._prefix, codes) < np.uint64(self._threshold)
+        mask = chain_vec(self._prefix, codes) < self._threshold
         if self._targets:
             for c in self._targets:
                 mask |= codes == c
@@ -248,19 +246,6 @@ class PointCorruption:
         if h < self._threshold:
             return (base + 1 + chain(self._prefix, code, 0xA5) % (n - 1)) % n
         return base
-
-
-class CorruptedWord:
-    """RM word = codeword plus a PointCorruption overlay."""
-
-    def __init__(self, params: RmParams, coeffs, corruption: PointCorruption):
-        self.params = params
-        self.coeffs = tuple(coeffs)
-        self.corruption = corruption
-
-    def read_point(self, point) -> int:
-        base = evaluate(self.params, self.coeffs, point)
-        return self.corruption.read(base, point_code(self.params.ctx, point))
 
 
 # ---------------------------------------------------------------------------
@@ -386,20 +371,6 @@ def violation_check_planted(
         if witness is None and lower >= alpha:
             witness = i
     return RobustVerdict(witness is not None, witness, bounds)
-
-
-def robust_violation_check(
-    params, word, c_star, transcript, alpha, rng=None,
-    plane_samples=DEFAULT_PLANE_SAMPLES,
-):
-    """Dispatch: planted ground truth when available, else brute force."""
-    if isinstance(word, CorruptedWord):
-        if c_star is not None and tuple(c_star) != word.coeffs:
-            raise ValueError("planted verdict needs the word's own codeword")
-        return violation_check_planted(
-            params, word.corruption, transcript, alpha, rng, plane_samples
-        )
-    return violation_check_exact(params, word, transcript, alpha)
 
 
 # ---------------------------------------------------------------------------

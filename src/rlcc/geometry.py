@@ -243,10 +243,6 @@ def canonical_plane_key(ctx: Field, plane: PlaneRep, region: str):
     raise ValueError(f"unknown proof region {region!r}")
 
 
-def plane_of_key(ctx: Field, key: PlaneKey) -> PlaneRep:
-    return PlaneRep.make(ctx, key.anchor, key.dir1, key.dir2)
-
-
 def serialize_point(point) -> str:
     return ",".join(str(c) for c in point)
 

@@ -164,9 +164,6 @@ class Field:
         """Embed a GF(p)^m vector coordinatewise into F^m."""
         return tuple(self.embed(a) for a in scalars)
 
-    def in_subfield(self, a: int) -> bool:
-        return 0 <= a < self.p
-
     @property
     def descriptor(self) -> str:
         return f"{self.p}^{self.m}/" + ",".join(str(c) for c in self.irreducible)
@@ -320,6 +317,9 @@ class Field:
         cannot overflow; otherwise falls back to per-digit sums.
         """
         _, _, digits, weights = self.tables
+        # the per-digit fallback appends a digit axis, so a negative axis
+        # must be resolved against the input's own dimensions
+        axis %= arr.ndim
         count = arr.shape[axis]
         if self.m <= 3 and count * (self.p - 1) < (1 << 21):
             if self._packed is None:

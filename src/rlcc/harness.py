@@ -19,6 +19,7 @@ import random
 import time
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +46,11 @@ PRESETS = {
     "T3": {"p": 3, "m": 3, "d": 4},
     "S1": {"p": 17, "m": 3, "d": 32, "delta": 0.1},
 }
+
+
+# one Field per (p, m): building one costs its numpy tables, and a Field
+# is immutable, so every config shares it
+_shared_field = lru_cache(maxsize=None)(Field)
 
 
 @dataclass
@@ -81,7 +87,7 @@ class ExperimentConfig:
 
     @property
     def ctx(self) -> Field:
-        return Field(self.p, self.m)
+        return _shared_field(self.p, self.m)
 
     @property
     def rm(self) -> RmParams:
@@ -453,8 +459,12 @@ def _far_families(rm2d: RmParams, pcpp: PcppParams, rng):
     noise_prefix = chain(rng.randrange(2**63), 0xFA)
     noise_salt = chain(noise_prefix, 0x11)
     thr = threshold_of(float(rm2d.rho / 2))
-    grid = np.arange(1, n * n, dtype=np.int64)  # position 0 kept clean
-    eta_count = int((chain_vec(noise_prefix, grid) < np.uint64(thr)).sum())
+    # counted in chunks: one pass over the whole grid holds several
+    # n^2-element temporaries at once (about 580 MB at S1)
+    eta_count = 0
+    for lo in range(1, n * n, 4_000_000):  # position 0 kept clean
+        block = np.arange(lo, min(lo + 4_000_000, n * n), dtype=np.int64)
+        eta_count += int((chain_vec(noise_prefix, block) < thr).sum())
 
     def noisy_read(i):
         v = base_q(i)
@@ -567,7 +577,7 @@ def alg2_experiment(config: ExperimentConfig, target_floor=None) -> dict:
     stays within the theorem's correction radius while the queried
     symbol is wrong everywhere.  Counts outputs in {c*(x), BOT}.
     """
-    layout = composed.layout_build(config.rm, config.pcpp())
+    layout = composed.ComposedLayout(config.rm, config.pcpp())
     ctx = layout.ctx
     rng0 = trial_rng(config.seed, "alg2-setup", 0)
     message = [ctx.rand_element(rng0) for _ in range(layout.rm.k)]

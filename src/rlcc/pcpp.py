@@ -25,7 +25,7 @@ from .rm import (
     LINE_KIND,
     POINT_KIND,
     RmParams,
-    evaluate_triangle,
+    evaluate,
     is_low_degree_on_plane,
 )
 
@@ -139,7 +139,7 @@ def verify_proximity(
         counter.proof += k
         j, s = rng.randrange(n), rng.randrange(n)
         counter.word += 1
-        if word_read(j * n + s) != evaluate_triangle(params2d, copy_u, j, s):
+        if word_read(j * n + s) != evaluate(params2d, copy_u, (j, s)):
             return False
         # (c) one tail coordinate against the same copy's implied value
         tail = n * n + rng.randrange(n * n)
@@ -147,10 +147,10 @@ def verify_proximity(
         got = word_read(view.resolve(tail))
         if kind == POINT_KIND:
             jx, kx = selector
-            want = evaluate_triangle(params2d, copy_u, jx, kx)
+            want = evaluate(params2d, copy_u, (jx, kx))
         else:
             t = (tail - n * n) % n
-            want = evaluate_triangle(params2d, copy_u, t, 0)
+            want = evaluate(params2d, copy_u, (t, 0))
         if got != want:
             return False
     return True

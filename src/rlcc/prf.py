@@ -57,7 +57,11 @@ def chain_vec(seed: int, last: np.ndarray) -> np.ndarray:
 
 
 def threshold_of(rate: float) -> int:
-    """Inclusion threshold so that P[hash < threshold] = rate."""
+    """Inclusion threshold so that P[hash < threshold] = rate.
+
+    Rate 1 gives 2^64, above every 64-bit hash: compare hashes with this
+    Python int, not with a ``np.uint64`` of it, which cannot hold 2^64.
+    """
     if not 0 <= rate <= 1:
         raise ValueError("rate must lie in [0, 1]")
     return int(round(rate * float(1 << 64)))

@@ -20,7 +20,7 @@ from math import comb
 
 import numpy as np
 
-from .gf import Field
+from .gf import _TABLE_LIMIT, Field
 from .geometry import PlaneRep, plane_point_at
 
 ENUM_BUDGET = 10**7
@@ -77,8 +77,20 @@ def encode(params: RmParams, message):
     return tuple(message)
 
 
+# from this degree on, one table-driven column beats the per-monomial loop
+_BULK_DEGREE = 8
+
+
 def evaluate(params: RmParams, coeffs, point) -> int:
+    """Value of the polynomial at one point of F^dim.
+
+    Low degrees, and fields too large for log tables, use the
+    per-monomial loop; higher degrees go through evaluate_many.
+    """
     ctx = params.ctx
+    if params.d >= _BULK_DEGREE and ctx.n <= _TABLE_LIMIT:
+        coords = np.asarray(point, dtype=np.int64).reshape(-1, 1)
+        return int(evaluate_many(params, coeffs, coords)[0])
     acc = 0
     for c, exps in zip(coeffs, params.basis):
         if c == 0:
@@ -103,7 +115,7 @@ def evaluate_many(params: RmParams, coeffs, coords) -> np.ndarray:
 
     Log-domain fast path: each monomial value is exp[(E @ logs) mod n-1]
     with zero coordinates masked out, then terms are summed digit-wise
-    mod p.  Cross-checked against the scalar path in the tests.
+    mod p.  Cross-checked against a brute-force evaluator in the tests.
     """
     ctx = params.ctx
     _, log_t, _, _ = ctx.tables
@@ -182,51 +194,45 @@ def _inverse_vandermonde(ctx: Field, d: int):
     return np.array(inv, dtype=np.int64)
 
 
-def _fmatmul(ctx: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product over F for small integer-code matrices."""
-    exp_t, log_t, digits, weights = ctx.tables
-    prod = exp_t[(log_t[a][:, :, None] + log_t[b][None, :, :]) % (ctx.n - 1)]
-    prod[(a[:, :, None] == 0) | (b[None, :, :] == 0)] = 0
-    return (digits[prod].sum(axis=1) % ctx.p) @ weights
+def fmatmul(ctx: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix product over F of integer-code matrices; like ``a @ b``, it
+    broadcasts over leading batch axes."""
+    exp_t, log_t, _, _ = ctx.tables
+    a = a[..., :, :, None]
+    b = b[..., None, :, :]
+    # the antilog table spans 2(n-1) entries, so summed logs need no modulo
+    prod = exp_t[log_t[a] + log_t[b]]
+    prod[(a == 0) | (b == 0)] = 0
+    return ctx.sum_elements(prod, axis=-2)
 
 
-def interpolate_grid(params2d: RmParams, grid: np.ndarray) -> np.ndarray:
-    """(d+1)x(d+1) subgrid values -> full coefficient grid c[a][b].
+def interpolate_grid(params2d: RmParams, grids: np.ndarray) -> np.ndarray:
+    """(..., d+1, d+1) subgrid values -> coefficient grids c[..., a, b].
 
     c[a][b] multiplies t^a s^b where t indexes rows (dir1 axis).
     """
     ctx = params2d.ctx
     minv = _inverse_vandermonde(ctx, params2d.d)
-    return _fmatmul(ctx, minv, _fmatmul(ctx, grid, minv.T))
+    return fmatmul(ctx, fmatmul(ctx, minv, grids), minv.T)
 
 
-def coeff_grid_to_triangle(params2d: RmParams, cgrid: np.ndarray):
-    """Extract the graded-lex triangle vector; None if off-triangle mass."""
-    d = params2d.d
-    for a in range(d + 1):
-        for b in range(d + 1):
-            if a + b > d and cgrid[a][b] != 0:
-                return None
-    return tuple(int(cgrid[a][b]) for a, b in params2d.basis)
+def coeff_grid_to_triangle(params2d: RmParams, cgrids: np.ndarray):
+    """(..., d+1, d+1) coefficient grids -> (..., k) graded-lex triangle
+    vectors, and a (...) mask that is False where a grid has mass off
+    the degree triangle."""
+    size = params2d.d + 1
+    rows, cols = np.indices((size, size))
+    inside = ~cgrids[..., rows + cols > params2d.d].any(axis=-1)
+    a, b = np.array(params2d.basis, dtype=np.int64).T
+    return cgrids[..., a, b], inside
 
 
-def evaluate_triangle(params2d: RmParams, tri, t: int, s: int) -> int:
-    """Evaluate a bivariate triangle vector at plane-local (t, s)."""
-    ctx = params2d.ctx
-    d = params2d.d
-    if d >= 8:  # the table-driven bulk path wins for large triangles
-        coords = np.array([[t], [s]], dtype=np.int64)
-        return int(evaluate_many(params2d, tri, coords)[0])
-    pt = [1] * (d + 1)
-    ps = [1] * (d + 1)
-    for e in range(1, d + 1):
-        pt[e] = ctx.mul(pt[e - 1], t)
-        ps[e] = ctx.mul(ps[e - 1], s)
-    acc = 0
-    for c, (a, b) in zip(tri, params2d.basis):
-        if c:
-            acc = ctx.add(acc, ctx.mul(c, ctx.mul(pt[a], ps[b])))
-    return acc
+def restriction_triangles(params2d: RmParams, grids: np.ndarray) -> np.ndarray:
+    """Triangle vectors of plane restrictions of a low-degree polynomial,
+    from their (..., d+1, d+1) subgrid values."""
+    tris, inside = coeff_grid_to_triangle(params2d, interpolate_grid(params2d, grids))
+    assert inside.all(), "restriction of a low-degree polynomial must be low-degree"
+    return tris
 
 
 def restrict_to_plane(params: RmParams, coeffs, plane: PlaneRep):
@@ -250,9 +256,7 @@ def restrict_to_plane(params: RmParams, coeffs, plane: PlaneRep):
                 coords[i, idx] = ctx.add(row[i], ctx.sub(pt[i], plane.anchor[i]))
             idx += 1
     vals = evaluate_many(params, coeffs, coords).reshape(size, size)
-    tri = coeff_grid_to_triangle(params.bivariate(), interpolate_grid(params.bivariate(), vals))
-    assert tri is not None, "restriction of a low-degree polynomial must be low-degree"
-    return tri
+    return tuple(restriction_triangles(params.bivariate(), vals).tolist())
 
 
 def is_low_degree_on_plane(params2d: RmParams, values, mode="exact", rng=None):
@@ -269,9 +273,10 @@ def is_low_degree_on_plane(params2d: RmParams, values, mode="exact", rng=None):
     if values.shape != (n * n,):
         raise ValueError("plane word must have n^2 symbols in grid order")
     grid = values.reshape(n, n)[: d + 1, : d + 1]
-    tri = coeff_grid_to_triangle(params2d, interpolate_grid(params2d, grid))
-    if tri is None:
+    tri, inside = coeff_grid_to_triangle(params2d, interpolate_grid(params2d, grid))
+    if not inside:
         return False, None
+    tri = tuple(tri.tolist())
     if mode == "exact":
         jj, kk = np.divmod(np.arange(n * n, dtype=np.int64), n)
         expect = evaluate_many(params2d, tri, np.stack([jj, kk]))
@@ -283,7 +288,7 @@ def is_low_degree_on_plane(params2d: RmParams, values, mode="exact", rng=None):
         ok = True
         for _ in range(q):
             j, k = rng.randrange(n), rng.randrange(n)
-            if evaluate_triangle(params2d, tri, j, k) != values[j * n + k]:
+            if evaluate(params2d, tri, (j, k)) != values[j * n + k]:
                 ok = False
                 break
     return (ok, tri if ok else None)

@@ -58,15 +58,17 @@ class DensityBound:
         return DensityBound(max(0.0, f - h), min(1.0, f + h), False, samples)
 
     def as_fractions(self):
-        """Exact rational endpoints (exact counts stay exact)."""
+        """Rational endpoints on a 1e-12 grid, rounded outward so the
+        interval still certifies (exact counts stay exact)."""
         from fractions import Fraction
 
         if self.exact:
             f = Fraction(self.count, self.total)
             return f, f
+        scale = 10**12
         return (
-            Fraction(self.lo).limit_denominator(10**12),
-            Fraction(self.hi).limit_denominator(10**12),
+            Fraction(math.floor(Fraction(self.lo) * scale), scale),
+            Fraction(math.ceil(Fraction(self.hi) * scale), scale),
         )
 
 

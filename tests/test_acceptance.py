@@ -175,7 +175,7 @@ def test_c07_robust_soundness_s1(s1_soundness_report):
 @pytest.fixture(scope="module")
 def t2_materialized():
     ctx = Field(2, 3)
-    layout = composed.layout_build(rm.RmParams(ctx, 3, 1), PcppParams(4))
+    layout = composed.ComposedLayout(rm.RmParams(ctx, 3, 1), PcppParams(4))
     message = [5, 2, 7, 1]
     word = composed.materialize(layout, message)
     return layout, message, word
@@ -313,7 +313,7 @@ def test_c11_block_length_accounting():
         (2, 2, 1, (256, 320)),
         (2, 3, 1, (32768, 299008)),
     ]:
-        layout = composed.layout_build(rm.RmParams(Field(p, m), m, d), pcpp)
+        layout = composed.ComposedLayout(rm.RmParams(Field(p, m), m, d), pcpp)
         pk, lk = keys
         b = pk + lk
         r = -(-b * layout.proof_len // layout.rm_points)

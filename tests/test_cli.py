@@ -94,3 +94,12 @@ def test_mixing_exp_cli(tmp_path):
     cfg.write_text("preset = T2\ntrials = 200\ndelta = 0.1\n")
     rc = main(["mixing-exp", "--config", str(cfg), "--seed", "8"])
     assert rc == 0
+
+
+def test_config_kind_must_match_subcommand(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("preset = T2\nkind = alg2\ntrials = 2\n")
+    assert main(["soundness-exp", "--config", str(cfg)]) == 2
+    assert "config error" in capsys.readouterr().err
+    cfg.write_text("kind = matrix\n")
+    assert main(["matrix-exp", "--config", str(cfg), "--seed", "1"]) == 0

@@ -13,7 +13,7 @@ from rlcc.pcpp import BOT, PcppParams
 @pytest.fixture(scope="module")
 def t1():
     ctx = Field(2, 2)
-    layout = composed.layout_build(rm.RmParams(ctx, 2, 1), PcppParams(4))
+    layout = composed.ComposedLayout(rm.RmParams(ctx, 2, 1), PcppParams(4))
     message = [1, 2, 3]
     word = composed.materialize(layout, message)
     return layout, message, word
@@ -22,7 +22,7 @@ def t1():
 @pytest.fixture(scope="module")
 def t2():
     ctx = Field(2, 3)
-    layout = composed.layout_build(rm.RmParams(ctx, 3, 1), PcppParams(4))
+    layout = composed.ComposedLayout(rm.RmParams(ctx, 3, 1), PcppParams(4))
     message = [3, 1, 4, 5]
     word = composed.materialize(layout, message)
     return layout, message, word
@@ -46,7 +46,7 @@ def test_layout_counts_t1_t2(t1, t2):
 def test_dimension_mismatch_rejected():
     ctx = Field(2, 3)
     with pytest.raises(ValueError):
-        composed.layout_build(rm.RmParams(ctx, 2, 1), PcppParams(4))
+        composed.ComposedLayout(rm.RmParams(ctx, 2, 1), PcppParams(4))
 
 
 def test_address_decode_bijection(t2, rng):
@@ -179,6 +179,20 @@ def test_overlay_region_random_binomial(t2):
     for _ in range(2000):
         addr = rng.randrange(layout.length)
         assert wrapped.read(addr) == int(arr[addr])
+
+
+def test_overlay_rates_zero_and_one(t1):
+    layout, message, word = t1
+    oracle = composed.CanonicalOracle(layout, message)
+    for rate, expect in ((0.0, 0), (1.0, layout.rm_length)):
+        overlay = composed.Overlay(layout, seed=5)
+        overlay.add_region_random(rate, regions=(composed.RM_REGION,))
+        arr = word.copy()
+        assert overlay.apply_to_array(arr)[composed.RM_REGION] == expect
+        assert int((arr != word).sum()) == expect
+        wrapped = composed.OverlayOracle(oracle, overlay)
+        for addr in range(0, layout.rm_length, 97):
+            assert wrapped.read(addr) == int(arr[addr])
 
 
 def test_correct_rm_completeness_exhaustive_t1(t1):

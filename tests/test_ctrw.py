@@ -130,6 +130,17 @@ def test_point_corruption_support_and_reads(gf8, rng):
     assert abs(realized - 0.25) <= 3 * (0.25 * 0.75 / len(codes)) ** 0.5 + 1e-3
 
 
+def test_point_corruption_density_zero_and_one(gf8):
+    params = rm.RmParams(gf8, 3, 1)
+    codes = np.arange(gf8.n**3, dtype=np.int64)
+    for density, expect in ((0.0, False), (1.0, True)):
+        corr = ctrw.PointCorruption(params, seed=11, density=density)
+        mask = corr.corrupt_mask(codes)
+        assert (mask == expect).all()
+        assert all(corr.is_corrupt_code(c) == expect for c in range(len(codes)))
+        assert all((corr.read(2, c) != 2) == expect for c in range(len(codes)))
+
+
 def test_violation_check_exact_matches_planted(gf4):
     # both verdict paths agree on tiny parameters where both apply
     params = rm.RmParams(gf4, 2, 1)
@@ -141,11 +152,9 @@ def test_violation_check_exact_matches_planted(gf4):
         corr = ctrw.PointCorruption(params, seed=i, density=0.15)
         x = sample_point(gf4, rng)
         corr.target_point(x, delta=1 + rng.randrange(3))
-        word = ctrw.CorruptedWord(params, coeffs, corr)
-        # point-code order: index a + 4b holds the value at (a, b)
+        base = rm.eval_table(params, coeffs)
         table = np.array(
-            [word.read_point((a, b)) for b in range(4) for a in range(4)],
-            dtype=np.int64,
+            [corr.read(int(v), code) for code, v in enumerate(base)], dtype=np.int64
         )
         tr = ctrw.walk_sample(params, x, 2, rng)
         exact = ctrw.violation_check_exact(params, table, tr, alpha)

@@ -143,6 +143,19 @@ def test_sum_elements_matches_scalar():
         for i in range(30):
             acc = f.add(acc, int(arr[i, j]))
         assert out[j] == acc
+    # a negative axis sums the same axis in the packed-lane path (m = 3)
+    # and in the per-digit fallback (m = 4), which appends a digit axis
+    for f in (Field(3, 3), Field(2, 4)):
+        arr = np.array(
+            [[[rng.randrange(f.n) for _ in range(4)] for _ in range(3)] for _ in range(2)],
+            dtype=np.int64,
+        )
+        for axis in (-1, -2, -3):
+            want = np.zeros(np.delete(arr.shape, axis), dtype=np.int64)
+            for idx in np.ndindex(arr.shape):
+                rest = tuple(np.delete(idx, axis))
+                want[rest] = f.add(int(want[rest]), int(arr[idx]))
+            assert np.array_equal(f.sum_elements(arr, axis=axis), want)
 
 
 def test_irreducibility_checker_agrees_with_known_counts():

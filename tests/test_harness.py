@@ -3,12 +3,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rlcc import harness
 from rlcc.gf import Field
 from rlcc.pcpp import PcppParams
 from rlcc.rm import RmParams
-from rlcc.stats import wilson_interval
+from rlcc.stats import DensityBound, wilson_interval
 
 
 def test_formula_sigma_rw_s1():
@@ -190,3 +191,20 @@ def test_dec6_rendering():
     assert harness._dec6(Fraction(1, 2)) == "0.500000"
     assert harness._dec6(Fraction(-1, 3)) == "-0.333333"
     assert harness._dec6(Fraction(37, 170)) == "0.217647"
+
+
+def test_config_shares_one_field():
+    a = harness.make_config(preset="S1")
+    b = harness.make_config(preset="S1", seed=9)
+    assert a.ctx is b.ctx is a.rm.ctx
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(st.integers(1, 10**6).flatmap(lambda n: st.tuples(st.integers(0, n), st.just(n))))
+@example((1234, 20000))  # limit_denominator moved both endpoints inward here
+def test_density_bound_rounds_outward(case):
+    bound = DensityBound.from_sample(*case)
+    lo, hi = bound.as_fractions()
+    grid = Fraction(1, 10**12)
+    assert lo <= Fraction(bound.lo) < lo + grid
+    assert hi - grid < Fraction(bound.hi) <= hi

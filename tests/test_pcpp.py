@@ -93,8 +93,8 @@ def test_canonical_completeness_exhaustive_gf4():
             assert all(c == copies[0] for c in copies)
             for j in range(4):
                 for s in range(4):
-                    assert table[j * 4 + s] == rm.evaluate_triangle(
-                        params2d, copies[0], j, s
+                    assert table[j * 4 + s] == rm.evaluate(
+                        params2d, copies[0], (j, s)
                     )
             for rounds in range(5):
                 rng = random.Random(rounds)

@@ -1,14 +1,21 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rlcc import rm
 from rlcc.geometry import PlaneRep, plane_point_at, sample_point
 from rlcc.gf import Field
+
+# derandomized, so reruns draw the same examples
+CROSS_CHECK = settings(derandomize=True, max_examples=20, deadline=None)
+
+field = lru_cache(maxsize=None)(Field)
 
 
 def brute_evaluate(ctx, basis, coeffs, point):
@@ -72,6 +79,81 @@ def test_evaluate_matches_bruteforce(gf27, rng):
         )
 
 
+# (p, m, dim, d): T1, T2 and T3 sit below evaluate's d = 8 cutoff, the
+# S1 bivariate code above it
+EVAL_CASES = [(2, 2, 2, 1), (2, 3, 3, 1), (3, 3, 3, 4), (17, 3, 2, 32)]
+
+
+@pytest.mark.parametrize("case", EVAL_CASES)
+@CROSS_CHECK
+@given(data=st.data())
+def test_evaluate_matches_bruteforce_across_cutoff(case, data):
+    p, m, dim, d = case
+    ctx = field(p, m)
+    params = rm.RmParams(ctx, dim, d)
+    coeffs = data.draw(
+        st.lists(st.integers(0, ctx.n - 1), min_size=params.k, max_size=params.k)
+    )
+    point = data.draw(st.tuples(*[st.integers(0, ctx.n - 1)] * dim))
+    want = brute_evaluate(ctx, params.basis, coeffs, point)
+    assert rm.evaluate(params, coeffs, point) == want
+    column = np.array(point, dtype=np.int64).reshape(-1, 1)
+    assert rm.evaluate_many(params, coeffs, column)[0] == want
+
+
+def test_evaluate_without_log_tables(rng):
+    # 2^21 elements is past the table limit: only the scalar loop runs there
+    ctx = field(2, 21)
+    params = rm.RmParams(ctx, 2, 8)
+    coeffs = [rng.randrange(ctx.n) for _ in range(params.k)]
+    for _ in range(5):
+        point = sample_point(ctx, rng)[:2]
+        assert rm.evaluate(params, coeffs, point) == brute_evaluate(
+            ctx, params.basis, coeffs, point
+        )
+
+
+def brute_matmul(ctx, a, b):
+    out = []
+    for row in a:
+        out.append([])
+        for j in range(len(b[0])):
+            acc = 0
+            for x, b_row in zip(row, b):
+                acc = ctx.add(acc, ctx.mul(x, b_row[j]))
+            out[-1].append(acc)
+    return out
+
+
+@CROSS_CHECK
+@given(
+    st.sampled_from([(2, 3, 1), (3, 3, 4), (17, 3, 32)]),
+    st.integers(1, 3),
+    st.randoms(use_true_random=False),
+)
+def test_batched_interpolate_matches_per_grid_and_bruteforce(case, batch, r):
+    p, m, d = case
+    ctx = field(p, m)
+    params2d = rm.RmParams(ctx, 2, d)
+    size = d + 1
+    # about 30% of the entries are zero, which the log-domain product masks
+    grids = np.array(
+        [
+            [[r.randrange(ctx.n) if r.random() < 0.7 else 0 for _ in range(size)]
+             for _ in range(size)]
+            for _ in range(batch)
+        ],
+        dtype=np.int64,
+    )
+    got = rm.interpolate_grid(params2d, grids)
+    minv = rm._inverse_vandermonde(ctx, d).tolist()
+    minv_t = [list(col) for col in zip(*minv)]
+    for w in range(batch):
+        assert np.array_equal(got[w], rm.interpolate_grid(params2d, grids[w]))
+        want = brute_matmul(ctx, brute_matmul(ctx, minv, grids[w].tolist()), minv_t)
+        assert got[w].tolist() == want
+
+
 def test_evaluate_many_matches_scalar(gf27, rng):
     params = rm.RmParams(gf27, 3, 4)
     coeffs = tuple(rng.randrange(gf27.n) for _ in range(params.k))
@@ -80,7 +162,7 @@ def test_evaluate_many_matches_scalar(gf27, rng):
     coords = np.array(pts, dtype=np.int64).T
     fast = rm.evaluate_many(params, coeffs, coords)
     for i, pt in enumerate(pts):
-        assert fast[i] == rm.evaluate(params, coeffs, pt)
+        assert fast[i] == brute_evaluate(gf27, params.basis, coeffs, pt)
 
 
 def test_encode_injective_tiny(gf4):
@@ -118,9 +200,9 @@ def test_restriction_agrees_with_direct_evaluation(gf8, rng):
         for t in range(gf8.n):
             for s in range(gf8.n):
                 pt = plane_point_at(gf8, plane, t, s)
-                assert rm.evaluate_triangle(
-                    params.bivariate(), tri, t, s
-                ) == rm.evaluate(params, coeffs, pt)
+                assert rm.evaluate(params.bivariate(), tri, (t, s)) == brute_evaluate(
+                    gf8, params.basis, coeffs, pt
+                )
 
 
 def test_restriction_degree4(gf27, rng):
@@ -132,9 +214,9 @@ def test_restriction_degree4(gf27, rng):
         for _ in range(40):
             t, s = rng.randrange(gf27.n), rng.randrange(gf27.n)
             pt = plane_point_at(gf27, plane, t, s)
-            assert rm.evaluate_triangle(
-                params.bivariate(), tri, t, s
-            ) == rm.evaluate(params, coeffs, pt)
+            assert rm.evaluate(params.bivariate(), tri, (t, s)) == brute_evaluate(
+                gf27, params.basis, coeffs, pt
+            )
 
 
 def test_low_degree_membership(gf8, rng):
