@@ -80,7 +80,6 @@ def _print_report(report: dict):
 def cmd_experiment(args, kind) -> int:
     config = _config_from_args(args, kind)
     report = harness.run_experiment(config)
-    harness.emit(report, config)
     _print_report(report)
     return 0 if report.get("ok", True) else 1
 

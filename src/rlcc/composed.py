@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache, partial
 from math import comb, log
 
 import numpy as np
@@ -67,6 +68,11 @@ from .rm import (
 from .ctrw import walk_sample
 
 MATERIALIZE_LIMIT = 50_000_000
+# the lazy oracle tabulates the RM region up to this many points
+TABLE_POINTS = 1_000_000
+# LRU bounds of the lazy oracle's memos; an S1 proof block is about 20 kB
+POINT_MEMO = 1 << 16
+PROOF_MEMO = 4096
 
 RM_REGION = "rm"
 POINT_REGION = "point"
@@ -88,31 +94,31 @@ class ComposedLayout:
     def ctx(self) -> Field:
         return self.rm.ctx
 
-    @property
+    @cached_property
     def coeff_len(self) -> int:
         return comb(self.rm.d + 2, 2)
 
-    @property
+    @cached_property
     def proof_len(self) -> int:
         return self.pcpp.repetitions * self.coeff_len
 
-    @property
+    @cached_property
     def rm_points(self) -> int:
         return self.ctx.n**self.ctx.m
 
-    @property
+    @cached_property
     def h_count(self) -> int:
         return self.ctx.p**self.ctx.m
 
-    @property
+    @cached_property
     def point_keys(self) -> int:
         return self.rm_points * self.h_count**2
 
-    @property
+    @cached_property
     def line_keys(self) -> int:
         return self.rm_points * projective_count(self.ctx) * self.h_count
 
-    @property
+    @cached_property
     def predicate_count(self) -> int:
         return self.point_keys + self.line_keys
 
@@ -120,23 +126,23 @@ class ComposedLayout:
     def paper_predicate_bound(self) -> int:
         return 2 * self.rm_points * self.h_count**2 * self.ctx.n**2
 
-    @property
+    @cached_property
     def repetitions(self) -> int:
         return max(1, -(-self.predicate_count * self.proof_len // self.rm_points))
 
-    @property
+    @cached_property
     def rm_length(self) -> int:
         return self.repetitions * self.rm_points
 
-    @property
+    @cached_property
     def point_region_base(self) -> int:
         return self.rm_length
 
-    @property
+    @cached_property
     def line_region_base(self) -> int:
         return self.rm_length + self.point_keys * self.proof_len
 
-    @property
+    @cached_property
     def length(self) -> int:
         return self.line_region_base + self.line_keys * self.proof_len
 
@@ -228,11 +234,30 @@ class ComposedLayout:
 # Oracles
 
 
+def _point_value(layout: ComposedLayout, coeffs, pcode: int) -> int:
+    return evaluate(layout.rm, coeffs, point_from_code(layout.ctx, pcode))
+
+
+def _proof_block(layout: ComposedLayout, coeffs, region: str, key_idx: int):
+    plane, _ = (
+        layout.point_key_plane(key_idx)
+        if region == POINT_REGION
+        else layout.line_key_plane(key_idx)
+    )
+    if plane is None:
+        return np.zeros(layout.proof_len, dtype=np.int32)
+    tri = restrict_to_plane(layout.rm, coeffs, plane)
+    return np.array(
+        build_proof(layout.rm.bivariate(), layout.pcpp, tri), dtype=np.int32
+    )
+
+
 class CanonicalOracle:
     """Lazy honest codeword of a message: reads compute symbols on demand.
 
-    Proof blocks are memoized per key; the memo is a pure function of
-    the key, so concurrent fills agree.
+    Point values (when the RM table is not built) and proof blocks are
+    kept in bounded LRU memos; both are pure functions of their key, so
+    an evicted entry recomputes to the same value.
     """
 
     def __init__(self, layout: ComposedLayout, message):
@@ -240,44 +265,26 @@ class CanonicalOracle:
         self.coeffs = tuple(message)
         if len(self.coeffs) != layout.rm.k:
             raise ValueError(f"message length must be {layout.rm.k}")
-        self._proofs = {}
-        self._points = {}
         self._table = None
-        if layout.rm_points <= 1_000_000:
+        if layout.rm_points <= TABLE_POINTS:
             self._table = eval_table(layout.rm, self.coeffs)
+        # the memos hold the layout and the message, not the oracle: a
+        # bound method would make a cycle that keeps a dropped oracle
+        # and its message alive until the cyclic collector runs
+        self._points = lru_cache(maxsize=POINT_MEMO)(
+            partial(_point_value, layout, self.coeffs)
+        )
+        self._proofs = lru_cache(maxsize=PROOF_MEMO)(
+            partial(_proof_block, layout, self.coeffs)
+        )
 
     def point_value(self, pcode: int) -> int:
         if self._table is not None:
             return int(self._table[pcode])
-        got = self._points.get(pcode)
-        if got is None:
-            got = evaluate(
-                self.layout.rm, self.coeffs, point_from_code(self.layout.ctx, pcode)
-            )
-            self._points[pcode] = got
-        return got
+        return self._points(pcode)
 
     def proof_block(self, region: str, key_idx: int):
-        memo = self._proofs.get((region, key_idx))
-        if memo is None:
-            layout = self.layout
-            plane, _ = (
-                layout.point_key_plane(key_idx)
-                if region == POINT_REGION
-                else layout.line_key_plane(key_idx)
-            )
-            if plane is None:
-                memo = np.zeros(layout.proof_len, dtype=np.int32)
-            else:
-                tri = restrict_to_plane(layout.rm, self.coeffs, plane)
-                memo = np.array(
-                    build_proof(layout.rm.bivariate(), layout.pcpp, tri),
-                    dtype=np.int32,
-                )
-            if len(self._proofs) >= 4096:
-                self._proofs.clear()
-            self._proofs[(region, key_idx)] = memo
-        return memo
+        return self._proofs(region, key_idx)
 
     def read(self, addr: int) -> int:
         region, a, b = self.layout.decode(addr)

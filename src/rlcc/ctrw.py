@@ -33,6 +33,7 @@ from .geometry import (
     add_points,
     is_colinear,
     is_zero,
+    plane_coords_at,
     point_code,
     sample_h_direction,
     sample_point,
@@ -155,21 +156,11 @@ def line_codes(params: RmParams, line: LineRep) -> np.ndarray:
 
 def plane_codes_at(params: RmParams, plane: PlaneRep, jj, kk) -> np.ndarray:
     """Point codes of plane grid positions (jj, kk), vectorized."""
-    ctx = params.ctx
-    jj = np.asarray(jj, dtype=np.int64)
-    kk = np.asarray(kk, dtype=np.int64)
-    code = np.zeros(jj.shape, dtype=np.int64)
-    w = 1
-    for i in range(ctx.m):
-        coord = ctx.vec_add(
-            ctx.vec_add(
-                np.full(jj.shape, plane.anchor[i], dtype=np.int64),
-                ctx.vec_scale(plane.dir1[i], jj),
-            ),
-            ctx.vec_scale(plane.dir2[i], kk),
-        )
-        code += coord * w
-        w *= ctx.n
+    n = params.ctx.n
+    coords = plane_coords_at(params.ctx, plane, jj, kk)
+    code = np.zeros(coords.shape[1:], dtype=np.int64)
+    for coord in coords[::-1]:
+        code = code * n + coord
     return code
 
 

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .gf import Field
 
 Point = tuple
@@ -121,6 +123,21 @@ def line_points(ctx: Field, line: LineRep):
 def plane_point_at(ctx: Field, plane: PlaneRep, j: int, k: int):
     pt = add_points(ctx, plane.anchor, scale_point(ctx, j, plane.dir1))
     return add_points(ctx, pt, scale_point(ctx, k, plane.dir2))
+
+
+def plane_coords_at(ctx: Field, plane: PlaneRep, jj, kk) -> np.ndarray:
+    """Coordinates of plane grid positions (jj, kk), vectorized: an
+    (m, *jj.shape) code array, the numpy form of plane_point_at."""
+    jj = np.asarray(jj, dtype=np.int64)
+    kk = np.asarray(kk, dtype=np.int64)
+    return np.stack(
+        [
+            ctx.vec_add(
+                ctx.vec_add(a, ctx.vec_scale(u, jj)), ctx.vec_scale(v, kk)
+            )
+            for a, u, v in zip(plane.anchor, plane.dir1, plane.dir2)
+        ]
+    )
 
 
 def plane_points(ctx: Field, plane: PlaneRep):

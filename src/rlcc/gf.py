@@ -165,6 +165,13 @@ class Field:
         return tuple(self.embed(a) for a in scalars)
 
     @property
+    def reduction(self):
+        """X^(m+j) mod f for j in [0, m-1), as coefficient tuples low
+        degree first: folds a degree-(2m-2) digit product back to m
+        digits."""
+        return tuple(self._red)
+
+    @property
     def descriptor(self) -> str:
         return f"{self.p}^{self.m}/" + ",".join(str(c) for c in self.irreducible)
 

@@ -36,7 +36,7 @@ from .rm import (
     eval_table,
     evaluate,
 )
-from .stats import stderr, wilson_interval
+from .stats import freq_meets_floor, stderr, wilson_interval
 
 VERSION = "0.1.0"
 
@@ -303,12 +303,13 @@ def completeness_experiment(config: ExperimentConfig) -> dict:
     )
 
 
-def soundness_experiment(config: ExperimentConfig) -> dict:
+def soundness_experiment(config: ExperimentConfig, rows=None) -> dict:
     """Walk robustness on words close to a planted codeword but wrong at x.
 
     Per trial: fresh pseudorandom corruption of the configured density
     plus a forced flip at a random start point; the verdict certifies
     whether the start predicate or some line predicate is alpha-far.
+    Per-trial CSV rows are appended to ``rows`` when a list is given.
     """
     rm = config.rm
     ctx = rm.ctx
@@ -325,7 +326,6 @@ def soundness_experiment(config: ExperimentConfig) -> dict:
     line_fail_given_f = [0] * steps
     f_prefix_counts = [0] * steps
     resamples = 0
-    rows = []
     for i in range(config.trials):
         rng = trial_rng(config.seed, "sound", i)
         corr = ctrw.PointCorruption(rm, rng.randrange(2**63), config.delta)
@@ -350,18 +350,18 @@ def soundness_experiment(config: ExperimentConfig) -> dict:
             prefix_holds = prefix_holds and ev.f_flags[s]
         f_all += prefix_holds
         f_premise += ev.p0_dense
-        rows.append(
-            {
-                "trial": i,
-                "violated": int(verdict.violated),
-                "witness": verdict.witness if verdict.witness is not None else "",
-                "resamples": sum(tr.resamples_steps),
-            }
-        )
+        if rows is not None:
+            rows.append(
+                {
+                    "trial": i,
+                    "violated": int(verdict.violated),
+                    "witness": verdict.witness if verdict.witness is not None else "",
+                    "resamples": sum(tr.resamples_steps),
+                }
+            )
     freq = violations / config.trials
-    target = float(sigma["value"])
     se = stderr(freq, config.trials)
-    report = finish_report(
+    return finish_report(
         config,
         {
             "trials": config.trials,
@@ -371,7 +371,9 @@ def soundness_experiment(config: ExperimentConfig) -> dict:
             "sigma_decimal": sigma["decimal"],
             "stderr": se,
             "wilson": list(wilson_interval(violations, config.trials)),
-            "ok": freq >= target - 3 * se,
+            "ok": freq_meets_floor(
+                violations, config.trials, float(sigma["value"])
+            )[0],
             "p0_witness": p0_hits,
             "epsilon_counts": eps_hits,
             "f_all_frequency": f_all / config.trials,
@@ -382,7 +384,6 @@ def soundness_experiment(config: ExperimentConfig) -> dict:
             "step_resample_rate": resamples / (config.trials * steps),
         },
     )
-    return emit(report, config, rows)
 
 
 def mixing_experiment(config: ExperimentConfig) -> dict:
@@ -390,7 +391,7 @@ def mixing_experiment(config: ExperimentConfig) -> dict:
     rng = trial_rng(config.seed, "mixing", 0)
     corr = ctrw.PointCorruption(rm, config.seed, config.delta)
     body = ctrw.mixing_exp(rm, corr, config.trials, rng, config.steps)
-    return emit(finish_report(config, body), config)
+    return finish_report(config, body)
 
 
 def sampling_experiment(config: ExperimentConfig) -> dict:
@@ -404,7 +405,7 @@ def sampling_experiment(config: ExperimentConfig) -> dict:
         ctx, a_codes, [Fraction(1, 8), Fraction(1, 4), Fraction(1, 2)],
         mode, config.trials, rng,
     )
-    return emit(finish_report(config, body), config)
+    return finish_report(config, body)
 
 
 def matrix_experiment(config: ExperimentConfig) -> dict:
@@ -414,7 +415,7 @@ def matrix_experiment(config: ExperimentConfig) -> dict:
     body["ok"] = body["singular_ok"] and body.get(
         "uniform_exact", body.get("uniform_ok", False)
     )
-    return emit(finish_report(config, body), config)
+    return finish_report(config, body)
 
 
 # ---------------------------------------------------------------------------
@@ -620,17 +621,20 @@ def alg2_experiment(config: ExperimentConfig, target_floor=None) -> dict:
     }
     if target_floor is not None:
         body["target_floor"] = target_floor
-        body["ok"] = freq >= target_floor - 3 * se
-    return emit(finish_report(config, body), config)
+        body["ok"] = freq_meets_floor(good, config.trials, target_floor)[0]
+    return finish_report(config, body)
 
 
 GATED_KINDS = ("soundness", "mixing", "alg2")
 
 
 def run_experiment(config: ExperimentConfig) -> dict:
+    """Run the experiment the config names and write its JSON (and CSV)
+    report once, after the wall clock is stamped."""
+    rows = []
     runner = {
         "completeness": completeness_experiment,
-        "soundness": soundness_experiment,
+        "soundness": lambda c: soundness_experiment(c, rows),
         "mixing": mixing_experiment,
         "sampling": sampling_experiment,
         "matrix": matrix_experiment,
@@ -645,4 +649,4 @@ def run_experiment(config: ExperimentConfig) -> dict:
     start = time.time()
     report = runner(config)
     report["wall_clock"] = round(time.time() - start, 3)
-    return report
+    return emit(report, config, rows)

@@ -21,7 +21,7 @@ from math import comb
 import numpy as np
 
 from .gf import _TABLE_LIMIT, Field
-from .geometry import PlaneRep, plane_point_at
+from .geometry import PlaneRep, plane_coords_at
 
 ENUM_BUDGET = 10**7
 
@@ -77,7 +77,7 @@ def encode(params: RmParams, message):
     return tuple(message)
 
 
-# from this degree on, one table-driven column beats the per-monomial loop
+# from this degree on, the log-domain monomial sum beats the per-monomial loop
 _BULK_DEGREE = 8
 
 
@@ -85,12 +85,13 @@ def evaluate(params: RmParams, coeffs, point) -> int:
     """Value of the polynomial at one point of F^dim.
 
     Low degrees, and fields too large for log tables, use the
-    per-monomial loop; higher degrees go through evaluate_many.
+    per-monomial loop; higher degrees sum every monomial at once in the
+    log domain.
     """
     ctx = params.ctx
     if params.d >= _BULK_DEGREE and ctx.n <= _TABLE_LIMIT:
-        coords = np.asarray(point, dtype=np.int64).reshape(-1, 1)
-        return int(evaluate_many(params, coeffs, coords)[0])
+        column = np.asarray(point, dtype=np.int64).reshape(-1, 1)
+        return int(_monomial_sum(params, coeffs, column)[0])
     acc = 0
     for c, exps in zip(coeffs, params.basis):
         if c == 0:
@@ -110,16 +111,12 @@ def _exponent_matrix(dim: int, d: int):
     return np.array(monomial_basis(dim, d), dtype=np.int64)
 
 
-def evaluate_many(params: RmParams, coeffs, coords) -> np.ndarray:
-    """Evaluate at many points at once; coords is a dim x NP code array.
-
-    Log-domain fast path: each monomial value is exp[(E @ logs) mod n-1]
-    with zero coordinates masked out, then terms are summed digit-wise
-    mod p.  Cross-checked against a brute-force evaluator in the tests.
-    """
+def _monomial_sum(params: RmParams, coeffs, coords) -> np.ndarray:
+    """Log-domain evaluation term by term: each live monomial's value is
+    exp[E @ logs] with zero coordinates masked out, then the terms are
+    summed digit-wise mod p."""
     ctx = params.ctx
     _, log_t, _, _ = ctx.tables
-    coords = np.asarray(coords, dtype=np.int64)
     npts = coords.shape[1]
     E = _exponent_matrix(params.dim, params.d)
     cvec = np.asarray(coeffs, dtype=np.int64)
@@ -135,6 +132,57 @@ def evaluate_many(params: RmParams, coeffs, coords) -> np.ndarray:
         # a zero coordinate kills every monomial with a positive exponent there
         killed = (El > 0) @ (coords[:, zcols] == 0)
         vals[np.ix_(np.arange(live.size), zcols)] *= ~killed
+    return ctx.sum_elements(vals, axis=0)
+
+
+@lru_cache(maxsize=64)
+def _horner_layout(dim: int, d: int):
+    """Where each graded-lex coefficient sits in the (d+1) x rest matrix
+    of evaluate_many: (rows = last-coordinate exponents, columns = index
+    of the other coordinates' monomial), plus those monomials' exponents."""
+    rest = monomial_basis(dim - 1, d)
+    col = {t: i for i, t in enumerate(rest)}
+    basis = monomial_basis(dim, d)
+    rows = np.array([t[-1] for t in basis], dtype=np.int64)
+    cols = np.array([col[t[:-1]] for t in basis], dtype=np.int64)
+    return rows, cols, np.array(rest, dtype=np.int64)
+
+
+def evaluate_many(params: RmParams, coeffs, coords) -> np.ndarray:
+    """Evaluate at many points at once; coords is a dim x NP code array.
+
+    Horner form on the last coordinate: one fmatmul of the (d+1) x rest
+    coefficient matrix (row = last-coordinate exponent) with the table
+    of the other coordinates' monomials at every point, then the sum of
+    those rows times the powers of the last coordinate.  When there are
+    too few other monomials for fmatmul's digit-plane path, the (d+1)
+    times larger Horner product loses to summing every monomial
+    directly, which is what runs then.  Cross-checked against a
+    brute-force evaluator in the tests.
+    """
+    ctx = params.ctx
+    d = params.d
+    coords = np.asarray(coords, dtype=np.int64)
+    # monomials of degree <= d in the other dim - 1 coordinates
+    if comb(d + params.dim - 1, d) < _DIGIT_INNER:
+        return _monomial_sum(params, coeffs, coords)
+    rows, cols, rest = _horner_layout(params.dim, d)
+    _, log_t, _, _ = ctx.tables
+    exp_t = ctx.exp_extended((d + 1) * (ctx.n - 1))
+    cmat = np.zeros((d + 1, len(rest)), dtype=np.int64)
+    cmat[rows, cols] = np.asarray(coeffs, dtype=np.int64)
+    head, last = coords[:-1], coords[-1]
+    table = exp_t[rest @ log_t[head]]
+    zcols = np.flatnonzero((head == 0).any(axis=0))
+    if zcols.size:
+        # a zero coordinate kills every monomial with a positive exponent there
+        killed = (rest > 0).astype(np.int64) @ (head[:, zcols] == 0)
+        table[:, zcols] *= killed == 0
+    partial = fmatmul(ctx, cmat, table)
+    # partial[e] * last^e, summed over e; a zero last coordinate keeps e = 0
+    expo = np.arange(d + 1, dtype=np.int64)[:, None]
+    vals = exp_t[log_t[partial] + expo * log_t[last]]
+    vals[(partial == 0) | ((last == 0) & (expo > 0))] = 0
     return ctx.sum_elements(vals, axis=0)
 
 
@@ -194,9 +242,16 @@ def _inverse_vandermonde(ctx: Field, d: int):
     return np.array(inv, dtype=np.int64)
 
 
+# from this inner dimension on, fmatmul multiplies base-p digit planes
+# through BLAS; below it the log-domain broadcast is faster
+_DIGIT_INNER = 16
+
+
 def fmatmul(ctx: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product over F of integer-code matrices; like ``a @ b``, it
     broadcasts over leading batch axes."""
+    if a.shape[-1] >= _DIGIT_INNER:
+        return _fmatmul_digits(ctx, a, b)
     exp_t, log_t, _, _ = ctx.tables
     a = a[..., :, :, None]
     b = b[..., None, :, :]
@@ -204,6 +259,35 @@ def fmatmul(ctx: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     prod = exp_t[log_t[a] + log_t[b]]
     prod[(a == 0) | (b == 0)] = 0
     return ctx.sum_elements(prod, axis=-2)
+
+
+def _fmatmul_digits(ctx: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """fmatmul through the m^2 float64 products of the operands' base-p
+    digit matrices, then the digit polynomial reduced by the irreducible.
+
+    Exact: each product entry is an integer below inner * m * (p-1)^2.
+    """
+    _, _, digits, weights = ctx.tables
+    m, p = ctx.m, ctx.p
+    rows, inner = a.shape[-2:]
+    assert inner * m * (p - 1) ** 2 < 2**53, "digit products would not be exact"
+    planes = digits.T.astype(np.float64)
+    # digit i of a stacked row-wise, so one product per digit of b gives
+    # the blocks (i, j) for every i
+    da = np.concatenate([plane[a] for plane in planes], axis=-2)
+    conv = [0.0] * (2 * m - 1)
+    for j, plane in enumerate(planes):
+        prod = da @ plane[b]
+        for i in range(m):
+            conv[i + j] = conv[i + j] + prod[..., i * rows : (i + 1) * rows, :]
+    conv = [c.astype(np.int64) % p for c in conv]
+    out = 0
+    for lo in range(m):
+        digit = conv[lo] + sum(
+            conv[m + t] * red[lo] for t, red in enumerate(ctx.reduction) if red[lo]
+        )
+        out = out + digit % p * weights[lo]
+    return out
 
 
 def interpolate_grid(params2d: RmParams, grids: np.ndarray) -> np.ndarray:
@@ -241,20 +325,12 @@ def restrict_to_plane(params: RmParams, coeffs, plane: PlaneRep):
     Evaluates on the (d+1)x(d+1) plane-local subgrid, then applies the
     precomputed inverse interpolation along both axes.
     """
-    ctx = params.ctx
     d = params.d
-    if d + 1 > ctx.n:
+    if d + 1 > params.ctx.n:
         raise ValueError("not enough interpolation nodes: d + 1 > |F|")
     size = d + 1
-    coords = np.empty((params.dim, size * size), dtype=np.int64)
-    idx = 0
-    for j in range(size):
-        row = plane_point_at(ctx, plane, j, 0)
-        for k in range(size):
-            pt = plane_point_at(ctx, plane, 0, k)
-            for i in range(params.dim):
-                coords[i, idx] = ctx.add(row[i], ctx.sub(pt[i], plane.anchor[i]))
-            idx += 1
+    jj, kk = np.divmod(np.arange(size * size, dtype=np.int64), size)
+    coords = plane_coords_at(params.ctx, plane, jj, kk)
     vals = evaluate_many(params, coeffs, coords).reshape(size, size)
     return tuple(restriction_triangles(params.bivariate(), vals).tolist())
 

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -103,3 +104,32 @@ def test_config_kind_must_match_subcommand(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
     cfg.write_text("kind = matrix\n")
     assert main(["matrix-exp", "--config", str(cfg), "--seed", "1"]) == 0
+
+
+@pytest.mark.parametrize(
+    "command, lines",
+    [
+        ("ctrw-run", ["preset = T1", "trials = 5"]),
+        ("soundness-exp", ["preset = T2", "trials = 5"]),
+        ("calibrate", ["p = 2", "m = 2", "d = 1", "trials = 100"]),
+    ],
+)
+def test_report_written_once_with_wall_clock(command, lines, tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("\n".join(lines + [f"sidecar = {tmp_path / 'cal.json'}"]) + "\n")
+    out_json = tmp_path / "rep.json"
+    writes = []
+    real_write = Path.write_text
+
+    def counting(self, *args, **kwargs):
+        writes.append(Path(self))
+        return real_write(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", counting)
+    rc = main([command, "--config", str(cfg), "--seed", "3", "--json", str(out_json)])
+    assert rc in (0, 1)
+    assert writes.count(out_json) == 1
+    rep = json.loads(out_json.read_text())
+    assert "wall_clock" in rep
+    printed = json.loads(capsys.readouterr().out)
+    assert printed == rep

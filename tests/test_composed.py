@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -105,6 +107,68 @@ def test_lazy_oracle_matches_materialized(t2, rng):
     for _ in range(10_000):
         addr = rng.randrange(layout.length)
         assert oracle.read(addr) == int(word[addr])
+
+
+def test_lazy_oracle_memos_stay_bounded(t2, monkeypatch):
+    # tiny bounds and no RM table, so both memos evict all the time
+    monkeypatch.setattr(composed, "TABLE_POINTS", 0)
+    monkeypatch.setattr(composed, "POINT_MEMO", 8)
+    monkeypatch.setattr(composed, "PROOF_MEMO", 4)
+    layout, message, word = t2
+    oracle = composed.CanonicalOracle(layout, message)
+    rng = random.Random(17)
+    # a few hot addresses come back after their entries were evicted
+    hot = [rng.randrange(layout.rm_length) for _ in range(3)]
+    hot += [layout.rm_length + rng.randrange(layout.length - layout.rm_length) for _ in range(3)]
+    for i in range(3000):
+        addr = hot[i % len(hot)] if i % 5 == 0 else rng.randrange(layout.length)
+        assert oracle.read(addr) == int(word[addr])
+        assert oracle._points.cache_info().currsize <= 8
+        assert oracle._proofs.cache_info().currsize <= 4
+    assert oracle._points.cache_info().misses > 8
+    assert oracle._proofs.cache_info().misses > 4
+
+
+def test_dropped_oracle_is_freed_without_the_cycle_collector(t1, monkeypatch):
+    monkeypatch.setattr(composed, "TABLE_POINTS", 0)
+    layout, message, _ = t1
+    oracle = composed.CanonicalOracle(layout, message)
+    oracle.read(0)
+    oracle.read(layout.point_region_base)
+    ref = weakref.ref(oracle)
+    gc.disable()
+    try:
+        del oracle
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+# every size decode and the region bases read, cached per layout
+CACHED_SIZES = (
+    "coeff_len", "proof_len", "rm_points", "h_count", "point_keys",
+    "line_keys", "predicate_count", "repetitions", "rm_length",
+    "point_region_base", "line_region_base", "length",
+)
+
+
+@pytest.mark.parametrize("preset", [(2, 2, 1), (2, 3, 1), (17, 3, 32)])
+def test_cached_layout_sizes(preset):
+    p, m, d = preset
+    ctx = Field(p, m)
+    layout = composed.ComposedLayout(rm.RmParams(ctx, m, d), PcppParams(4))
+    fresh = composed.ComposedLayout(rm.RmParams(ctx, m, d), PcppParams(4))
+    for name in CACHED_SIZES:
+        recompute = vars(composed.ComposedLayout)[name].func
+        assert getattr(layout, name) == recompute(layout) == recompute(fresh)
+        assert name in vars(layout)
+    # cached values live outside the dataclass fields: equality, hashing
+    # and the repr see only (rm, pcpp)
+    assert layout == fresh and hash(layout) == hash(fresh)
+    assert repr(layout) == repr(fresh)
+    assert layout != composed.ComposedLayout(rm.RmParams(ctx, m, d), PcppParams(5))
+    with pytest.raises(AttributeError):
+        layout.length = 0
 
 
 def test_degenerate_blocks_are_zero(t1):

@@ -1,9 +1,13 @@
 import random
 from itertools import product
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rlcc import geometry as geo
+from rlcc.ctrw import plane_codes_at
+from rlcc.rm import RmParams
 from rlcc.stats import chi_square_pvalue
 from rlcc.gf import Field
 
@@ -90,6 +94,30 @@ def test_plane_matches_bruteforce_tiny():
         for s in range(4)
     }
     assert set(geo.plane_points(ctx, plane)) == expected
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(
+    st.sampled_from([(2, 2), (2, 3), (3, 3), (17, 3)]),
+    st.integers(0, 2**32),
+)
+def test_plane_coords_at_matches_plane_point_at(pm, seed):
+    ctx = Field(*pm)
+    r = random.Random(seed)
+    while True:
+        d1, d2 = geo.sample_point(ctx, r), geo.sample_point(ctx, r)
+        if not (geo.is_zero(d1) or geo.is_zero(d2) or geo.is_colinear(ctx, d1, d2)):
+            break
+    plane = geo.PlaneRep.make(ctx, geo.sample_point(ctx, r), d1, d2)
+    jj = np.array([[0, r.randrange(ctx.n)], [r.randrange(ctx.n), ctx.n - 1]])
+    kk = np.array([[0, 0], [r.randrange(ctx.n), r.randrange(ctx.n)]])
+    coords = geo.plane_coords_at(ctx, plane, jj, kk)
+    assert coords.shape == (ctx.m, 2, 2)
+    codes = plane_codes_at(RmParams(ctx, ctx.m, 1), plane, jj, kk)
+    for idx in np.ndindex(jj.shape):
+        pt = geo.plane_point_at(ctx, plane, int(jj[idx]), int(kk[idx]))
+        assert tuple(coords[(slice(None),) + idx].tolist()) == pt
+        assert codes[idx] == geo.point_code(ctx, pt)
 
 
 def test_sample_h_direction_support(gf4, rng):

@@ -154,6 +154,65 @@ def test_batched_interpolate_matches_per_grid_and_bruteforce(case, batch, r):
         assert got[w].tolist() == want
 
 
+# inner dimensions on both sides of fmatmul's digit-plane cutoff
+FMATMUL_INNER = [1, 2, rm._DIGIT_INNER - 1, rm._DIGIT_INNER, 40]
+
+
+@CROSS_CHECK
+@given(
+    st.sampled_from([(2, 3), (3, 2), (5, 2), (2, 4), (17, 3)]),
+    st.sampled_from(FMATMUL_INNER),
+    st.integers(1, 4),
+    st.integers(1, 4),
+    st.booleans(),
+    st.randoms(use_true_random=False),
+)
+def test_fmatmul_matches_scalar_product_across_cutoff(pm, inner, rows, cols, batched, r):
+    ctx = field(*pm)
+
+    def draw(shape):
+        # about 30% zeros, which the log-domain path masks
+        flat = [r.randrange(ctx.n) if r.random() < 0.7 else 0 for _ in range(np.prod(shape))]
+        return np.array(flat, dtype=np.int64).reshape(shape)
+
+    lead = (2,) if batched else ()
+    a = draw(lead + (rows, inner))
+    b = draw(lead + (inner, cols))
+    got = rm.fmatmul(ctx, a, b)
+    assert got.shape == lead + (rows, cols)
+    for w in range(2 if batched else 1):
+        aw, bw, gw = (a[w], b[w], got[w]) if batched else (a, b, got)
+        assert gw.tolist() == brute_matmul(ctx, aw.tolist(), bw.tolist())
+
+
+# (p, m) fields for evaluate_many; degrees reach the digit-plane fmatmul
+# (16 or more monomials in the other coordinates) where the field allows
+EVAL_MANY_FIELDS = [(2, 3), (3, 2), (5, 2), (2, 4), (17, 3)]
+
+
+@pytest.mark.parametrize("pm", EVAL_MANY_FIELDS)
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("high", [False, True])
+@CROSS_CHECK
+@given(data=st.data())
+def test_evaluate_many_matches_bruteforce(pm, dim, high, data):
+    ctx = field(*pm)
+    top = min(ctx.n - 1, 16 if dim == 2 else 6)
+    d = top if high else data.draw(st.integers(0, min(top, 3)))
+    params = rm.RmParams(ctx, dim, d)
+    coeffs = data.draw(
+        st.lists(st.integers(0, ctx.n - 1), min_size=params.k, max_size=params.k)
+    )
+    coord = st.one_of(st.just(0), st.integers(0, ctx.n - 1))
+    points = data.draw(
+        st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=6)
+    )
+    got = rm.evaluate_many(params, coeffs, np.array(points, dtype=np.int64).T)
+    assert got.tolist() == [
+        brute_evaluate(ctx, params.basis, coeffs, pt) for pt in points
+    ]
+
+
 def test_evaluate_many_matches_scalar(gf27, rng):
     params = rm.RmParams(gf27, 3, 4)
     coeffs = tuple(rng.randrange(gf27.n) for _ in range(params.k))
@@ -217,6 +276,37 @@ def test_restriction_degree4(gf27, rng):
             assert rm.evaluate(params.bivariate(), tri, (t, s)) == brute_evaluate(
                 gf27, params.basis, coeffs, pt
             )
+
+
+@pytest.mark.parametrize("kind", ["point", "line"])
+@settings(derandomize=True, max_examples=2, deadline=None)
+@given(seed=st.integers(0, 2**32))
+def test_restriction_s1_key_planes(kind, seed):
+    # S1 composed-code planes: point keys have both directions in H^3,
+    # line keys a normalized F-direction dir1
+    from rlcc import composed
+    from rlcc.pcpp import PcppParams
+
+    r = random.Random(seed)
+    ctx = field(17, 3)
+    params = rm.RmParams(ctx, 3, 32)
+    layout = composed.ComposedLayout(params, PcppParams(4))
+    plane = None
+    while plane is None:
+        if kind == "point":
+            plane, _ = layout.point_key_plane(r.randrange(layout.point_keys))
+        else:
+            plane, _ = layout.line_key_plane(r.randrange(layout.line_keys))
+    if kind == "line":
+        assert not plane.h_flags[0]
+    coeffs = [r.randrange(ctx.n) for _ in range(params.k)]
+    tri = rm.restrict_to_plane(params, coeffs, plane)
+    bivariate = params.bivariate()
+    for t, s in [(0, 0), (1, 0)] + [(r.randrange(ctx.n), r.randrange(ctx.n)) for _ in range(2)]:
+        pt = plane_point_at(ctx, plane, t, s)
+        assert brute_evaluate(ctx, bivariate.basis, tri, (t, s)) == brute_evaluate(
+            ctx, params.basis, coeffs, pt
+        )
 
 
 def test_low_degree_membership(gf8, rng):
