@@ -38,14 +38,13 @@ from .geometry import (
     canonical_plane_key,
     h_vector_from_index,
     h_vector_index,
-    is_colinear,
-    is_zero,
     plane_point_at,
     point_code,
     point_from_code,
     projective_count,
     projective_rank,
     projective_unrank,
+    spans_plane,
 )
 from .pcpp import (
     BOT,
@@ -193,22 +192,16 @@ class ComposedLayout:
         """(plane-or-None, anchor); None when the key is degenerate."""
         ctx = self.ctx
         a, d1, d2 = self.point_key_fields(key_idx)
-        anchor = point_from_code(ctx, a)
-        u = h_vector_from_index(ctx, d1)
-        v = h_vector_from_index(ctx, d2)
-        if is_zero(u) or is_zero(v) or is_colinear(ctx, u, v):
-            return None, anchor
-        return PlaneRep.make(ctx, anchor, u, v), anchor
+        return _key_plane(
+            ctx, a, h_vector_from_index(ctx, d1), h_vector_from_index(ctx, d2)
+        )
 
     def line_key_plane(self, key_idx: int):
         ctx = self.ctx
         a, rank, d2 = self.line_key_fields(key_idx)
-        anchor = point_from_code(ctx, a)
-        u = projective_unrank(ctx, rank)
-        v = h_vector_from_index(ctx, d2)
-        if is_zero(v) or is_colinear(ctx, u, v):
-            return None, anchor
-        return PlaneRep.make(ctx, anchor, u, v), anchor
+        return _key_plane(
+            ctx, a, projective_unrank(ctx, rank), h_vector_from_index(ctx, d2)
+        )
 
     def point_key_index_of(self, plane: PlaneRep) -> int:
         """Index of the raw point-proof key of an H-plane."""
@@ -228,6 +221,13 @@ class ComposedLayout:
             projective_rank(ctx, key.dir1),
             h_vector_index(ctx, key.dir2),
         )
+
+
+def _key_plane(ctx: Field, anchor_code: int, u, v):
+    anchor = point_from_code(ctx, anchor_code)
+    if not spans_plane(ctx, u, v):
+        return None, anchor
+    return PlaneRep.make(ctx, anchor, u, v), anchor
 
 
 # ---------------------------------------------------------------------------
@@ -297,55 +297,68 @@ def materialize(layout: ComposedLayout, message) -> np.ndarray:
     """Full codeword as an int16 array (tiny layouts only)."""
     if layout.length > MATERIALIZE_LIMIT:
         raise ValueError("layout too large to materialize")
-    ctx = layout.ctx
     rm_tab = eval_table(layout.rm, tuple(message))
     out = np.empty(layout.length, dtype=np.int16)
-    out[: layout.rm_length] = np.tile(rm_tab, layout.repetitions)
-    rep = layout.pcpp.repetitions
-    for region, count, base in (
-        (POINT_REGION, layout.point_keys, layout.point_region_base),
-        (LINE_REGION, layout.line_keys, layout.line_region_base),
+    # broadcast assignments into views of out: no tiled temporaries
+    out[: layout.rm_length].reshape(layout.repetitions, -1)[:] = rm_tab
+    for region, base in (
+        (POINT_REGION, layout.point_region_base),
+        (LINE_REGION, layout.line_region_base),
     ):
-        blocks = _batched_proofs(layout, message, rm_tab, region, count)
-        out[base : base + count * layout.proof_len] = np.tile(
-            blocks, (1, rep)
-        ).reshape(-1)
+        tris = _batched_proofs(layout, rm_tab, region)
+        blocks = out[base : base + len(tris) * layout.proof_len]
+        blocks.reshape(len(tris), -1, layout.coeff_len)[:] = tris[:, None, :]
     return out
 
 
-def _batched_proofs(layout, message, rm_tab, region, count) -> np.ndarray:
+def _batched_proofs(layout, rm_tab, region) -> np.ndarray:
     """Coefficient triangles of every key in a region, degenerate keys zero.
 
-    Vectorized: gathers each key's (d+1)^2 subgrid from the RM table and
-    interpolates all keys at once.
+    Vectorized: gathers each live key's (d+1)^2 subgrid from the RM table
+    and interpolates all keys at once.
+    """
+    live, codes = key_subgrids(layout, region)
+    tris = np.zeros((live.size, layout.coeff_len), dtype=np.int64)
+    if codes.size:
+        grids = np.asarray(rm_tab, dtype=np.int64)[codes]
+        tris[live] = restriction_triangles(layout.rm.bivariate(), grids)
+    return tris
+
+
+def key_subgrids(layout: ComposedLayout, region: str):
+    """Live mask over every key of a proof region, and the point codes of
+    each live key's (d+1)^2 subgrid, shape (live, d+1, d+1).
+
+    The numpy form of point_key_plane / line_key_plane followed by
+    point_code(plane_point_at(plane, j, k)) for j, k <= d.
     """
     ctx = layout.ctx
+    dir2 = [h_vector_from_index(ctx, i) for i in range(layout.h_count)]
+    if region == POINT_REGION:
+        dir1 = dir2
+    else:
+        dir1 = [projective_unrank(ctx, r) for r in range(projective_count(ctx))]
+    spans = np.array([[spans_plane(ctx, u, v) for v in dir2] for u in dir1])
+    count = layout.rm_points * spans.size
+    rest, d2 = np.divmod(np.arange(count, dtype=np.int64), len(dir2))
+    anchor, d1 = np.divmod(rest, len(dir1))
+    live = spans[d1, d2]
+    anchor, d1, d2 = anchor[live], d1[live], d2[live]
     size = layout.rm.d + 1
-    planes = []
-    live = []
-    for key_idx in range(count):
-        plane, _ = (
-            layout.point_key_plane(key_idx)
-            if region == POINT_REGION
-            else layout.line_key_plane(key_idx)
-        )
-        if plane is not None:
-            planes.append(plane)
-            live.append(key_idx)
-    tris = np.zeros((count, layout.coeff_len), dtype=np.int64)
-    if planes:
-        codes = np.empty((len(planes), size, size), dtype=np.int64)
-        for w, plane in enumerate(planes):
-            for j in range(size):
-                for k in range(size):
-                    codes[w, j, k] = point_code(
-                        ctx, plane_point_at(ctx, plane, j, k)
-                    )
-        grids = np.asarray(rm_tab, dtype=np.int64)[codes]
-        tris[np.array(live, dtype=np.int64)] = restriction_triangles(
-            layout.rm.bivariate(), grids
-        )
-    return tris
+
+    def multiples(dirs):
+        # (m, len(dirs), d+1): coordinate i of elem(j) * u for j <= d
+        dirs = np.array(dirs, dtype=np.int64).T
+        return ctx.vec_mul(dirs[:, :, None], np.arange(size, dtype=np.int64))
+
+    mult1, mult2 = multiples(dir1), multiples(dir2)
+    codes = np.zeros((anchor.size, size, size), dtype=np.int64)
+    # one coordinate at a time keeps the digit temporaries small
+    for i in range(ctx.m):
+        weight = ctx.n**i
+        row = ctx.vec_add((anchor // weight % ctx.n)[:, None], mult1[i][d1])
+        codes += ctx.vec_add(row[:, :, None], mult2[i][d2][:, None, :]) * weight
+    return live, codes
 
 
 # ---------------------------------------------------------------------------

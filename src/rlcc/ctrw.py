@@ -47,7 +47,7 @@ from .rm import (
     enumerate_codewords,
     is_low_degree_on_plane,
 )
-from .stats import DensityBound, wilson_interval
+from .stats import DensityBound, freq_meets_ceiling, stderr, wilson_interval
 
 PLANE_EXACT_LIMIT = 200_000
 DEFAULT_PLANE_SAMPLES = 20_000
@@ -443,15 +443,14 @@ def mixing_exp(
     est = hits / trials
     bound = corruption.density + 2.0 / ctx.p
     lo, hi = wilson_interval(hits, trials)
-    se = (est * (1 - est) / trials) ** 0.5
     return {
         "trials": trials,
         "hits": hits,
         "estimate": est,
         "bound": bound,
-        "stderr": se,
+        "stderr": stderr(est, trials),
         "wilson": [lo, hi],
-        "ok": est <= bound + 3 * se,
+        "ok": freq_meets_ceiling(hits, trials, bound)[0],
         "step_resamples": resample_total,
     }
 

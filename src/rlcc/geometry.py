@@ -75,6 +75,11 @@ def is_colinear(ctx: Field, base, other) -> bool:
     return all(ctx.mul(lam, base[i]) == other[i] for i in range(ctx.m))
 
 
+def spans_plane(ctx: Field, u, v) -> bool:
+    """Whether directions u and v are both nonzero and independent."""
+    return not (is_zero(u) or is_zero(v) or is_colinear(ctx, u, v))
+
+
 @dataclass(frozen=True)
 class LineRep:
     anchor: Point

@@ -104,8 +104,14 @@ class ExperimentConfig:
         return PcppParams(qv, self.pcpp_r, self.alpha)
 
     def digest(self) -> str:
+        """Hash of the experiment the config describes; where its report
+        is written does not count."""
         blob = json.dumps(
-            {f.name: getattr(self, f.name) for f in fields(self)},
+            {
+                f.name: getattr(self, f.name)
+                for f in fields(self)
+                if f.name not in ("json_path", "csv_path")
+            },
             sort_keys=True,
             default=str,
         )

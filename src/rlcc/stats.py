@@ -90,3 +90,15 @@ def freq_meets_floor(successes: int, trials: int, floor: float, z: float = 3.0):
         "slack": slack,
         "trials": trials,
     }
+
+
+def freq_meets_ceiling(successes: int, trials: int, ceiling: float, z: float = 3.0):
+    """Empirical frequency <= ceiling + z * stderr; returns (ok, details)."""
+    p_hat = successes / trials
+    slack = z * stderr(p_hat, trials)
+    return p_hat <= ceiling + slack, {
+        "freq": p_hat,
+        "ceiling": ceiling,
+        "slack": slack,
+        "trials": trials,
+    }

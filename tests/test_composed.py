@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from rlcc import composed, rm
-from rlcc.geometry import point_code, point_from_code, sample_point
+from rlcc.geometry import plane_point_at, point_code, point_from_code, sample_point
 from rlcc.gf import Field
 from rlcc.pcpp import BOT, PcppParams
 
@@ -183,6 +183,59 @@ def test_degenerate_blocks_are_zero(t1):
     # GF(4), H = GF(2): per anchor 16 (dir1, dir2) pairs, 7 degenerate
     # (dir1 = 0: 4, plus dir1 nonzero with dir2 in {0, dir1}: 3*2 = 6 -> 10)
     assert zero_count == 16 * (4 + 3 * 2)
+
+
+def _scalar_subgrids(layout, region, size):
+    """Reference for key_subgrids: the scalar key plane of every key in a
+    region, then point_code(plane_point_at(...)) on its size^2 subgrid."""
+    ctx = layout.ctx
+    if region == composed.POINT_REGION:
+        key_plane, count = layout.point_key_plane, layout.point_keys
+    else:
+        key_plane, count = layout.line_key_plane, layout.line_keys
+    live, codes = [], []
+    for key_idx in range(count):
+        plane, _ = key_plane(key_idx)
+        live.append(plane is not None)
+        if plane is not None:
+            codes.append([
+                [point_code(ctx, plane_point_at(ctx, plane, j, k)) for k in range(size)]
+                for j in range(size)
+            ])
+    return np.array(live), np.array(codes, dtype=np.int64).reshape(-1, size, size)
+
+
+# T1, T2 and GF(3^2): with p = 3, v = 2u is a colinear H-pair
+@pytest.mark.parametrize("p, m", [(2, 2), (2, 3), (3, 2)])
+@pytest.mark.parametrize("region", [composed.POINT_REGION, composed.LINE_REGION])
+def test_key_subgrids_match_scalar_key_planes(p, m, region):
+    ctx = Field(p, m)
+    layouts = {
+        d: composed.ComposedLayout(rm.RmParams(ctx, m, d), PcppParams(4))
+        for d in (1, 2)
+    }
+    # key planes do not depend on d, and the d = 1 subgrid is the top-left
+    # corner of the d = 2 one, so one scalar pass serves both degrees
+    ref_live, ref_codes = _scalar_subgrids(layouts[2], region, 3)
+    for d, layout in layouts.items():
+        live, codes = composed.key_subgrids(layout, region)
+        assert live.dtype == bool
+        assert np.array_equal(live, ref_live)
+        assert np.array_equal(codes, ref_codes[:, : d + 1, : d + 1])
+    if p == 3 and region == composed.POINT_REGION:
+        # u = (1, 0) has H-index 1 and v = 2u = (2, 0) has H-index 2
+        assert not live[layouts[1].point_key_index(0, 1, 2)]
+
+
+@pytest.mark.parametrize(
+    "p, m, d, message", [(2, 2, 1, [1, 2, 3]), (3, 2, 2, [1, 5, 0, 8, 2, 7])]
+)
+def test_materialized_word_matches_lazy_oracle_everywhere(p, m, d, message):
+    ctx = Field(p, m)
+    layout = composed.ComposedLayout(rm.RmParams(ctx, m, d), PcppParams(4))
+    word = composed.materialize(layout, message)
+    oracle = composed.CanonicalOracle(layout, message)
+    assert word.tolist() == [oracle.read(addr) for addr in range(layout.length)]
 
 
 def test_overlay_empty_is_identity(t1, rng):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rlcc import harness
+from rlcc import harness, stats
 from rlcc.gf import Field
 from rlcc.pcpp import PcppParams
 from rlcc.rm import RmParams
@@ -208,3 +208,26 @@ def test_density_bound_rounds_outward(case):
     grid = Fraction(1, 10**12)
     assert lo <= Fraction(bound.lo) < lo + grid
     assert hi - grid < Fraction(bound.hi) <= hi
+
+
+def test_config_hash_ignores_output_paths(tmp_path):
+    def config(seed, name):
+        return harness.make_config(
+            preset="T2", kind="mixing", trials=300, seed=seed,
+            json_path=str(tmp_path / f"{name}.json"),
+            csv_path=str(tmp_path / f"{name}.csv"),
+        )
+
+    assert config(11, "a").digest() == config(11, "b").digest()
+    assert config(11, "a").digest() != config(12, "a").digest()
+
+
+def test_frequency_floor_and_ceiling_mirror():
+    # 50 of 100: stderr 0.05, slack 0.15
+    assert stats.freq_meets_ceiling(50, 100, 0.4)[0]
+    assert not stats.freq_meets_ceiling(50, 100, 0.3)[0]
+    assert stats.freq_meets_floor(50, 100, 0.6)[0]
+    assert not stats.freq_meets_floor(50, 100, 0.7)[0]
+    _, details = stats.freq_meets_ceiling(50, 100, 0.4)
+    assert details["slack"] == pytest.approx(0.15)
+    assert (details["freq"], details["ceiling"], details["trials"]) == (0.5, 0.4, 100)
