@@ -93,7 +93,13 @@ def cmd_encode(args) -> int:
     else:
         message = [config.ctx.rand_element(rng) for _ in range(config.rm.k)]
     word = composed.materialize(layout, encode(config.rm, message))
-    text = " ".join(str(int(v)) for v in word)
+    # formatted a million symbols at a time: a list of every symbol's
+    # string would hold about 1 GB at T2
+    step = 1 << 20
+    text = " ".join(
+        " ".join(map(str, word[i : i + step].tolist()))
+        for i in range(0, word.size, step)
+    )
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")

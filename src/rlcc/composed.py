@@ -54,7 +54,7 @@ from .pcpp import (
     correct_proof_symbol,
     verify_proximity,
 )
-from .prf import chain, chain_vec, threshold_of
+from .prf import KeyedNoise, chain
 from .rm import (
     LINE_KIND,
     POINT_KIND,
@@ -369,10 +369,9 @@ class Overlay:
     """Deterministic adversary over composed addresses.
 
     Rules, in precedence order: targeted point flips (optionally in
-    every RM copy), then a keyed pseudorandom per-address selector with
-    a per-region inclusion rate.  Replacement symbols are uniform among
-    the other field values, so the support is exactly the set of
-    addresses whose read differs from the base oracle.
+    every RM copy), then keyed noise (``prf.KeyedNoise``, one key for
+    every region) at a per-region rate.  The support is exactly the set
+    of addresses whose read differs from the base oracle.
     """
 
     def __init__(self, layout: ComposedLayout, seed: int):
@@ -380,13 +379,14 @@ class Overlay:
         self.seed = seed
         self._prefix = chain(seed, 0x0C)
         self._salt = chain(seed, 0x5A)
-        self._rates = {}
+        self._noise = {}
         self._targets = {}
         self._target_all = {}
 
     def add_region_random(self, rate: float, regions=(RM_REGION, POINT_REGION, LINE_REGION)):
+        noise = KeyedNoise(self._prefix, self._salt, rate, self.layout.ctx.n)
         for r in regions:
-            self._rates[r] = threshold_of(rate), rate
+            self._noise[r] = noise
         return self
 
     def add_targeted_point(self, point, delta: int = 1, copies="all"):
@@ -407,22 +407,25 @@ class Overlay:
         region, _, b = self.layout.decode(addr)
         if region == RM_REGION and self._target_all and b in self._target_all:
             return (base + self._target_all[b]) % n
-        rate = self._rates.get(region)
-        if rate is not None and chain(self._prefix, addr) < rate[0]:
-            return (base + 1 + chain(self._salt, addr) % (n - 1)) % n
+        noise = self._noise.get(region)
+        if noise is not None and noise.hit(addr):
+            return noise.replacement(addr, base)
         return None
+
+    def _spans(self):
+        """(region, first address, size) of each region."""
+        layout = self.layout
+        return (
+            (RM_REGION, 0, layout.rm_length),
+            (POINT_REGION, layout.point_region_base, layout.point_keys * layout.proof_len),
+            (LINE_REGION, layout.line_region_base, layout.line_keys * layout.proof_len),
+        )
 
     def expected_fraction(self) -> float:
         """Expected corrupted fraction of the whole word."""
         layout = self.layout
-        sizes = {
-            RM_REGION: layout.rm_length,
-            POINT_REGION: layout.point_keys * layout.proof_len,
-            LINE_REGION: layout.line_keys * layout.proof_len,
-        }
-        total = sum(
-            sizes[r] * rate for r, (_, rate) in self._rates.items()
-        )
+        sizes = {region: size for region, _, size in self._spans()}
+        total = sum(sizes[r] * noise.rate for r, noise in self._noise.items())
         total += len(self._targets) + len(self._target_all) * layout.repetitions
         return total / layout.length
 
@@ -431,24 +434,10 @@ class Overlay:
         layout = self.layout
         n = layout.ctx.n
         counts = {}
-        for region, base, size in (
-            (RM_REGION, 0, layout.rm_length),
-            (POINT_REGION, layout.point_region_base, layout.point_keys * layout.proof_len),
-            (LINE_REGION, layout.line_region_base, layout.line_keys * layout.proof_len),
-        ):
-            rate = self._rates.get(region)
-            if rate is None or size == 0:
-                continue
-            hit_total = 0
-            for lo in range(base, base + size, 4_000_000):
-                hi = min(lo + 4_000_000, base + size)
-                addrs = np.arange(lo, hi, dtype=np.int64)
-                mask = chain_vec(self._prefix, addrs) < rate[0]
-                idx = addrs[mask]
-                shift = 1 + chain_vec(self._salt, idx) % np.uint64(n - 1)
-                word[idx] = (word[idx] + shift.astype(np.int64)) % n
-                hit_total += int(mask.sum())
-            counts[region] = hit_total
+        for region, base, size in self._spans():
+            noise = self._noise.get(region)
+            if noise is not None and size:
+                counts[region] = noise.apply(base, base + size, word)
         for addr, delta in self._targets.items():
             word[addr] = (word[addr] + delta) % n
         for pcode, delta in self._target_all.items():

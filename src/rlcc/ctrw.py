@@ -39,7 +39,7 @@ from .geometry import (
     sample_point,
     scale_point,
 )
-from .prf import chain, chain_vec, threshold_of
+from .prf import KeyedNoise, chain
 from .rm import (
     ENUM_BUDGET,
     RmParams,
@@ -177,21 +177,20 @@ def plane_codes(params: RmParams, plane: PlaneRep) -> np.ndarray:
 class PointCorruption:
     """Deterministic corruption pattern over F^m point codes.
 
-    Combines a keyed pseudorandom density-delta selector, targeted point
-    flips, and optional full-plane blots.  The support is exactly the
-    set of points whose read differs from the base word, because the
-    replacement symbol is never equal to the base symbol.
+    Combines keyed noise at the given density with targeted point
+    flips.  The support is exactly the set of points whose read differs
+    from the base word, because a corrupted read never equals the base
+    symbol.
     """
 
     def __init__(self, params: RmParams, seed: int, density: float = 0.0):
         self.params = params
         self.seed = seed
         self.density = density
-        self._threshold = threshold_of(density)
-        self._prefix = chain(seed, 0xC0)
+        self._noise = KeyedNoise(
+            chain(seed, 0xC0), chain(seed, 0xA5), density, params.ctx.n
+        )
         self._targets = {}
-        self._blot_codes = None
-        self._blot_prefix = chain(seed, 0xB1)
 
     def target_point(self, point, delta: int = 1):
         """Force a difference of delta (mod-n shift, nonzero) at a point."""
@@ -199,43 +198,21 @@ class PointCorruption:
             raise ValueError("targeted delta must be nonzero")
         self._targets[point_code(self.params.ctx, point)] = delta
 
-    def blot_plane(self, plane: PlaneRep):
-        codes = plane_codes(self.params, plane)
-        self._blot_codes = dict(
-            zip(codes.tolist(), range(len(codes)))
-        )
-
     def is_corrupt_code(self, code: int) -> bool:
-        if code in self._targets:
-            return True
-        if self._blot_codes is not None and code in self._blot_codes:
-            return True
-        return chain(self._prefix, code) < self._threshold
+        return code in self._targets or self._noise.hit(code)
 
     def corrupt_mask(self, codes: np.ndarray) -> np.ndarray:
-        mask = chain_vec(self._prefix, codes) < self._threshold
-        if self._targets:
-            for c in self._targets:
-                mask |= codes == c
-        if self._blot_codes is not None:
-            extra = np.fromiter(
-                (c in self._blot_codes for c in codes.tolist()),
-                dtype=bool,
-                count=len(codes),
-            )
-            mask |= extra
+        mask = self._noise.hit_mask(codes)
+        for c in self._targets:
+            mask |= codes == c
         return mask
 
     def read(self, base: int, code: int) -> int:
         """Word symbol at a point given the honest base symbol."""
-        n = self.params.ctx.n
         if code in self._targets:
-            return (base + self._targets[code]) % n
-        if self._blot_codes is not None and code in self._blot_codes:
-            return (base + 1 + chain(self._blot_prefix, code) % (n - 1)) % n
-        h = chain(self._prefix, code)
-        if h < self._threshold:
-            return (base + 1 + chain(self._prefix, code, 0xA5) % (n - 1)) % n
+            return (base + self._targets[code]) % self.params.ctx.n
+        if self._noise.hit(code):
+            return self._noise.replacement(code, base)
         return base
 
 
@@ -379,34 +356,20 @@ class StepEvents:
     f_flags: list
 
 
-def step_events(
-    params: RmParams,
-    corruption: PointCorruption,
-    transcript: WalkTranscript,
-    alpha: Fraction,
-    rng,
-    plane_samples: int = DEFAULT_PLANE_SAMPLES,
-) -> StepEvents:
+def step_events(params: RmParams, verdict: RobustVerdict, alpha: Fraction) -> StepEvents:
+    """Bookkeeping read off a planted verdict's own measurements: each
+    plane's density bound and each line's count, so the events and the
+    verdict agree on every plane."""
     n = params.ctx.n
-    rho = params.rho
-    thresh = rho - 2 * alpha
+    thresh = params.rho - 2 * alpha
     dense = []
-    for plane in transcript.planes:
-        pb = _plane_density(params, corruption, plane, rng, plane_samples)
-        lo, hi = pb.as_fractions()
-        if lo >= thresh:
-            dense.append(True)
-        elif hi < thresh:
-            dense.append(False)
-        else:
-            dense.append(None)
-    counts, e_flags, f_flags = [], [], []
-    for i, line in enumerate(transcript.lines, start=1):
-        cnt = int(corruption.corrupt_mask(line_codes(params, line)).sum())
-        counts.append(cnt)
-        line_heavy = Fraction(cnt, n) >= 2 * alpha
-        e_flags.append(line_heavy and dense[i] is False)
-        f_flags.append(line_heavy and dense[i] is True)
+    for bound in verdict.distances:
+        lo, hi = bound.plane_bound.as_fractions()
+        dense.append(True if lo >= thresh else False if hi < thresh else None)
+    counts = [bound.line_count for bound in verdict.distances[1:]]
+    heavy = [Fraction(cnt, n) >= 2 * alpha for cnt in counts]
+    e_flags = [h and d is False for h, d in zip(heavy, dense[1:])]
+    f_flags = [h and d is True for h, d in zip(heavy, dense[1:])]
     return StepEvents(counts, dense[1:], dense[0] is True, e_flags, f_flags)
 
 

@@ -43,16 +43,8 @@ def add_points(ctx: Field, a, b):
     return tuple(ctx.add(x, y) for x, y in zip(a, b))
 
 
-def sub_points(ctx: Field, a, b):
-    return tuple(ctx.sub(x, y) for x, y in zip(a, b))
-
-
 def scale_point(ctx: Field, t: int, a):
     return tuple(ctx.mul(t, x) for x in a)
-
-
-def zero_point(ctx: Field):
-    return (0,) * ctx.m
 
 
 def is_zero(point) -> bool:

@@ -28,6 +28,7 @@ from . import composed, ctrw
 from .gf import Field
 from .geometry import point_from_code, sample_point
 from .pcpp import BOT, PcppParams, build_proof, verify_proximity
+from .prf import KeyedNoise, chain
 from .rm import (
     LINE_KIND,
     POINT_KIND,
@@ -344,7 +345,7 @@ def soundness_experiment(config: ExperimentConfig, rows=None) -> dict:
         )
         violations += verdict.violated
         p0_hits += verdict.witness == 0
-        ev = ctrw.step_events(rm, corr, tr, alpha, rng, config.plane_samples)
+        ev = ctrw.step_events(rm, verdict, alpha)
         prefix_holds = True
         for s in range(steps):
             if prefix_holds and ev.e_flags[s]:
@@ -436,8 +437,6 @@ def _far_families(rm2d: RmParams, pcpp: PcppParams, rng):
     min(eta, rho - eta)/2 >= rho_prox, and replacing more than
     rho_prox*R proof copies moves the proof past the radius.
     """
-    from .prf import chain, chain_vec, threshold_of
-
     ctx = rm2d.ctx
     n = ctx.n
     k2 = rm2d.k
@@ -461,22 +460,16 @@ def _far_families(rm2d: RmParams, pcpp: PcppParams, rng):
         return read
 
     base_q = table_read(q)
-    # family noisy-base: a keyed pseudorandom mask at rate rho/2 whose
-    # exact hit count is measured by one pass over the grid
+    # family noisy-base: keyed noise at rate rho/2 whose exact hit count
+    # is measured by one pass over the grid
     noise_prefix = chain(rng.randrange(2**63), 0xFA)
-    noise_salt = chain(noise_prefix, 0x11)
-    thr = threshold_of(float(rm2d.rho / 2))
-    # counted in chunks: one pass over the whole grid holds several
-    # n^2-element temporaries at once (about 580 MB at S1)
-    eta_count = 0
-    for lo in range(1, n * n, 4_000_000):  # position 0 kept clean
-        block = np.arange(lo, min(lo + 4_000_000, n * n), dtype=np.int64)
-        eta_count += int((chain_vec(noise_prefix, block) < thr).sum())
+    noise = KeyedNoise(noise_prefix, chain(noise_prefix, 0x11), float(rm2d.rho / 2), n)
+    eta_count = noise.count(1, n * n)  # position 0 kept clean
 
     def noisy_read(i):
         v = base_q(i)
-        if i != 0 and chain(noise_prefix, i) < thr:
-            return (v + 1 + chain(noise_salt, i) % (ctx.n - 1)) % ctx.n
+        if i != 0 and noise.hit(i):
+            return noise.replacement(i, v)
         return v
 
     eta = Fraction(eta_count, n * n)

@@ -4,7 +4,9 @@ Corruption experiments need a deterministic per-address coin that can
 be evaluated lazily at any of ~10^26 addresses and in bulk over numpy
 arrays.  A chained splitmix64 over the 64-bit limbs of the address
 provides that; the same chain with a different salt supplies the
-replacement symbol.
+replacement symbol.  ``KeyedNoise`` is the one corruption model built
+from the two: every adversary in the package selects and replaces
+symbols through it.
 """
 
 from __future__ import annotations
@@ -65,3 +67,57 @@ def threshold_of(rate: float) -> int:
     if not 0 <= rate <= 1:
         raise ValueError("rate must lie in [0, 1]")
     return int(round(rate * float(1 << 64)))
+
+
+# addresses per numpy pass of KeyedNoise.count and .apply: one pass over
+# a whole S1 grid would hold several n^2-element temporaries (about 580 MB)
+CHUNK = 4_000_000
+
+
+class KeyedNoise:
+    """Keyed pseudorandom corruption of an n-symbol address space.
+
+    Address a is hit when chain(prefix, a) < threshold_of(rate); a hit
+    replaces the base symbol b by (b + 1 + chain(salt, a) % (n - 1)) % n,
+    which is uniform among the other n - 1 symbols and never equals b.
+    """
+
+    def __init__(self, prefix: int, salt: int, rate: float, n: int):
+        self.prefix = prefix
+        self.salt = salt
+        self.rate = rate
+        self.n = n
+        self.threshold = threshold_of(rate)
+
+    def hit(self, addr: int) -> bool:
+        return chain(self.prefix, addr) < self.threshold
+
+    def hit_mask(self, addrs: np.ndarray) -> np.ndarray:
+        """Vectorized hit for one-limb addresses; agrees with ``hit``."""
+        return chain_vec(self.prefix, addrs) < self.threshold
+
+    def replacement(self, addr: int, base: int) -> int:
+        """The symbol a hit at addr reads instead of base."""
+        return (base + 1 + chain(self.salt, addr) % (self.n - 1)) % self.n
+
+    def count(self, lo: int, hi: int) -> int:
+        """Number of hits in the address range [lo, hi)."""
+        return sum(int(self.hit_mask(addrs).sum()) for addrs in _chunks(lo, hi))
+
+    def apply(self, lo: int, hi: int, word: np.ndarray) -> int:
+        """Replace word[a] at every hit a in [lo, hi), in place; returns
+        the hit count."""
+        total = 0
+        for addrs in _chunks(lo, hi):
+            mask = self.hit_mask(addrs)
+            idx = addrs[mask]
+            shift = 1 + chain_vec(self.salt, idx) % np.uint64(self.n - 1)
+            word[idx] = (word[idx] + shift.astype(np.int64)) % self.n
+            total += int(mask.sum())
+        return total
+
+
+def _chunks(lo: int, hi: int):
+    """The range [lo, hi) as int64 arrays of at most CHUNK addresses."""
+    for start in range(lo, hi, CHUNK):
+        yield np.arange(start, min(start + CHUNK, hi), dtype=np.int64)

@@ -3,7 +3,9 @@ from pathlib import Path
 
 import pytest
 
+from rlcc import composed, harness
 from rlcc.cli import main
+from rlcc.rm import encode
 
 
 def test_matrix_exp_exit_zero(capsys):
@@ -65,6 +67,11 @@ def test_encode_and_correct_tiny(tmp_path, capsys):
     assert rc == 0
     word = out.read_text().split()
     assert len(word) == 31104
+    # the file is the per-symbol rendering of the materialized word
+    config = harness.make_config(preset="T1", seed=4)
+    layout = composed.ComposedLayout(config.rm, config.pcpp())
+    table = composed.materialize(layout, encode(config.rm, [1, 2, 3]))
+    assert out.read_text() == " ".join(str(int(v)) for v in table) + "\n"
     # correct derives its message from the seed, so encode the same way
     rc = main(["encode", "--config", str(cfg), "--out", str(out), "--seed", "4"])
     assert rc == 0

@@ -310,7 +310,8 @@ def test_event_bookkeeping_dense_regime(gf8):
             coeffs = [gf8.rand_element(rng) for _ in range(params.k)]
         corr = _TableCorruption(params, rm.eval_table(params, tuple(coeffs)))
         tr = ctrw.walk_sample(params, sample_point(gf8, rng), steps, rng)
-        ev = ctrw.step_events(params, corr, tr, alpha, rng)
+        verdict = ctrw.violation_check_planted(params, corr, tr, alpha, rng)
+        ev = ctrw.step_events(params, verdict, alpha)
         if not ev.p0_dense:
             continue
         premise += 1
@@ -341,7 +342,40 @@ def test_step_events_densities(gf8):
     coeffs = rm.encode(params, (1, 0, 0, 0))
     corr = _TableCorruption(params, rm.eval_table(params, coeffs))
     tr = ctrw.walk_sample(params, sample_point(gf8, rng), 3, rng)
-    ev = ctrw.step_events(params, corr, tr, alpha, rng)
+    ev = ctrw.step_events(
+        params, ctrw.violation_check_planted(params, corr, tr, alpha, rng), alpha
+    )
     assert ev.p0_dense
     assert all(ev.f_flags)
     assert not any(ev.e_flags)
+
+
+def test_step_events_agree_with_sampled_verdict(gf8, monkeypatch):
+    # planes are sampled, so a second estimate could disagree: the
+    # events must be read off the verdict's own bounds and line counts
+    monkeypatch.setattr(ctrw, "PLANE_EXACT_LIMIT", 16)
+    params = rm.RmParams(gf8, 3, 1)
+    alpha = params.rho / 8
+    thresh = params.rho - 2 * alpha
+    seen = set()
+    for i in range(40):
+        rng = random.Random(i)
+        corr = ctrw.PointCorruption(params, seed=i, density=0.8)
+        x = sample_point(gf8, rng)
+        corr.target_point(x, delta=1 + rng.randrange(gf8.n - 1))
+        tr = ctrw.walk_sample(params, x, 3, rng)
+        verdict = ctrw.violation_check_planted(params, corr, tr, alpha, rng, 500)
+        ev = ctrw.step_events(params, verdict, alpha)
+        dense = []
+        for bound in verdict.distances:
+            assert not bound.plane_bound.exact
+            lo, hi = bound.plane_bound.as_fractions()
+            dense.append(True if lo >= thresh else False if hi < thresh else None)
+        assert ev.p0_dense == (dense[0] is True)
+        assert ev.plane_dense == dense[1:]
+        assert ev.line_counts == [bound.line_count for bound in verdict.distances[1:]]
+        for cnt, line in zip(ev.line_counts, tr.lines):
+            assert cnt == int(corr.corrupt_mask(ctrw.line_codes(params, line)).sum())
+        seen.update(dense)
+    # both decided and undecided planes occur
+    assert {True, None} <= seen
