@@ -12,9 +12,8 @@ import random
 import sys
 
 from . import composed, harness
-from .geometry import point_from_code
 from .pcpp import BOT
-from .rm import encode, eval_table
+from .rm import encode
 
 EXPERIMENT_COMMANDS = {
     "ctrw-run": "completeness",
@@ -142,7 +141,6 @@ def cmd_layout_report(args) -> int:
 def cmd_sweep(args) -> int:
     config = _config_from_args(args, "sweep")
     from .gf import Field
-    from .rm import RmParams
 
     entries = []
     for p in (int(s) for s in args.ps.split(",")):

@@ -34,13 +34,14 @@ from .geometry import (
     PlaneKey,
     PlaneRep,
     REGION_LINE,
-    REGION_POINT,
     canonical_plane_key,
+    codes_of,
     h_vector_from_index,
     h_vector_index,
     plane_point_at,
     point_code,
     point_from_code,
+    points_at,
     projective_count,
     projective_rank,
     projective_unrank,
@@ -344,21 +345,17 @@ def key_subgrids(layout: ComposedLayout, region: str):
     anchor, d1 = np.divmod(rest, len(dir1))
     live = spans[d1, d2]
     anchor, d1, d2 = anchor[live], d1[live], d2[live]
-    size = layout.rm.d + 1
-
-    def multiples(dirs):
-        # (m, len(dirs), d+1): coordinate i of elem(j) * u for j <= d
-        dirs = np.array(dirs, dtype=np.int64).T
-        return ctx.vec_mul(dirs[:, :, None], np.arange(size, dtype=np.int64))
-
-    mult1, mult2 = multiples(dir1), multiples(dir2)
-    codes = np.zeros((anchor.size, size, size), dtype=np.int64)
+    # offsets[:, a, b, j, k]: elem(j) * dir1[a] + elem(k) * dir2[b]
+    js = np.arange(layout.rm.d + 1, dtype=np.int64)
+    u = np.array(dir1, dtype=np.int64).T[:, :, None, None, None]
+    v = np.array(dir2, dtype=np.int64).T[:, None, :, None, None]
+    offsets = points_at(ctx, (0,) * ctx.m, (u, v), (js[:, None], js))
+    anchors = point_from_code(ctx, anchor[:, None, None])
     # one coordinate at a time keeps the digit temporaries small
-    for i in range(ctx.m):
-        weight = ctx.n**i
-        row = ctx.vec_add((anchor // weight % ctx.n)[:, None], mult1[i][d1])
-        codes += ctx.vec_add(row[:, :, None], mult2[i][d2][:, None, :]) * weight
-    return live, codes
+    coords = [
+        ctx.vec_add(a, offset[d1, d2]) for a, offset in zip(anchors, offsets)
+    ]
+    return live, codes_of(ctx, coords)
 
 
 # ---------------------------------------------------------------------------

@@ -31,10 +31,13 @@ from .geometry import (
     LineRep,
     PlaneRep,
     add_points,
+    codes_of,
     is_colinear,
     is_zero,
-    plane_coords_at,
+    plane_codes_at,
+    plane_point_at,
     point_code,
+    points_at,
     sample_h_direction,
     sample_point,
     scale_point,
@@ -97,13 +100,7 @@ def walk_sample(params: RmParams, x, steps=None, rng=None) -> WalkTranscript:
     for _ in range(steps):
         rs = 0
         s, sp = ctx.rand_element(rng), ctx.rand_element(rng)
-        xi = add_points(
-            ctx,
-            xs[-1],
-            add_points(
-                ctx, scale_point(ctx, s, h[-1]), scale_point(ctx, sp, hp[-1])
-            ),
-        )
+        xi = plane_point_at(ctx, planes[-1], s, sp)
         while True:
             t, tp = ctx.rand_element(rng), ctx.rand_element(rng)
             hi = add_points(
@@ -134,40 +131,13 @@ def walk_sample(params: RmParams, x, steps=None, rng=None) -> WalkTranscript:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized plane/line address helpers
-
-
-def line_codes(params: RmParams, line: LineRep) -> np.ndarray:
-    """Point codes of all n line points, position order."""
-    ctx = params.ctx
-    n = ctx.n
-    js = np.arange(n, dtype=np.int64)
-    code = np.zeros(n, dtype=np.int64)
-    w = 1
-    for i in range(ctx.m):
-        coord = ctx.vec_add(
-            np.full(n, line.anchor[i], dtype=np.int64),
-            ctx.vec_scale(line.direction[i], js),
-        )
-        code += coord * w
-        w *= n
-    return code
-
-
-def plane_codes_at(params: RmParams, plane: PlaneRep, jj, kk) -> np.ndarray:
-    """Point codes of plane grid positions (jj, kk), vectorized."""
-    n = params.ctx.n
-    coords = plane_coords_at(params.ctx, plane, jj, kk)
-    code = np.zeros(coords.shape[1:], dtype=np.int64)
-    for coord in coords[::-1]:
-        code = code * n + coord
-    return code
+# Point codes of a whole plane
 
 
 def plane_codes(params: RmParams, plane: PlaneRep) -> np.ndarray:
-    n = params.ctx.n
-    idx = np.arange(n * n, dtype=np.int64)
-    return plane_codes_at(params, plane, idx // n, idx % n)
+    """Point codes of all n^2 plane points in row-major grid order."""
+    js = np.arange(params.ctx.n, dtype=np.int64)
+    return plane_codes_at(params.ctx, plane, js[:, None], js).reshape(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +268,7 @@ def _plane_density(params, corruption, plane, rng, samples) -> DensityBound:
     npr = np.random.Generator(np.random.PCG64(rng.randrange(2**63)))
     jj = npr.integers(0, n, size=samples)
     kk = npr.integers(0, n, size=samples)
-    codes = plane_codes_at(params, plane, jj, kk)
+    codes = plane_codes_at(params.ctx, plane, jj, kk)
     return DensityBound.from_sample(int(corruption.corrupt_mask(codes).sum()), samples)
 
 
@@ -330,7 +300,10 @@ def violation_check_planted(
             a_rate = Fraction(hit, 1)
             cnt = hit
         else:
-            codes = line_codes(params, transcript.lines[i - 1])
+            line = transcript.lines[i - 1]
+            codes = codes_of(
+                ctx, points_at(ctx, line.anchor, (line.direction,), (np.arange(n),))
+            )
             cnt = int(corruption.corrupt_mask(codes).sum())
             a_rate = Fraction(cnt, n)
         lower = min(a_rate / 2 + eta_lo / 2, (rho - eta_hi) / 2)
@@ -393,13 +366,7 @@ def mixing_exp(
         x = tuple(start) if start is not None else sample_point(ctx, rng)
         tr = walk_sample(params, x, steps, rng)
         s, sp = ctx.rand_element(rng), ctx.rand_element(rng)
-        z = add_points(
-            ctx,
-            tr.xs[-1],
-            add_points(
-                ctx, scale_point(ctx, s, tr.h[-1]), scale_point(ctx, sp, tr.hp[-1])
-            ),
-        )
+        z = plane_point_at(ctx, tr.planes[-1], s, sp)
         if corruption.is_corrupt_code(point_code(ctx, z)):
             hits += 1
         resample_total += sum(tr.resamples_steps)
@@ -542,31 +509,27 @@ def line_sampling_exp(ctx: Field, a_codes, eps_list, mode="exhaustive", trials=0
     for c in a_codes:
         a_mask[c] = True
     mu = Fraction(int(a_mask.sum()), n * n)
-    pairs = []
     if mode == "exhaustive":
         if n > 16:
             raise ValueError("exhaustive line sampling is limited to |F| <= 16")
         space = [(a, b) for a in range(n) for b in range(n)]
-        for x in space:
-            for y in space:
-                cnt = 0
-                for t in range(n):
-                    px = ctx.add(x[0], ctx.mul(t, y[0]))
-                    py = ctx.add(x[1], ctx.mul(t, y[1]))
-                    if a_mask[px + py * n]:
-                        cnt += 1
-                pairs.append(cnt)
+        lines = [(x, y) for x in space for y in space]
     else:
+        lines = []
         for _ in range(trials):
             x = (ctx.rand_element(rng), ctx.rand_element(rng))
             y = (ctx.rand_element(rng), ctx.rand_element(rng))
-            cnt = 0
-            for t in range(n):
-                px = ctx.add(x[0], ctx.mul(t, y[0]))
-                py = ctx.add(x[1], ctx.mul(t, y[1]))
-                if a_mask[px + py * n]:
-                    cnt += 1
-            pairs.append(cnt)
+            lines.append((x, y))
+    ts = np.arange(n, dtype=np.int64)
+    pairs = []
+    # chunks of about a million line points bound the temporaries
+    step = max(1, (1 << 20) // n)
+    for lo in range(0, len(lines), step):
+        chunk = np.array(lines[lo : lo + step], dtype=np.int64)
+        # anchor and direction coordinates as (2, lines, 1), against every t
+        x, y = chunk.transpose(1, 2, 0)[..., None]
+        codes = codes_of(ctx, points_at(ctx, x, (y,), (ts,)))
+        pairs += a_mask[codes].sum(axis=1).tolist()
     total = len(pairs)
     rows = []
     all_ok = True

@@ -35,7 +35,8 @@ def point_from_code(ctx: Field, code: int):
     out = []
     for _ in range(ctx.m):
         out.append(code % ctx.n)
-        code //= ctx.n
+        # not in place, so a code array passed in is left as it was
+        code = code // ctx.n
     return tuple(out)
 
 
@@ -122,18 +123,34 @@ def plane_point_at(ctx: Field, plane: PlaneRep, j: int, k: int):
     return add_points(ctx, pt, scale_point(ctx, k, plane.dir2))
 
 
-def plane_coords_at(ctx: Field, plane: PlaneRep, jj, kk) -> np.ndarray:
-    """Coordinates of plane grid positions (jj, kk), vectorized: an
-    (m, *jj.shape) code array, the numpy form of plane_point_at."""
-    jj = np.asarray(jj, dtype=np.int64)
-    kk = np.asarray(kk, dtype=np.int64)
-    return np.stack(
-        [
-            ctx.vec_add(
-                ctx.vec_add(a, ctx.vec_scale(u, jj)), ctx.vec_scale(v, kk)
-            )
-            for a, u, v in zip(plane.anchor, plane.dir1, plane.dir2)
-        ]
+def points_at(ctx: Field, anchor, dirs, params) -> np.ndarray:
+    """Coordinates of anchor + sum of elem(t) * u over (u, t) in
+    zip(dirs, params), vectorized: the numpy form of line_point_at and
+    plane_point_at.  Anchor and direction coordinates and parameters
+    are codes or code arrays that broadcast together; the result is a
+    (len(anchor), *shape) code array.  Each coordinate's terms are
+    summed in one field sum."""
+    coords = []
+    for i, a in enumerate(anchor):
+        terms = [ctx.vec_mul(u[i], t) for u, t in zip(dirs, params)]
+        terms = np.stack(np.broadcast_arrays(a, *terms))
+        coords.append(ctx.sum_elements(terms, axis=0))
+    return np.stack(np.broadcast_arrays(*coords))
+
+
+def codes_of(ctx: Field, coords) -> np.ndarray:
+    """Point codes of a sequence of coordinate arrays, the numpy form of
+    point_code."""
+    code = np.zeros((), dtype=np.int64)
+    for c in reversed(coords):
+        code = code * ctx.n + c
+    return code
+
+
+def plane_codes_at(ctx: Field, plane: PlaneRep, jj, kk) -> np.ndarray:
+    """Point codes of plane grid positions (jj, kk), vectorized."""
+    return codes_of(
+        ctx, points_at(ctx, plane.anchor, (plane.dir1, plane.dir2), (jj, kk))
     )
 
 

@@ -195,9 +195,6 @@ class Field:
             y //= p
         return out
 
-    def neg(self, a: int) -> int:
-        return self.sub(0, a)
-
     def _mul_schoolbook(self, a: int, b: int) -> int:
         ca, cb = self.coeffs_of(a), self.coeffs_of(b)
         m, p = self.m, self.p
@@ -345,24 +342,12 @@ class Field:
         _, _, digits, w = self.tables
         return ((digits[a] + digits[b]) % self.p) @ w
 
-    def vec_sub(self, a, b):
-        _, _, digits, w = self.tables
-        return ((digits[a] - digits[b]) % self.p) @ w
-
     def vec_mul(self, a, b):
         exp, log, _, _ = self.tables
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
         out = exp[log[a] + log[b]]
         return np.where((a == 0) | (b == 0), 0, out)
-
-    def vec_scale(self, t: int, a):
-        exp, log, _, _ = self.tables
-        a = np.asarray(a, dtype=np.int64)
-        if t == 0:
-            return np.zeros_like(a)
-        out = exp[log[a] + self._log[t]]
-        return np.where(a == 0, 0, out)
 
     def __repr__(self):
         return f"Field({self.p}^{self.m}, X-poly {list(self.irreducible)})"

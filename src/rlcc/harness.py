@@ -17,7 +17,7 @@ import hashlib
 import json
 import random
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -26,17 +26,10 @@ import numpy as np
 
 from . import composed, ctrw
 from .gf import Field
-from .geometry import point_from_code, sample_point
+from .geometry import sample_point
 from .pcpp import BOT, PcppParams, build_proof, verify_proximity
 from .prf import KeyedNoise, chain
-from .rm import (
-    LINE_KIND,
-    POINT_KIND,
-    RmParams,
-    encode,
-    eval_table,
-    evaluate,
-)
+from .rm import POINT_KIND, RmParams, encode, eval_table, evaluate
 from .stats import freq_meets_floor, stderr, wilson_interval
 
 VERSION = "0.1.0"
@@ -217,15 +210,6 @@ def formula_eval(name: str, **params):
             "branch_without_rho": without_rho,
             "inner_branch": s_inner / 2,
         }
-    elif name == "paper_B":
-        h, m, d = params["h"], params["m"], params["d"]
-        n = h**m
-        value = Fraction(2 * n**m * h ** (2 * m) * n**2)
-    elif name == "paper_N":
-        h, m, d = params["h"], params["m"], params["d"]
-        n = h**m
-        b = 2 * n**m * h ** (2 * m) * n**2
-        value = Fraction(n**m + 2 * b * params["proof_len"])
     else:
         raise ValueError(f"unknown formula {name!r}")
     return {"value": value, "decimal": _dec6(value), "vacuous": value <= 0}

@@ -22,7 +22,6 @@ from math import comb
 
 from .rm import (
     AugmentedWord,
-    LINE_KIND,
     POINT_KIND,
     RmParams,
     evaluate,

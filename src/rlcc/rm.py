@@ -21,7 +21,7 @@ from math import comb
 import numpy as np
 
 from .gf import _TABLE_LIMIT, Field
-from .geometry import PlaneRep, plane_coords_at
+from .geometry import PlaneRep, codes_of, points_at
 
 ENUM_BUDGET = 10**7
 
@@ -194,11 +194,9 @@ def eval_table(params: RmParams, coeffs):
     grids = np.meshgrid(
         *[np.arange(n, dtype=np.int64)] * params.dim, indexing="ij"
     )
-    # canonical point code is sum(coord_i * n**i): coordinate 0 varies fastest
     coords = np.stack([g.reshape(-1) for g in grids])
-    order = sum(coords[i] * n**i for i in range(params.dim))
     out = np.empty(params.length, dtype=np.int64)
-    out[order] = evaluate_many(params, coeffs, coords)
+    out[codes_of(params.ctx, coords)] = evaluate_many(params, coeffs, coords)
     return out
 
 
@@ -330,7 +328,7 @@ def restrict_to_plane(params: RmParams, coeffs, plane: PlaneRep):
         raise ValueError("not enough interpolation nodes: d + 1 > |F|")
     size = d + 1
     jj, kk = np.divmod(np.arange(size * size, dtype=np.int64), size)
-    coords = plane_coords_at(params.ctx, plane, jj, kk)
+    coords = points_at(params.ctx, plane.anchor, (plane.dir1, plane.dir2), (jj, kk))
     vals = evaluate_many(params, coeffs, coords).reshape(size, size)
     return tuple(restriction_triangles(params.bivariate(), vals).tolist())
 

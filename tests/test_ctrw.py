@@ -6,12 +6,14 @@ import pytest
 
 from rlcc import ctrw, rm
 from rlcc.geometry import (
+    codes_of,
     is_colinear,
     is_h_vector,
     is_zero,
     line_points,
     plane_points,
     point_code,
+    points_at,
     sample_point,
 )
 from rlcc.gf import Field
@@ -68,7 +70,9 @@ def test_line_and_plane_codes_match_scalar(gf8, rng):
     params = rm.RmParams(gf8, 3, 1)
     tr = ctrw.walk_sample(params, sample_point(gf8, rng), 3, rng)
     line = tr.lines[0]
-    codes = ctrw.line_codes(params, line)
+    codes = codes_of(
+        gf8, points_at(gf8, line.anchor, (line.direction,), (np.arange(gf8.n),))
+    )
     assert codes.tolist() == [point_code(gf8, p) for p in line_points(gf8, line)]
     plane = tr.planes[1]
     pcodes = ctrw.plane_codes(params, plane)
@@ -375,7 +379,8 @@ def test_step_events_agree_with_sampled_verdict(gf8, monkeypatch):
         assert ev.plane_dense == dense[1:]
         assert ev.line_counts == [bound.line_count for bound in verdict.distances[1:]]
         for cnt, line in zip(ev.line_counts, tr.lines):
-            assert cnt == int(corr.corrupt_mask(ctrw.line_codes(params, line)).sum())
+            pts = points_at(gf8, line.anchor, (line.direction,), (np.arange(gf8.n),))
+            assert cnt == int(corr.corrupt_mask(codes_of(gf8, pts)).sum())
         seen.update(dense)
     # both decided and undecided planes occur
     assert {True, None} <= seen

@@ -6,8 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rlcc import geometry as geo
-from rlcc.ctrw import plane_codes_at
-from rlcc.rm import RmParams
 from rlcc.stats import chi_square_pvalue
 from rlcc.gf import Field
 
@@ -101,7 +99,7 @@ def test_plane_matches_bruteforce_tiny():
     st.sampled_from([(2, 2), (2, 3), (3, 3), (17, 3)]),
     st.integers(0, 2**32),
 )
-def test_plane_coords_at_matches_plane_point_at(pm, seed):
+def test_points_at_matches_scalar_points(pm, seed):
     ctx = Field(*pm)
     r = random.Random(seed)
     while True:
@@ -109,15 +107,33 @@ def test_plane_coords_at_matches_plane_point_at(pm, seed):
         if not (geo.is_zero(d1) or geo.is_zero(d2) or geo.is_colinear(ctx, d1, d2)):
             break
     plane = geo.PlaneRep.make(ctx, geo.sample_point(ctx, r), d1, d2)
+    # plane positions (jj, kk)
     jj = np.array([[0, r.randrange(ctx.n)], [r.randrange(ctx.n), ctx.n - 1]])
     kk = np.array([[0, 0], [r.randrange(ctx.n), r.randrange(ctx.n)]])
-    coords = geo.plane_coords_at(ctx, plane, jj, kk)
+    coords = geo.points_at(ctx, plane.anchor, (d1, d2), (jj, kk))
     assert coords.shape == (ctx.m, 2, 2)
-    codes = plane_codes_at(RmParams(ctx, ctx.m, 1), plane, jj, kk)
+    codes = geo.plane_codes_at(ctx, plane, jj, kk)
     for idx in np.ndindex(jj.shape):
         pt = geo.plane_point_at(ctx, plane, int(jj[idx]), int(kk[idx]))
         assert tuple(coords[(slice(None),) + idx].tolist()) == pt
         assert codes[idx] == geo.point_code(ctx, pt)
+    # one direction: a whole line in position order
+    line = plane.anchor_line()
+    coords = geo.points_at(ctx, line.anchor, (d1,), (np.arange(ctx.n),))
+    pts = geo.line_points(ctx, line)
+    assert [tuple(c) for c in coords.T.tolist()] == pts
+    assert geo.codes_of(ctx, coords).tolist() == [geo.point_code(ctx, p) for p in pts]
+    # array anchors and directions, one (d+1) x (d+1) subgrid per key;
+    # degenerate direction pairs are allowed here
+    keys = [tuple(geo.sample_point(ctx, r) for _ in range(3)) for _ in range(5)]
+    anchors, us, vs = (np.array(a).T[:, :, None, None] for a in zip(*keys))
+    js = np.arange(3)
+    coords = geo.points_at(ctx, anchors, (us, vs), (js[:, None], js))
+    assert coords.shape == (ctx.m, 5, 3, 3)
+    for key_idx, (a, u, v) in enumerate(keys):
+        for j, k in product(range(3), repeat=2):
+            pt = geo.plane_point_at(ctx, geo.PlaneRep(a, u, v), j, k)
+            assert tuple(coords[:, key_idx, j, k].tolist()) == pt
 
 
 def test_sample_h_direction_support(gf4, rng):
