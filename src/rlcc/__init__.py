@@ -4,7 +4,7 @@ correctable code, with a Monte-Carlo harness for the quantitative
 bounds."""
 
 from .gf import Field, parse_descriptor
-from .geometry import LineRep, PlaneKey, PlaneRep
+from .geometry import LineRep, PlaneRep
 from .pcpp import BOT, PcppParams
 from .rm import RmParams
 
@@ -13,7 +13,6 @@ __all__ = [
     "parse_descriptor",
     "LineRep",
     "PlaneRep",
-    "PlaneKey",
     "RmParams",
     "PcppParams",
     "BOT",

@@ -24,20 +24,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache, partial, partialmethod
 from math import comb, log
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .gf import Field
 from .geometry import (
-    PlaneKey,
     PlaneRep,
-    REGION_LINE,
-    canonical_plane_key,
     codes_of,
-    h_vector_from_index,
-    h_vector_index,
+    normalize_direction,
     plane_point_at,
     point_code,
     point_from_code,
@@ -75,8 +72,19 @@ POINT_MEMO = 1 << 16
 PROOF_MEMO = 4096
 
 RM_REGION = "rm"
-POINT_REGION = "point"
-LINE_REGION = "line"
+# a proof region is named by the kind of the plane language its blocks
+# prove, so the region is also the verifier's kind
+POINT_REGION = POINT_KIND
+LINE_REGION = LINE_KIND
+
+
+class KeyTable(NamedTuple):
+    """Where a proof region's blocks start, and its dir1 table."""
+
+    base: int
+    dir1_count: int
+    dir1_of: Callable  # index -> vector
+    dir1_index: Callable  # vector -> index
 
 
 @dataclass(frozen=True)
@@ -155,14 +163,6 @@ class ComposedLayout:
     def rm_address(self, copy: int, pcode: int) -> int:
         return copy * self.rm_points + pcode
 
-    def point_key_index(self, anchor_code: int, d1_idx: int, d2_idx: int) -> int:
-        return (anchor_code * self.h_count + d1_idx) * self.h_count + d2_idx
-
-    def line_key_index(self, anchor_code: int, rank: int, d2_idx: int) -> int:
-        return (
-            anchor_code * projective_count(self.ctx) + rank
-        ) * self.h_count + d2_idx
-
     def decode(self, addr: int):
         """Address -> (region, ...); bijective over [0, N)."""
         if not 0 <= addr < self.length:
@@ -175,60 +175,73 @@ class ComposedLayout:
         off = addr - self.line_region_base
         return (LINE_REGION, off // self.proof_len, off % self.proof_len)
 
-    def point_key_fields(self, key_idx: int):
-        d2 = key_idx % self.h_count
-        key_idx //= self.h_count
-        d1 = key_idx % self.h_count
-        return key_idx // self.h_count, d1, d2
+    def block_address(self, region: str, key_idx: int) -> int:
+        """First address of a proof key's block."""
+        return self.key_tables[region].base + key_idx * self.proof_len
 
-    def line_key_fields(self, key_idx: int):
-        d2 = key_idx % self.h_count
-        key_idx //= self.h_count
-        proj = projective_count(self.ctx)
-        return key_idx // proj, key_idx % proj, d2
+    # -- proof keys --------------------------------------------------------------
 
-    # -- key geometry ------------------------------------------------------------
+    @cached_property
+    def key_tables(self):
+        """The KeyTable of each proof region.  dir2 is an H^m vector,
+        indexed by the code of the element of F with those coefficients.
+        Point keys draw dir1 from H^m too; line keys from the projective
+        representatives of F^m."""
+        ctx = self.ctx
+        return {
+            POINT_REGION: KeyTable(
+                self.point_region_base, self.h_count, ctx.coeffs_of, ctx.code_of
+            ),
+            LINE_REGION: KeyTable(
+                self.line_region_base,
+                projective_count(ctx),
+                partial(projective_unrank, ctx),
+                partial(projective_rank, ctx),
+            ),
+        }
 
-    def point_key_plane(self, key_idx: int):
+    def key_index(self, region: str, anchor_code: int, d1: int, d2: int) -> int:
+        """Pack (anchor code, dir1 index, dir2 index) into a key index."""
+        dir1_count = self.key_tables[region].dir1_count
+        return (anchor_code * dir1_count + d1) * self.h_count + d2
+
+    def key_fields(self, region: str, key_idx: int):
+        """Key index (or index array) -> (anchor code, dir1, dir2 index)."""
+        rest, d2 = divmod(key_idx, self.h_count)
+        anchor, d1 = divmod(rest, self.key_tables[region].dir1_count)
+        return anchor, d1, d2
+
+    def key_plane(self, region: str, key_idx: int):
         """(plane-or-None, anchor); None when the key is degenerate."""
         ctx = self.ctx
-        a, d1, d2 = self.point_key_fields(key_idx)
-        return _key_plane(
-            ctx, a, h_vector_from_index(ctx, d1), h_vector_from_index(ctx, d2)
-        )
+        a, d1, d2 = self.key_fields(region, key_idx)
+        u = self.key_tables[region].dir1_of(d1)
+        v = ctx.coeffs_of(d2)
+        anchor = point_from_code(ctx, a)
+        if not spans_plane(ctx, u, v):
+            return None, anchor
+        return PlaneRep.make(ctx, anchor, u, v), anchor
 
-    def line_key_plane(self, key_idx: int):
+    def key_of(self, region: str, plane: PlaneRep):
+        """(key index, key plane) of a walk plane.  Point keys keep the
+        raw H^m directions; line keys normalize dir1 projectively, so
+        the planes over Line(x, u) and Line(x, c*u) share one key.  A
+        direction outside the region's table raises ValueError."""
         ctx = self.ctx
-        a, rank, d2 = self.line_key_fields(key_idx)
-        return _key_plane(
-            ctx, a, projective_unrank(ctx, rank), h_vector_from_index(ctx, d2)
-        )
-
-    def point_key_index_of(self, plane: PlaneRep) -> int:
-        """Index of the raw point-proof key of an H-plane."""
-        if not plane.is_h_plane:
-            raise ValueError("point-proof keys require an H-plane")
-        ctx = self.ctx
-        return self.point_key_index(
+        if region == LINE_REGION:
+            dir1, _ = normalize_direction(ctx, plane.dir1)
+            plane = PlaneRep.make(ctx, plane.anchor, dir1, plane.dir2)
+        key_idx = self.key_index(
+            region,
             point_code(ctx, plane.anchor),
-            h_vector_index(ctx, plane.dir1),
-            h_vector_index(ctx, plane.dir2),
+            self.key_tables[region].dir1_index(plane.dir1),
+            ctx.code_of(plane.dir2),
         )
+        return key_idx, plane
 
-    def line_key_index_of(self, key: PlaneKey) -> int:
-        ctx = self.ctx
-        return self.line_key_index(
-            point_code(ctx, key.anchor),
-            projective_rank(ctx, key.dir1),
-            h_vector_index(ctx, key.dir2),
-        )
-
-
-def _key_plane(ctx: Field, anchor_code: int, u, v):
-    anchor = point_from_code(ctx, anchor_code)
-    if not spans_plane(ctx, u, v):
-        return None, anchor
-    return PlaneRep.make(ctx, anchor, u, v), anchor
+    # the benchmark's S1 encode workload draws point keys by these names
+    point_key_index = partialmethod(key_index, POINT_REGION)
+    point_key_plane = partialmethod(key_plane, POINT_REGION)
 
 
 # ---------------------------------------------------------------------------
@@ -240,11 +253,7 @@ def _point_value(layout: ComposedLayout, coeffs, pcode: int) -> int:
 
 
 def _proof_block(layout: ComposedLayout, coeffs, region: str, key_idx: int):
-    plane, _ = (
-        layout.point_key_plane(key_idx)
-        if region == POINT_REGION
-        else layout.line_key_plane(key_idx)
-    )
+    plane, _ = layout.key_plane(region, key_idx)
     if plane is None:
         return np.zeros(layout.proof_len, dtype=np.int32)
     tri = restrict_to_plane(layout.rm, coeffs, plane)
@@ -302,10 +311,8 @@ def materialize(layout: ComposedLayout, message) -> np.ndarray:
     out = np.empty(layout.length, dtype=np.int16)
     # broadcast assignments into views of out: no tiled temporaries
     out[: layout.rm_length].reshape(layout.repetitions, -1)[:] = rm_tab
-    for region, base in (
-        (POINT_REGION, layout.point_region_base),
-        (LINE_REGION, layout.line_region_base),
-    ):
+    for region in (POINT_REGION, LINE_REGION):
+        base = layout.block_address(region, 0)
         tris = _batched_proofs(layout, rm_tab, region)
         blocks = out[base : base + len(tris) * layout.proof_len]
         blocks.reshape(len(tris), -1, layout.coeff_len)[:] = tris[:, None, :]
@@ -330,19 +337,16 @@ def key_subgrids(layout: ComposedLayout, region: str):
     """Live mask over every key of a proof region, and the point codes of
     each live key's (d+1)^2 subgrid, shape (live, d+1, d+1).
 
-    The numpy form of point_key_plane / line_key_plane followed by
+    The numpy form of key_plane followed by
     point_code(plane_point_at(plane, j, k)) for j, k <= d.
     """
     ctx = layout.ctx
-    dir2 = [h_vector_from_index(ctx, i) for i in range(layout.h_count)]
-    if region == POINT_REGION:
-        dir1 = dir2
-    else:
-        dir1 = [projective_unrank(ctx, r) for r in range(projective_count(ctx))]
+    table = layout.key_tables[region]
+    dir1 = [table.dir1_of(i) for i in range(table.dir1_count)]
+    dir2 = [ctx.coeffs_of(i) for i in range(layout.h_count)]
     spans = np.array([[spans_plane(ctx, u, v) for v in dir2] for u in dir1])
     count = layout.rm_points * spans.size
-    rest, d2 = np.divmod(np.arange(count, dtype=np.int64), len(dir2))
-    anchor, d1 = np.divmod(rest, len(dir1))
+    anchor, d1, d2 = layout.key_fields(region, np.arange(count, dtype=np.int64))
     live = spans[d1, d2]
     anchor, d1, d2 = anchor[live], d1[live], d2[live]
     # offsets[:, a, b, j, k]: elem(j) * dir1[a] + elem(k) * dir2[b]
@@ -481,10 +485,25 @@ def correct_rm(layout: ComposedLayout, read, addr: int, rng, counter=None):
     return read(layout.rm_address(copy, pcode))
 
 
-def _plane_word_reader(layout, read, copy, plane):
+def _verify_walk(layout, read, copy, transcript, rng, counter) -> bool:
+    """The m+1 proof verifications of Algorithm 2's walk: the point
+    proof of the first plane, then the line proof of every walk plane."""
+    for i, plane in enumerate(transcript.planes):
+        region = LINE_REGION if i else POINT_REGION
+        key_idx, plane = layout.key_of(region, plane)
+        if _verify_plane(layout, read, copy, region, key_idx, plane, rng, counter) is None:
+            return False
+    return True
+
+
+def _verify_plane(layout, read, copy, region, key_idx, plane, rng, counter):
+    """Run the verifier on a key's proof block against the key plane's
+    points in RM copy ``copy``.  Returns the (word_read, proof_read)
+    pair it read through when it accepts, None when it rejects."""
     ctx = layout.ctx
     n = ctx.n
     cache = {}
+    base = layout.block_address(region, key_idx)
 
     def word_read(i):
         got = cache.get(i)
@@ -494,52 +513,15 @@ def _plane_word_reader(layout, read, copy, plane):
             cache[i] = got
         return got
 
-    return word_read
-
-
-def _verify_walk(layout, read, copy, transcript, rng, counter) -> bool:
-    """The m+1 proof verifications of Algorithm 2's walk."""
-    ctx = layout.ctx
-    params2d = layout.rm.bivariate()
-    p0 = transcript.planes[0]
-    key_idx = layout.point_key_index_of(p0)
-    base = layout.point_region_base + key_idx * layout.proof_len
-    ok = verify_proximity(
-        params2d,
-        layout.pcpp,
-        _plane_word_reader(layout, read, copy, p0),
-        _block_reader(read, base),
-        POINT_KIND,
-        rng,
-        selector=(0, 0),
-        counter=counter,
-    )
-    if not ok:
-        return False
-    for plane in transcript.planes[1:]:
-        key, _ = canonical_plane_key(ctx, plane, REGION_LINE)
-        canon = PlaneRep.make(ctx, key.anchor, key.dir1, key.dir2)
-        key_idx = layout.line_key_index_of(key)
-        base = layout.line_region_base + key_idx * layout.proof_len
-        ok = verify_proximity(
-            params2d,
-            layout.pcpp,
-            _plane_word_reader(layout, read, copy, canon),
-            _block_reader(read, base),
-            LINE_KIND,
-            rng,
-            counter=counter,
-        )
-        if not ok:
-            return False
-    return True
-
-
-def _block_reader(read, base):
     def proof_read(off):
         return read(base + off)
 
-    return proof_read
+    if not verify_proximity(
+        layout.rm.bivariate(), layout.pcpp, word_read, proof_read, region, rng,
+        counter=counter,
+    ):
+        return None
+    return word_read, proof_read
 
 
 # ---------------------------------------------------------------------------
@@ -553,28 +535,16 @@ def correct_proof(layout: ComposedLayout, read, addr: int, rng, counter=None):
     if region == RM_REGION:
         raise ValueError("address is not in a proof region")
     ctx = layout.ctx
-    params2d = layout.rm.bivariate()
     if counter is None:
         counter = QueryCounter()
-    if region == POINT_REGION:
-        plane, _ = layout.point_key_plane(key_idx)
-        kind = POINT_KIND
-        block = layout.point_region_base + key_idx * layout.proof_len
-    else:
-        plane, _ = layout.line_key_plane(key_idx)
-        kind = LINE_KIND
-        block = layout.line_region_base + key_idx * layout.proof_len
+    plane, _ = layout.key_plane(region, key_idx)
     if plane is None:
         # degenerate-key blocks are fixed all-zero filler, independent of
         # the message, so the honest symbol is known without any query
         return 0
     copy = rng.randrange(layout.repetitions)
-    word_read = _plane_word_reader(layout, read, copy, plane)
-    proof_read = _block_reader(read, block)
-    if not verify_proximity(
-        params2d, layout.pcpp, word_read, proof_read, kind, rng,
-        selector=(0, 0), counter=counter,
-    ):
+    readers = _verify_plane(layout, read, copy, region, key_idx, plane, rng, counter)
+    if readers is None:
         return BOT
     n = ctx.n
     j, k = rng.randrange(n), rng.randrange(n)
@@ -583,8 +553,8 @@ def correct_proof(layout: ComposedLayout, read, addr: int, rng, counter=None):
     if not _verify_walk(layout, read, copy, transcript, rng, counter):
         return BOT
     return correct_proof_symbol(
-        params2d, layout.pcpp, word_read, proof_read, offset, kind, rng,
-        selector=(0, 0), counter=counter,
+        layout.rm.bivariate(), layout.pcpp, *readers, offset, region, rng,
+        counter=counter,
     )
 
 

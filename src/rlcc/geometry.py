@@ -169,31 +169,9 @@ def sample_point(ctx: Field, rng):
 
 
 def sample_h_direction(ctx: Field, rng):
-    """Uniform nonzero vector of the embedded H^m (rejection-free)."""
-    idx = rng.randrange(1, ctx.p**ctx.m)
-    out = []
-    for _ in range(ctx.m):
-        out.append(idx % ctx.p)
-        idx //= ctx.p
-    return tuple(out)
-
-
-def h_vector_index(ctx: Field, point) -> int:
-    """Rank of an H^m vector inside [0, p^m), inverse of the sampler order."""
-    idx = 0
-    for c in reversed(point):
-        if c >= ctx.p:
-            raise ValueError("not an H^m vector")
-        idx = idx * ctx.p + c
-    return idx
-
-
-def h_vector_from_index(ctx: Field, idx: int):
-    out = []
-    for _ in range(ctx.m):
-        out.append(idx % ctx.p)
-        idx //= ctx.p
-    return tuple(out)
+    """Uniform nonzero vector of the embedded H^m (rejection-free): the
+    coefficients of a uniform nonzero element code of F."""
+    return ctx.coeffs_of(rng.randrange(1, ctx.p**ctx.m))
 
 
 def normalize_direction(ctx: Field, direction):
@@ -242,36 +220,6 @@ def projective_unrank(ctx: Field, rank: int):
         coords.append(rank % ctx.n)
         rank //= ctx.n
     return tuple(coords)
-
-
-REGION_POINT = "point-proof"
-REGION_LINE = "line-proof"
-
-
-@dataclass(frozen=True)
-class PlaneKey:
-    """Canonical address of a plane predicate.
-
-    Point-proof keys keep the raw sampled directions (the walk draws
-    them directly from H^m, so every raw pair owns a block).  Line-proof
-    keys carry dir1 normalized projectively, which deduplicates the
-    Line(x, u) = Line(x, c*u) representations.
-    """
-
-    region: str
-    anchor: Point
-    dir1: Point
-    dir2: Point
-
-
-def canonical_plane_key(ctx: Field, plane: PlaneRep, region: str):
-    """Key for a plane plus the scalar that rescaled dir1 (1 if untouched)."""
-    if region == REGION_POINT:
-        return PlaneKey(region, plane.anchor, plane.dir1, plane.dir2), 1
-    if region == REGION_LINE:
-        norm, lam = normalize_direction(ctx, plane.dir1)
-        return PlaneKey(region, plane.anchor, norm, plane.dir2), lam
-    raise ValueError(f"unknown proof region {region!r}")
 
 
 def serialize_point(point) -> str:

@@ -391,18 +391,26 @@ def sampling_experiment(config: ExperimentConfig) -> dict:
     size = int(mu * ctx.n * ctx.n)
     a_codes = range(size)  # the first mu*n^2 point codes of F^2
     rng = trial_rng(config.seed, "sampling", 0)
-    mode = "exhaustive" if ctx.n <= 16 else "montecarlo"
     body = ctrw.line_sampling_exp(
         ctx, a_codes, [Fraction(1, 8), Fraction(1, 4), Fraction(1, 2)],
-        mode, config.trials, rng,
+        _sampling_mode(config), config.trials, rng,
     )
     return finish_report(config, body)
 
 
+def _sampling_mode(config: ExperimentConfig) -> str:
+    return "exhaustive" if config.ctx.n <= 16 else "montecarlo"
+
+
+def _matrix_mode(config: ExperimentConfig) -> str:
+    return "exhaustive" if config.p ** (2 * config.m**2) <= 10**7 else "sampled"
+
+
 def matrix_experiment(config: ExperimentConfig) -> dict:
     rng = trial_rng(config.seed, "matrix", 0)
-    mode = "exhaustive" if config.p ** (2 * config.m**2) <= 10**7 else "sampled"
-    body = ctrw.matrix_product_check(config.p, config.m, mode, config.trials, rng)
+    body = ctrw.matrix_product_check(
+        config.p, config.m, _matrix_mode(config), config.trials, rng
+    )
     body["ok"] = body["singular_ok"] and body.get(
         "uniform_exact", body.get("uniform_ok", False)
     )
@@ -492,10 +500,7 @@ def measure_far_acceptance(rm2d, pcpp, families, trials, rng):
     for name, word_read, proof_read in families:
         acc = 0
         for _ in range(trials):
-            kind = POINT_KIND
-            if verify_proximity(
-                rm2d, pcpp, word_read, proof_read, kind, rng, selector=(0, 0)
-            ):
+            if verify_proximity(rm2d, pcpp, word_read, proof_read, POINT_KIND, rng):
                 acc += 1
         per_family[name] = acc / trials
         worst = max(worst, acc / trials)
@@ -626,6 +631,12 @@ def run_experiment(config: ExperimentConfig) -> dict:
     }.get(config.kind)
     if runner is None:
         raise ConfigError(f"unknown experiment kind {config.kind!r}")
+    # exhaustive sampling and matrix runs enumerate every case and
+    # ignore trials; every other run averages over its trials
+    mode = {"sampling": _sampling_mode, "matrix": _matrix_mode}.get(config.kind)
+    exhaustive = mode is not None and mode(config) == "exhaustive"
+    if config.trials < 1 and not exhaustive:
+        raise ConfigError(f"{config.kind} runs need trials >= 1")
     broken = check_preconditions(config)
     if broken and config.kind in GATED_KINDS and not config.allow_unsound:
         raise ConfigError("theorem preconditions violated: " + "; ".join(broken))

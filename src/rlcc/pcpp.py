@@ -18,10 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
 from .rm import (
     AugmentedWord,
+    LINE_KIND,
     POINT_KIND,
     RmParams,
     evaluate,
@@ -63,7 +63,7 @@ class PcppParams:
             raise ValueError("proximity parameter must lie in (0, 1)")
 
     def proof_length(self, params2d: RmParams) -> int:
-        return self.repetitions * comb(params2d.d + 2, 2)
+        return self.repetitions * params2d.k
 
 
 def canonical_proof(params2d: RmParams, pcpp: PcppParams, member: AugmentedWord):
@@ -87,8 +87,7 @@ def canonical_proof(params2d: RmParams, pcpp: PcppParams, member: AugmentedWord)
 
 
 def build_proof(params2d: RmParams, pcpp: PcppParams, tri):
-    k = comb(params2d.d + 2, 2)
-    if len(tri) != k:
+    if len(tri) != params2d.k:
         raise ValueError("coefficient vector has the wrong length")
     return tuple(tri) * pcpp.repetitions
 
@@ -108,20 +107,20 @@ def verify_proximity(
     proof_read,
     kind: str,
     rng,
-    selector=(0, 0),
     counter: QueryCounter | None = None,
 ) -> bool:
     """q_v rounds of copy cross-checks plus base and tail spot checks.
 
-    word_read covers the augmented coordinates [0, 2n^2); proof_read
-    covers [0, R*K).  Accepts iff every check in every round passes.
-    Canonical pairs pass every possible check, so completeness is exact.
+    word_read covers the plane grid [0, n^2), which backs every tail
+    coordinate too; proof_read covers [0, R*K).  Accepts iff every check
+    in every round passes.  Canonical pairs pass every possible check, so
+    completeness is exact.
     """
-    ctx = params2d.ctx
-    n = ctx.n
-    k = comb(params2d.d + 2, 2)
+    if kind not in (POINT_KIND, LINE_KIND):
+        raise ValueError(f"unknown augmentation kind {kind!r}")
+    n = params2d.ctx.n
+    k = params2d.k
     rep = pcpp.repetitions
-    view = AugmentedWord(n, lambda i: word_read(i), kind, selector)
     if counter is None:
         counter = QueryCounter()
     for _ in range(pcpp.q_v):
@@ -140,17 +139,13 @@ def verify_proximity(
         counter.word += 1
         if word_read(j * n + s) != evaluate(params2d, copy_u, (j, s)):
             return False
-        # (c) one tail coordinate against the same copy's implied value
-        tail = n * n + rng.randrange(n * n)
+        # (c) one tail coordinate against the same copy's implied value;
+        # the tail repeats (0, 0) for the point kind, the anchor line (t, 0)
+        # for the line kind
+        tail = rng.randrange(n * n)
+        t = tail % n if kind == LINE_KIND else 0
         counter.word += 1
-        got = word_read(view.resolve(tail))
-        if kind == POINT_KIND:
-            jx, kx = selector
-            want = evaluate(params2d, copy_u, (jx, kx))
-        else:
-            t = (tail - n * n) % n
-            want = evaluate(params2d, copy_u, (t, 0))
-        if got != want:
+        if word_read(t * n) != evaluate(params2d, copy_u, (t, 0)):
             return False
     return True
 
@@ -163,12 +158,11 @@ def correct_proof_symbol(
     offset: int,
     kind: str,
     rng,
-    selector=(0, 0),
     counter: QueryCounter | None = None,
 ):
     """Repair one proof symbol: majority over the other copies, gated
     by one verifier run.  Returns the symbol or BOT."""
-    k = comb(params2d.d + 2, 2)
+    k = params2d.k
     rep = pcpp.repetitions
     if not 0 <= offset < rep * k:
         raise ValueError("proof offset out of range")
@@ -185,9 +179,7 @@ def correct_proof_symbol(
         votes[v] = votes.get(v, 0) + 1
     best_val, best_cnt = max(votes.items(), key=lambda kv: (kv[1], -kv[0]))
     strict = sum(votes.values()) - best_cnt < best_cnt
-    ok = verify_proximity(
-        params2d, pcpp, word_read, proof_read, kind, rng, selector, counter
-    )
+    ok = verify_proximity(params2d, pcpp, word_read, proof_read, kind, rng, counter)
     if ok and strict:
         return best_val
     return BOT
@@ -195,5 +187,4 @@ def correct_proof_symbol(
 
 def query_budget(params2d: RmParams, pcpp: PcppParams):
     """Worst-case (word, proof) reads of one verifier call."""
-    k = comb(params2d.d + 2, 2)
-    return 2 * pcpp.q_v, pcpp.q_v * (2 + k)
+    return 2 * pcpp.q_v, pcpp.q_v * (2 + params2d.k)

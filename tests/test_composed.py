@@ -66,10 +66,8 @@ def test_address_decode_bijection(t2, rng):
         region, a, b = layout.decode(addr)
         if region == composed.RM_REGION:
             back = layout.rm_address(a, b)
-        elif region == composed.POINT_REGION:
-            back = layout.point_region_base + a * layout.proof_len + b
         else:
-            back = layout.line_region_base + a * layout.proof_len + b
+            back = layout.block_address(region, a) + b
         assert back == addr
     with pytest.raises(IndexError):
         layout.decode(layout.length)
@@ -78,11 +76,12 @@ def test_address_decode_bijection(t2, rng):
 def test_key_field_roundtrips(t2):
     layout = t2[0]
     for key_idx in (0, 1, 777, layout.point_keys - 1):
-        a, d1, d2 = layout.point_key_fields(key_idx)
+        a, d1, d2 = layout.key_fields(composed.POINT_REGION, key_idx)
+        assert layout.key_index(composed.POINT_REGION, a, d1, d2) == key_idx
         assert layout.point_key_index(a, d1, d2) == key_idx
     for key_idx in (0, 5, 4242, layout.line_keys - 1):
-        a, r, d2 = layout.line_key_fields(key_idx)
-        assert layout.line_key_index(a, r, d2) == key_idx
+        a, r, d2 = layout.key_fields(composed.LINE_REGION, key_idx)
+        assert layout.key_index(composed.LINE_REGION, a, r, d2) == key_idx
 
 
 def test_zero_message_reads_zero(t1):
@@ -175,8 +174,8 @@ def test_degenerate_blocks_are_zero(t1):
     layout, message, word = t1
     zero_count = 0
     for key_idx in range(layout.point_keys):
-        plane, _ = layout.point_key_plane(key_idx)
-        lo = layout.point_region_base + key_idx * layout.proof_len
+        plane, _ = layout.key_plane(composed.POINT_REGION, key_idx)
+        lo = layout.block_address(composed.POINT_REGION, key_idx)
         if plane is None:
             zero_count += 1
             assert not word[lo : lo + layout.proof_len].any()
@@ -189,13 +188,13 @@ def _scalar_subgrids(layout, region, size):
     """Reference for key_subgrids: the scalar key plane of every key in a
     region, then point_code(plane_point_at(...)) on its size^2 subgrid."""
     ctx = layout.ctx
-    if region == composed.POINT_REGION:
-        key_plane, count = layout.point_key_plane, layout.point_keys
-    else:
-        key_plane, count = layout.line_key_plane, layout.line_keys
+    count = {
+        composed.POINT_REGION: layout.point_keys,
+        composed.LINE_REGION: layout.line_keys,
+    }[region]
     live, codes = [], []
     for key_idx in range(count):
-        plane, _ = key_plane(key_idx)
+        plane, _ = layout.key_plane(region, key_idx)
         live.append(plane is not None)
         if plane is not None:
             codes.append([
@@ -224,7 +223,7 @@ def test_key_subgrids_match_scalar_key_planes(p, m, region):
         assert np.array_equal(codes, ref_codes[:, : d + 1, : d + 1])
     if p == 3 and region == composed.POINT_REGION:
         # u = (1, 0) has H-index 1 and v = 2u = (2, 0) has H-index 2
-        assert not live[layouts[1].point_key_index(0, 1, 2)]
+        assert not live[layouts[1].key_index(region, 0, 1, 2)]
 
 
 @pytest.mark.parametrize(

@@ -5,9 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rlcc import geometry as geo
+from rlcc import composed, geometry as geo, rm
+from rlcc.pcpp import PcppParams
 from rlcc.stats import chi_square_pvalue
 from rlcc.gf import Field
+
+
+def t2_layout(ctx):
+    """Composed layout over GF(8) = GF(2)^3, whose keys hold GF(8)^3 planes."""
+    return composed.ComposedLayout(rm.RmParams(ctx, 3, 1), PcppParams(4))
 
 
 def brute_line_set(ctx, anchor, direction):
@@ -160,12 +166,6 @@ def test_sample_h_direction_chi_square_uniformity():
     assert chi_square_pvalue(cells, [draws / 15] * 15) >= 1e-3
 
 
-def test_h_vector_index_roundtrip(gf27):
-    for idx in range(gf27.p**gf27.m):
-        v = geo.h_vector_from_index(gf27, idx)
-        assert geo.h_vector_index(gf27, v) == idx
-
-
 def test_point_code_roundtrip(gf8, rng):
     for _ in range(200):
         pt = geo.sample_point(gf8, rng)
@@ -183,18 +183,21 @@ def test_normalize_direction(gf4):
 
 
 def test_plane_key_invariant_under_rescaling(gf8, rng):
+    layout = t2_layout(gf8)
     for _ in range(1000):
         anchor = geo.sample_point(gf8, rng)
         d1 = geo.sample_point(gf8, rng)
-        d2 = geo.sample_point(gf8, rng)
-        if geo.is_zero(d1) or geo.is_zero(d2) or geo.is_colinear(gf8, d1, d2):
+        # line keys take dir2 from H^m
+        d2 = geo.sample_h_direction(gf8, rng)
+        if geo.is_zero(d1) or geo.is_colinear(gf8, d1, d2):
             continue
         c = gf8.rand_nonzero(rng)
         p1 = geo.PlaneRep.make(gf8, anchor, d1, d2)
         p2 = geo.PlaneRep.make(gf8, anchor, geo.scale_point(gf8, c, d1), d2)
-        k1, _ = geo.canonical_plane_key(gf8, p1, geo.REGION_LINE)
-        k2, _ = geo.canonical_plane_key(gf8, p2, geo.REGION_LINE)
-        assert k1 == k2
+        k1 = layout.key_of(composed.LINE_REGION, p1)
+        assert k1 == layout.key_of(composed.LINE_REGION, p2)
+        key_idx, key_plane = k1
+        assert layout.key_plane(composed.LINE_REGION, key_idx)[0] == key_plane
 
 
 def test_plane_key_lambda_translates(gf8, rng):
@@ -222,10 +225,12 @@ def test_projective_rank_roundtrip(gf8):
 
 
 def test_point_keys_keep_raw_directions(gf8):
+    layout = t2_layout(gf8)
     plane = geo.PlaneRep.make(gf8, (1, 2, 3), (1, 1, 0), (0, 1, 1))
-    key, lam = geo.canonical_plane_key(gf8, plane, geo.REGION_POINT)
-    assert lam == 1
-    assert key.dir1 == (1, 1, 0)
+    key_idx, key_plane = layout.key_of(composed.POINT_REGION, plane)
+    assert key_plane == plane
+    assert key_plane.dir1 == (1, 1, 0)
+    assert layout.key_plane(composed.POINT_REGION, key_idx)[0] == plane
 
 
 def test_h_plane_flags(gf8):

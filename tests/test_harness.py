@@ -124,9 +124,30 @@ def test_sampling_experiment_exhaustive():
 
 
 def test_matrix_experiment_exhaustive():
-    cfg = harness.make_config(p=2, m=2, kind="matrix", seed=2, d=1)
+    # the exhaustive check enumerates every case, so it needs no trials
+    cfg = harness.make_config(p=2, m=2, kind="matrix", seed=2, d=1, trials=0)
     rep = harness.run_experiment(cfg)
     assert rep["ok"] and rep["uniform_exact"]
+
+
+@pytest.mark.parametrize(
+    "kind, opts",
+    [
+        ("completeness", {"preset": "T2"}),
+        ("soundness", {"preset": "T2"}),
+        ("mixing", {"preset": "T2"}),
+        ("alg2", {"preset": "T2"}),
+        ("calibrate", {"preset": "T2"}),
+        ("sampling", {"p": 3, "m": 3, "d": 4}),  # |F| > 16: Monte-Carlo lines
+        ("matrix", {"p": 3, "m": 3}),  # too many matrices: sampled
+    ],
+)
+def test_runs_that_average_over_trials_need_one(kind, opts, tmp_path):
+    cfg = harness.make_config(
+        kind=kind, trials=0, sidecar=str(tmp_path / "calibration.json"), **opts
+    )
+    with pytest.raises(harness.ConfigError, match="trials >= 1"):
+        harness.run_experiment(cfg)
 
 
 def test_soundness_experiment_t3_small():

@@ -161,6 +161,14 @@ def test_query_accounting(gf8, rng):
     assert counter.proof <= max_proof
 
 
+def test_verifier_rejects_unknown_kind(gf4, rng):
+    params2d = rm.RmParams(gf4, 2, 1)
+    with pytest.raises(ValueError, match="unknown augmentation kind"):
+        verify_proximity(
+            params2d, PcppParams(1), lambda i: 0, lambda o: 0, "plane", rng
+        )
+
+
 def test_correct_proof_symbol_honest(gf4, rng):
     params2d = rm.RmParams(gf4, 2, 1)
     pcpp = PcppParams(3)

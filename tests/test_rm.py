@@ -291,12 +291,10 @@ def test_restriction_s1_key_planes(kind, seed):
     ctx = field(17, 3)
     params = rm.RmParams(ctx, 3, 32)
     layout = composed.ComposedLayout(params, PcppParams(4))
+    count = layout.point_keys if kind == "point" else layout.line_keys
     plane = None
     while plane is None:
-        if kind == "point":
-            plane, _ = layout.point_key_plane(r.randrange(layout.point_keys))
-        else:
-            plane, _ = layout.line_key_plane(r.randrange(layout.line_keys))
+        plane, _ = layout.key_plane(kind, r.randrange(count))
     if kind == "line":
         assert not plane.h_flags[0]
     coeffs = [r.randrange(ctx.n) for _ in range(params.k)]
