@@ -4,14 +4,13 @@ correctable code, with a Monte-Carlo harness for the quantitative
 bounds."""
 
 from .gf import Field, parse_descriptor
-from .geometry import LineRep, PlaneRep
+from .geometry import PlaneRep
 from .pcpp import BOT, PcppParams
 from .rm import RmParams
 
 __all__ = [
     "Field",
     "parse_descriptor",
-    "LineRep",
     "PlaneRep",
     "RmParams",
     "PcppParams",

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial, partialmethod
-from math import comb, log
+from math import log
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -50,6 +50,7 @@ from .pcpp import (
     QueryCounter,
     build_proof,
     correct_proof_symbol,
+    query_budget,
     verify_proximity,
 )
 from .prf import KeyedNoise, chain
@@ -104,11 +105,11 @@ class ComposedLayout:
 
     @cached_property
     def coeff_len(self) -> int:
-        return comb(self.rm.d + 2, 2)
+        return self.rm.bivariate().k
 
     @cached_property
     def proof_len(self) -> int:
-        return self.pcpp.repetitions * self.coeff_len
+        return self.pcpp.proof_length(self.rm.bivariate())
 
     @cached_property
     def rm_points(self) -> int:
@@ -567,6 +568,7 @@ def block_length_report(layout: ComposedLayout) -> dict:
     k = rm.k
     n_total = layout.length
     rate = Fraction(k, n_total)
+    word_queries, proof_queries = query_budget(rm.bivariate(), layout.pcpp)
     return {
         "field": layout.ctx.descriptor,
         "m": layout.ctx.m,
@@ -587,8 +589,8 @@ def block_length_report(layout: ComposedLayout) -> dict:
         if k > 1
         else float("inf"),
         "query_paper_form": f"(m+3)*q_pcpp = {layout.ctx.m + 3}*q_pcpp",
-        "verifier_word_queries": 2 * layout.pcpp.q_v,
-        "verifier_proof_queries": layout.pcpp.q_v * (2 + layout.coeff_len),
+        "verifier_word_queries": word_queries,
+        "verifier_proof_queries": proof_queries,
     }
 
 

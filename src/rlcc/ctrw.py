@@ -4,6 +4,8 @@ The walk starts at the queried point on a plane with both directions in
 the embedded H^m, then repeatedly picks a random point and a random line
 of the current plane and erects the next plane over that line with a
 fresh H^m second direction.  Each plane carries a low-degree predicate.
+A walk is its list of planes: the line drawn at step i is the anchor
+line of plane i, its grid column k = 0.
 
 The paper-idealized sampler never excludes degenerate draws; a zero
 direction or a rank-deficient plane makes the predicate ill-formed, so
@@ -28,7 +30,6 @@ import numpy as np
 
 from .gf import Field
 from .geometry import (
-    LineRep,
     PlaneRep,
     add_points,
     codes_of,
@@ -61,23 +62,16 @@ REJECT = "REJECT"
 
 @dataclass
 class WalkTranscript:
-    """Planes, lines, and scalars of one walk; xs[0] is the start."""
+    """The planes of one walk: planes[0] is anchored at the start, and
+    planes[i]'s anchor line is the line of step i."""
 
-    xs: list
     planes: list
-    lines: list
-    h: list
-    hp: list
-    s_scalars: list
-    sp_scalars: list
-    t_scalars: list
-    tp_scalars: list
     resamples_init: int = 0
     resamples_steps: list = field(default_factory=list)
 
     @property
     def steps(self) -> int:
-        return len(self.lines)
+        return len(self.planes) - 1
 
 
 def walk_sample(params: RmParams, x, steps=None, rng=None) -> WalkTranscript:
@@ -91,20 +85,17 @@ def walk_sample(params: RmParams, x, steps=None, rng=None) -> WalkTranscript:
     while is_colinear(ctx, h0, hp0):
         hp0 = sample_h_direction(ctx, rng)
         resamples_init += 1
-    xs = [tuple(x)]
-    h, hp = [h0], [hp0]
     planes = [PlaneRep.make(ctx, x, h0, hp0)]
-    lines = []
-    s_l, sp_l, t_l, tp_l = [], [], [], []
     step_resamples = []
     for _ in range(steps):
+        prev = planes[-1]
         rs = 0
         s, sp = ctx.rand_element(rng), ctx.rand_element(rng)
-        xi = plane_point_at(ctx, planes[-1], s, sp)
+        xi = plane_point_at(ctx, prev, s, sp)
         while True:
             t, tp = ctx.rand_element(rng), ctx.rand_element(rng)
             hi = add_points(
-                ctx, scale_point(ctx, t, h[-1]), scale_point(ctx, tp, hp[-1])
+                ctx, scale_point(ctx, t, prev.dir1), scale_point(ctx, tp, prev.dir2)
             )
             if not is_zero(hi):
                 break
@@ -114,20 +105,9 @@ def walk_sample(params: RmParams, x, steps=None, rng=None) -> WalkTranscript:
             if not is_colinear(ctx, hi, hpi):
                 break
             rs += 1
-        xs.append(xi)
-        h.append(hi)
-        hp.append(hpi)
-        lines.append(LineRep(xi, hi))
         planes.append(PlaneRep.make(ctx, xi, hi, hpi))
-        s_l.append(s)
-        sp_l.append(sp)
-        t_l.append(t)
-        tp_l.append(tp)
         step_resamples.append(rs)
-    return WalkTranscript(
-        xs, planes, lines, h, hp, s_l, sp_l, t_l, tp_l,
-        resamples_init, step_resamples,
-    )
+    return WalkTranscript(planes, resamples_init, step_resamples)
 
 
 # ---------------------------------------------------------------------------
@@ -190,18 +170,18 @@ class PointCorruption:
 # The accept/reject test (Algorithm 1 end-to-end)
 
 
-def ctrw_accept(params: RmParams, word, x, rng, mode="exact", steps=None):
+def ctrw_accept(params: RmParams, word, x, rng, steps=None):
     """ACCEPT iff the restriction to every walk plane is low-degree.
 
     word is an evaluation table indexed by point code (sequence or
-    numpy array).  Exact mode reads whole planes, so it is meant for
+    numpy array).  Whole planes are read, so it is meant for
     materializable words.
     """
     word = np.asarray(word, dtype=np.int64)
     transcript = walk_sample(params, x, steps, rng)
     for plane in transcript.planes:
         values = word[plane_codes(params, plane)]
-        ok, _ = is_low_degree_on_plane(params.bivariate(), values, mode, rng)
+        ok, _ = is_low_degree_on_plane(params.bivariate(), values)
         if not ok:
             return REJECT, transcript
     return ACCEPT, transcript
@@ -296,14 +276,12 @@ def violation_check_planted(
         pb = _plane_density(params, corruption, plane, rng, plane_samples)
         eta_lo, eta_hi = pb.as_fractions()
         if i == 0:
-            hit = 1 if corruption.is_corrupt_code(point_code(ctx, transcript.xs[0])) else 0
+            hit = 1 if corruption.is_corrupt_code(point_code(ctx, plane.anchor)) else 0
             a_rate = Fraction(hit, 1)
             cnt = hit
         else:
-            line = transcript.lines[i - 1]
-            codes = codes_of(
-                ctx, points_at(ctx, line.anchor, (line.direction,), (np.arange(n),))
-            )
+            # the line of step i is plane i's anchor line, grid column 0
+            codes = plane_codes_at(ctx, plane, np.arange(n), 0)
             cnt = int(corruption.corrupt_mask(codes).sum())
             a_rate = Fraction(cnt, n)
         lower = min(a_rate / 2 + eta_lo / 2, (rho - eta_hi) / 2)

@@ -6,16 +6,13 @@ coordinate 0 least significant.  Lines and planes enumerate their points
 by the element-code order of their parameters: position j of a line is
 anchor + elem(j) * dir, and position (j, k) of a plane, row-major, is
 anchor + elem(j) * dir1 + elem(k) * dir2.  Every restriction index in
-the package uses this one grid order.
-
-A plane whose both directions lie in the embedded H^m is an H-plane;
-the flags recording that are carried on the representation because walk
-planes after the first step have their first direction in F^m.
+the package uses this one grid order.  A plane's anchor line, its grid
+column k = 0, is the line anchor + elem(j) * dir1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,11 +49,6 @@ def is_zero(point) -> bool:
     return all(c == 0 for c in point)
 
 
-def is_h_vector(ctx: Field, point) -> bool:
-    """True when every coordinate lies in the embedded GF(p)."""
-    return all(c < ctx.p for c in point)
-
-
 def is_colinear(ctx: Field, base, other) -> bool:
     """Whether other lies in F * base; base must be nonzero."""
     if is_zero(base):
@@ -74,22 +66,10 @@ def spans_plane(ctx: Field, u, v) -> bool:
 
 
 @dataclass(frozen=True)
-class LineRep:
-    anchor: Point
-    direction: Point
-
-    def validate(self, ctx: Field):
-        if is_zero(self.direction):
-            raise ValueError("line direction must be nonzero")
-        return self
-
-
-@dataclass(frozen=True)
 class PlaneRep:
     anchor: Point
     dir1: Point
     dir2: Point
-    h_flags: tuple = field(default=(False, False))
 
     @staticmethod
     def make(ctx: Field, anchor, dir1, dir2) -> "PlaneRep":
@@ -97,25 +77,16 @@ class PlaneRep:
             raise ValueError("plane directions must be nonzero")
         if is_colinear(ctx, dir1, dir2):
             raise ValueError("plane directions must be independent")
-        flags = (is_h_vector(ctx, dir1), is_h_vector(ctx, dir2))
-        return PlaneRep(tuple(anchor), tuple(dir1), tuple(dir2), flags)
-
-    @property
-    def is_h_plane(self) -> bool:
-        return self.h_flags[0] and self.h_flags[1]
-
-    def anchor_line(self) -> LineRep:
-        return LineRep(self.anchor, self.dir1)
+        return PlaneRep(tuple(anchor), tuple(dir1), tuple(dir2))
 
 
-def line_point_at(ctx: Field, line: LineRep, j: int):
-    return add_points(ctx, line.anchor, scale_point(ctx, j, line.direction))
-
-
-def line_points(ctx: Field, line: LineRep):
+def line_points(ctx: Field, anchor, direction):
     """All n points of the line, position j = anchor + elem(j) * dir."""
-    line.validate(ctx)
-    return [line_point_at(ctx, line, j) for j in range(ctx.n)]
+    if is_zero(direction):
+        raise ValueError("line direction must be nonzero")
+    return [
+        add_points(ctx, anchor, scale_point(ctx, j, direction)) for j in range(ctx.n)
+    ]
 
 
 def plane_point_at(ctx: Field, plane: PlaneRep, j: int, k: int):
@@ -125,7 +96,7 @@ def plane_point_at(ctx: Field, plane: PlaneRep, j: int, k: int):
 
 def points_at(ctx: Field, anchor, dirs, params) -> np.ndarray:
     """Coordinates of anchor + sum of elem(t) * u over (u, t) in
-    zip(dirs, params), vectorized: the numpy form of line_point_at and
+    zip(dirs, params), vectorized: the numpy form of line_points and
     plane_point_at.  Anchor and direction coordinates and parameters
     are codes or code arrays that broadcast together; the result is a
     (len(anchor), *shape) code array.  Each coordinate's terms are
@@ -220,13 +191,3 @@ def projective_unrank(ctx: Field, rank: int):
         coords.append(rank % ctx.n)
         rank //= ctx.n
     return tuple(coords)
-
-
-def serialize_point(point) -> str:
-    return ",".join(str(c) for c in point)
-
-
-def serialize_plane(plane: PlaneRep) -> str:
-    return "|".join(
-        serialize_point(p) for p in (plane.anchor, plane.dir1, plane.dir2)
-    )

@@ -154,16 +154,6 @@ class Field:
             code += c * w
         return code
 
-    def embed(self, a: int) -> int:
-        """Embed a GF(p) scalar; the image is the constant sub-line."""
-        if not 0 <= a < self.p:
-            raise ValueError(f"scalar {a} outside [0, {self.p})")
-        return a
-
-    def lift_h_vector(self, scalars):
-        """Embed a GF(p)^m vector coordinatewise into F^m."""
-        return tuple(self.embed(a) for a in scalars)
-
     @property
     def reduction(self):
         """X^(m+j) mod f for j in [0, m-1), as coefficient tuples low
@@ -240,9 +230,6 @@ class Field:
 
     def rand_element(self, rng) -> int:
         return rng.randrange(self.n)
-
-    def rand_nonzero(self, rng) -> int:
-        return rng.randrange(1, self.n)
 
     # -- log/antilog tables ---------------------------------------------------
 

@@ -64,7 +64,6 @@ class ExperimentConfig:
     pcpp_qv: int | None = None  # None: use the calibration sidecar
     mu_num: int = 1
     mu_den: int = 4
-    density: float = 0.05
     qv_cap: int = 24
     plane_samples: int = ctrw.DEFAULT_PLANE_SAMPLES
     allow_unsound: bool = False
@@ -191,25 +190,6 @@ def formula_eval(name: str, **params):
         value = (1 - Fraction(4, n)) ** m - (delta + Fraction(2, h)) / (
             rho - 2 * alpha
         )
-    elif name == "endpoint_bound":
-        value = Fraction(params["delta"]).limit_denominator(10**9) + Fraction(
-            2, params["h"]
-        )
-    elif name == "sigma_rlcc":
-        s_rw = Fraction(params["sigma_rw"]).limit_denominator(10**9)
-        s_pcpp = Fraction(params["sigma_pcpp"]).limit_denominator(10**9)
-        s_inner = Fraction(params["sigma_inner"]).limit_denominator(10**9)
-        rho = Fraction(params["rho"]).limit_denominator(10**9)
-        with_rho = s_rw * (1 - s_pcpp) * rho / 2
-        without_rho = s_rw * (1 - s_pcpp) / 2
-        value = min(with_rho, s_inner / 2)
-        return {
-            "value": value,
-            "decimal": _dec6(value),
-            "branch_with_rho": with_rho,
-            "branch_without_rho": without_rho,
-            "inner_branch": s_inner / 2,
-        }
     else:
         raise ValueError(f"unknown formula {name!r}")
     return {"value": value, "decimal": _dec6(value), "vacuous": value <= 0}
@@ -282,7 +262,7 @@ def completeness_experiment(config: ExperimentConfig) -> dict:
         msg = [ctx.rand_element(rng) for _ in range(rm.k)]
         word = eval_table(rm, encode(rm, msg))
         x = sample_point(ctx, rng)
-        verdict, _ = ctrw.ctrw_accept(rm, word, x, rng, "exact", config.steps)
+        verdict, _ = ctrw.ctrw_accept(rm, word, x, rng, config.steps)
         accept += verdict == ctrw.ACCEPT
     return finish_report(
         config,
@@ -297,8 +277,8 @@ def completeness_experiment(config: ExperimentConfig) -> dict:
 def soundness_experiment(config: ExperimentConfig, rows=None) -> dict:
     """Walk robustness on words close to a planted codeword but wrong at x.
 
-    Per trial: fresh pseudorandom corruption of the configured density
-    plus a forced flip at a random start point; the verdict certifies
+    Per trial: fresh pseudorandom corruption at density delta plus a
+    forced flip at a random start point; the verdict certifies
     whether the start predicate or some line predicate is alpha-far.
     Per-trial CSV rows are appended to ``rows`` when a list is given.
     """

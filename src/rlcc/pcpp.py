@@ -77,7 +77,7 @@ def canonical_proof(params2d: RmParams, pcpp: PcppParams, member: AugmentedWord)
     """
     n = params2d.ctx.n
     base = [member.read(i) for i in range(n * n)]
-    ok, tri = is_low_degree_on_plane(params2d, base, mode="exact")
+    ok, tri = is_low_degree_on_plane(params2d, base)
     if not ok:
         raise ValueError("base word is not a low-degree evaluation")
     for i in range(n * n, 2 * n * n):

@@ -333,13 +333,11 @@ def restrict_to_plane(params: RmParams, coeffs, plane: PlaneRep):
     return tuple(restriction_triangles(params.bivariate(), vals).tolist())
 
 
-def is_low_degree_on_plane(params2d: RmParams, values, mode="exact", rng=None):
+def is_low_degree_on_plane(params2d: RmParams, values):
     """Membership of an n^2 plane word in the bivariate code.
 
-    Exact mode fits the subgrid, rejects off-triangle coefficients, and
-    verifies all n^2 points.  Sampled mode ("sampled", q) verifies q
-    uniform points instead: one-sided, may wrongly accept.
-    Returns (ok, triangle-or-None).
+    Fits the subgrid, rejects off-triangle coefficients, and verifies
+    all n^2 points.  Returns (ok, triangle-or-None).
     """
     ctx = params2d.ctx
     n, d = ctx.n, params2d.d
@@ -351,20 +349,9 @@ def is_low_degree_on_plane(params2d: RmParams, values, mode="exact", rng=None):
     if not inside:
         return False, None
     tri = tuple(tri.tolist())
-    if mode == "exact":
-        jj, kk = np.divmod(np.arange(n * n, dtype=np.int64), n)
-        expect = evaluate_many(params2d, tri, np.stack([jj, kk]))
-        ok = bool(np.array_equal(expect, values))
-    else:
-        tag, q = mode
-        if tag != "sampled":
-            raise ValueError(f"unknown mode {mode!r}")
-        ok = True
-        for _ in range(q):
-            j, k = rng.randrange(n), rng.randrange(n)
-            if evaluate(params2d, tri, (j, k)) != values[j * n + k]:
-                ok = False
-                break
+    jj, kk = np.divmod(np.arange(n * n, dtype=np.int64), n)
+    expect = evaluate_many(params2d, tri, np.stack([jj, kk]))
+    ok = bool(np.array_equal(expect, values))
     return (ok, tri if ok else None)
 
 

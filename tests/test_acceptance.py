@@ -17,7 +17,6 @@ import pytest
 
 from rlcc import composed, ctrw, harness, rm
 from rlcc.geometry import (
-    LineRep,
     is_zero,
     line_points,
     point_code,
@@ -56,7 +55,7 @@ def test_c01_field_and_geometry_exhaustives():
             if is_zero(direction):
                 continue
             line_count += 1
-            pts = line_points(gf4, LineRep(anchor, direction))
+            pts = line_points(gf4, anchor, direction)
             assert len(set(pts)) == 4
             brute = {
                 tuple(

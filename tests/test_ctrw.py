@@ -6,14 +6,13 @@ import pytest
 
 from rlcc import ctrw, rm
 from rlcc.geometry import (
-    codes_of,
+    add_points,
     is_colinear,
-    is_h_vector,
     is_zero,
     line_points,
+    plane_codes_at,
     plane_points,
     point_code,
-    points_at,
     sample_point,
 )
 from rlcc.gf import Field
@@ -24,10 +23,11 @@ def test_walk_transcript_shape(gf8, rng):
     x = sample_point(gf8, rng)
     tr = ctrw.walk_sample(params, x, 3, rng)
     assert len(tr.planes) == 4
-    assert len(tr.lines) == 3
-    assert tr.xs[0] == x
+    assert tr.steps == 3
+    assert len(tr.resamples_steps) == 3
     assert tr.planes[0].anchor == x
-    assert tr.planes[0].is_h_plane
+    # P0 is an H-plane: both directions in H^m
+    assert all(c < gf8.p for c in tr.planes[0].dir1 + tr.planes[0].dir2)
 
 
 def test_walk_invariants(gf8, rng):
@@ -36,45 +36,38 @@ def test_walk_invariants(gf8, rng):
         x = sample_point(gf8, rng)
         tr = ctrw.walk_sample(params, x, 3, rng)
         for i in range(1, 4):
-            # x_i lies in P_{i-1}, the line sits inside P_i at column 0
-            assert tr.xs[i] in set(plane_points(gf8, tr.planes[i - 1]))
-            assert tr.lines[i - 1].anchor == tr.xs[i]
-            assert tr.lines[i - 1].direction == tr.h[i]
-            # h_i = t_{i-1} h_{i-1} + t'_{i-1} h'_{i-1}
-            want = tuple(
-                gf8.add(
-                    gf8.mul(tr.t_scalars[i - 1], a), gf8.mul(tr.tp_scalars[i - 1], b)
-                )
-                for a, b in zip(tr.h[i - 1], tr.hp[i - 1])
-            )
-            assert tr.h[i] == want
-            assert is_h_vector(gf8, tr.hp[i])
-            assert not is_zero(tr.h[i])
-            assert not is_colinear(gf8, tr.h[i], tr.hp[i])
+            prev, plane = tr.planes[i - 1], tr.planes[i]
+            # the line of step i, plane i's anchor line, lies in P_{i-1}
+            prev_points = set(plane_points(gf8, prev))
+            assert plane.anchor in prev_points
+            assert add_points(gf8, plane.anchor, plane.dir1) in prev_points
+            assert not is_zero(plane.dir1)
+            # a fresh H^m second direction off the line
+            assert all(c < gf8.p for c in plane.dir2)
+            assert not is_colinear(gf8, plane.dir1, plane.dir2)
 
 
 def test_walk_deterministic(gf8):
     params = rm.RmParams(gf8, 3, 1)
     t1 = ctrw.walk_sample(params, (1, 2, 3), 3, random.Random(42))
     t2 = ctrw.walk_sample(params, (1, 2, 3), 3, random.Random(42))
-    assert t1.planes == t2.planes and t1.lines == t2.lines
+    assert t1 == t2
 
 
 def test_walk_x1_in_p0(gf4, rng):
     params = rm.RmParams(gf4, 2, 1)
     tr = ctrw.walk_sample(params, (0, 0), 2, rng)
-    assert tr.xs[1] in set(plane_points(gf4, tr.planes[0]))
+    assert tr.planes[1].anchor in set(plane_points(gf4, tr.planes[0]))
 
 
 def test_line_and_plane_codes_match_scalar(gf8, rng):
     params = rm.RmParams(gf8, 3, 1)
     tr = ctrw.walk_sample(params, sample_point(gf8, rng), 3, rng)
-    line = tr.lines[0]
-    codes = codes_of(
-        gf8, points_at(gf8, line.anchor, (line.direction,), (np.arange(gf8.n),))
-    )
-    assert codes.tolist() == [point_code(gf8, p) for p in line_points(gf8, line)]
     plane = tr.planes[1]
+    # the line of step 1 is plane 1's anchor line, grid column k = 0
+    codes = plane_codes_at(gf8, plane, np.arange(gf8.n), 0)
+    line = line_points(gf8, plane.anchor, plane.dir1)
+    assert codes.tolist() == [point_code(gf8, p) for p in line]
     pcodes = ctrw.plane_codes(params, plane)
     assert pcodes.tolist() == [point_code(gf8, p) for p in plane_points(gf8, plane)]
 
@@ -378,9 +371,10 @@ def test_step_events_agree_with_sampled_verdict(gf8, monkeypatch):
         assert ev.p0_dense == (dense[0] is True)
         assert ev.plane_dense == dense[1:]
         assert ev.line_counts == [bound.line_count for bound in verdict.distances[1:]]
-        for cnt, line in zip(ev.line_counts, tr.lines):
-            pts = points_at(gf8, line.anchor, (line.direction,), (np.arange(gf8.n),))
-            assert cnt == int(corr.corrupt_mask(codes_of(gf8, pts)).sum())
+        for cnt, plane in zip(ev.line_counts, tr.planes[1:]):
+            line = line_points(gf8, plane.anchor, plane.dir1)
+            codes = np.array([point_code(gf8, p) for p in line])
+            assert cnt == int(corr.corrupt_mask(codes).sum())
         seen.update(dense)
     # both decided and undecided planes occur
     assert {True, None} <= seen

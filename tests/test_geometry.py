@@ -25,8 +25,7 @@ def brute_line_set(ctx, anchor, direction):
 
 
 def test_axis_line_order(gf4):
-    line = geo.LineRep((0, 0), (1, 0))
-    assert geo.line_points(gf4, line) == [(0, 0), (1, 0), (2, 0), (3, 0)]
+    assert geo.line_points(gf4, (0, 0), (1, 0)) == [(0, 0), (1, 0), (2, 0), (3, 0)]
 
 
 def test_line_position_zero_is_anchor(gf8, rng):
@@ -35,7 +34,7 @@ def test_line_position_zero_is_anchor(gf8, rng):
         direction = geo.sample_point(gf8, rng)
         if geo.is_zero(direction):
             continue
-        assert geo.line_points(gf8, geo.LineRep(anchor, direction))[0] == anchor
+        assert geo.line_points(gf8, anchor, direction)[0] == anchor
 
 
 def test_all_gf4_squared_lines_distinct_and_complete():
@@ -46,7 +45,7 @@ def test_all_gf4_squared_lines_distinct_and_complete():
             if geo.is_zero(direction):
                 continue
             reps += 1
-            pts = geo.line_points(ctx, geo.LineRep(anchor, direction))
+            pts = geo.line_points(ctx, anchor, direction)
             assert len(pts) == 4
             assert len(set(pts)) == 4
             assert set(pts) == brute_line_set(ctx, anchor, direction)
@@ -55,7 +54,7 @@ def test_all_gf4_squared_lines_distinct_and_complete():
 
 def test_zero_direction_rejected(gf4):
     with pytest.raises(ValueError):
-        geo.line_points(gf4, geo.LineRep((0, 0), (0, 0)))
+        geo.line_points(gf4, (0, 0), (0, 0))
     with pytest.raises(ValueError):
         geo.PlaneRep.make(gf4, (0, 0), (1, 0), (2, 0))  # dependent directions
 
@@ -82,7 +81,7 @@ def test_plane_points_distinct_random(gf8, rng):
         pts = geo.plane_points(gf8, plane)
         assert len(set(pts)) == gf8.n**2
         # anchor line shows up as column k = 0
-        line = geo.line_points(gf8, plane.anchor_line())
+        line = geo.line_points(gf8, plane.anchor, plane.dir1)
         assert [pts[t * gf8.n] for t in range(gf8.n)] == line
 
 
@@ -124,9 +123,8 @@ def test_points_at_matches_scalar_points(pm, seed):
         assert tuple(coords[(slice(None),) + idx].tolist()) == pt
         assert codes[idx] == geo.point_code(ctx, pt)
     # one direction: a whole line in position order
-    line = plane.anchor_line()
-    coords = geo.points_at(ctx, line.anchor, (d1,), (np.arange(ctx.n),))
-    pts = geo.line_points(ctx, line)
+    coords = geo.points_at(ctx, plane.anchor, (d1,), (np.arange(ctx.n),))
+    pts = geo.line_points(ctx, plane.anchor, d1)
     assert [tuple(c) for c in coords.T.tolist()] == pts
     assert geo.codes_of(ctx, coords).tolist() == [geo.point_code(ctx, p) for p in pts]
     # array anchors and directions, one (d+1) x (d+1) subgrid per key;
@@ -191,7 +189,7 @@ def test_plane_key_invariant_under_rescaling(gf8, rng):
         d2 = geo.sample_h_direction(gf8, rng)
         if geo.is_zero(d1) or geo.is_colinear(gf8, d1, d2):
             continue
-        c = gf8.rand_nonzero(rng)
+        c = rng.randrange(1, gf8.n)
         p1 = geo.PlaneRep.make(gf8, anchor, d1, d2)
         p2 = geo.PlaneRep.make(gf8, anchor, geo.scale_point(gf8, c, d1), d2)
         k1 = layout.key_of(composed.LINE_REGION, p1)
@@ -234,14 +232,9 @@ def test_point_keys_keep_raw_directions(gf8):
 
 
 def test_h_plane_flags(gf8):
+    # an H-plane has both directions in H^m: every coordinate code < p
     hp = geo.PlaneRep.make(gf8, (0, 0, 0), (1, 1, 0), (0, 0, 1))
-    assert hp.is_h_plane
+    assert all(c < gf8.p for c in hp.dir1 + hp.dir2)
     fp = geo.PlaneRep.make(gf8, (0, 0, 0), (2, 1, 0), (0, 0, 1))
-    assert fp.h_flags == (False, True)
-    assert not fp.is_h_plane
-
-
-def test_serialization(gf4):
-    plane = geo.PlaneRep.make(gf4, (0, 1), (1, 0), (0, 1))
-    assert geo.serialize_point((0, 1)) == "0,1"
-    assert geo.serialize_plane(plane) == "0,1|1,0|0,1"
+    assert not all(c < gf8.p for c in fp.dir1)
+    assert all(c < gf8.p for c in fp.dir2)

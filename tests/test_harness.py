@@ -24,12 +24,6 @@ def test_formula_sigma_rw_s1():
     assert out["value"] == expect
 
 
-def test_formula_endpoint_bound():
-    out = harness.formula_eval("endpoint_bound", h=17, delta=Fraction(1, 10))
-    assert out["value"] == Fraction(37, 170)
-    assert out["decimal"] == "0.217647"
-
-
 def test_formula_vacuous_flagged():
     out = harness.formula_eval("sigma_rw", h=2, m=2, d=1, delta=Fraction(1, 10))
     assert out["vacuous"]  # (1 - 4/4)^2 = 0 minus a positive term
@@ -40,16 +34,6 @@ def test_formula_rho_equals_two_alpha():
         harness.formula_eval(
             "sigma_rw", h=2, m=3, d=1, delta=0.1, alpha=(1 - Fraction(1, 8)) / 2
         )
-
-
-def test_formula_sigma_rlcc_branches():
-    out = harness.formula_eval(
-        "sigma_rlcc", sigma_rw=Fraction(7, 10), sigma_pcpp=Fraction(1, 2),
-        sigma_inner=Fraction(9, 10), rho=Fraction(3, 4),
-    )
-    assert out["branch_with_rho"] == Fraction(7, 10) * Fraction(1, 2) * Fraction(3, 8)
-    assert out["branch_without_rho"] == Fraction(7, 40)
-    assert out["value"] == min(out["branch_with_rho"], Fraction(9, 20))
 
 
 def test_presets_and_preconditions():

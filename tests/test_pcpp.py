@@ -59,7 +59,7 @@ def test_canonical_proof_rejects_non_members(gf4):
     params2d = rm.RmParams(gf4, 2, 1)
     pcpp = PcppParams(4)
     bad = [1] + [0] * 15  # not low-degree
-    ok, _ = rm.is_low_degree_on_plane(params2d, bad, "exact")
+    ok, _ = rm.is_low_degree_on_plane(params2d, bad)
     assert not ok
     with pytest.raises(ValueError):
         canonical_proof(params2d, pcpp, rm.augment(gf4, bad, rm.POINT_KIND))
