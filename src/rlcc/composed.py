@@ -479,7 +479,7 @@ def correct_rm(layout: ComposedLayout, read, addr: int, rng, counter=None):
         counter = QueryCounter()
     copy = rng.randrange(layout.repetitions)
     x = point_from_code(ctx, pcode)
-    transcript = walk_sample(layout.rm, x, ctx.m, rng)
+    transcript = walk_sample(layout.rm, x, rng)
     if not _verify_walk(layout, read, copy, transcript, rng, counter):
         return BOT
     counter.word += 1
@@ -550,7 +550,7 @@ def correct_proof(layout: ComposedLayout, read, addr: int, rng, counter=None):
     n = ctx.n
     j, k = rng.randrange(n), rng.randrange(n)
     x0 = plane_point_at(ctx, plane, j, k)
-    transcript = walk_sample(layout.rm, x0, ctx.m, rng)
+    transcript = walk_sample(layout.rm, x0, rng)
     if not _verify_walk(layout, read, copy, transcript, rng, counter):
         return BOT
     return correct_proof_symbol(

@@ -1,16 +1,17 @@
 """The m-step plane-line consistency-test random walk and its diagnostics.
 
-The walk starts at the queried point on a plane with both directions in
-the embedded H^m, then repeatedly picks a random point and a random line
-of the current plane and erects the next plane over that line with a
-fresh H^m second direction.  Each plane carries a low-degree predicate.
-A walk is its list of planes: the line drawn at step i is the anchor
-line of plane i, its grid column k = 0.
+A walk always takes m = [F:H] steps, the walk the paper's soundness
+bound is stated for.  It starts at the queried point on a plane with
+both directions in the embedded H^m, then repeatedly picks a random
+point and a random line of the current plane and erects the next plane
+over that line with a fresh H^m second direction.  Each plane carries
+a low-degree predicate.  A walk is its list of planes: the line drawn
+at step i is the anchor line of plane i, its grid column k = 0.
 
 The paper-idealized sampler never excludes degenerate draws; a zero
 direction or a rank-deficient plane makes the predicate ill-formed, so
 the sampler here rejects and resamples those cases and the transcript
-records how often that happened.  Loop-step resampling occurs with
+records how often each step resampled.  Loop-step resampling occurs with
 probability O(1/|F|) per step, which the tests bound at 3/|F|.
 
 Soundness experiments measure distances against the planted close
@@ -22,7 +23,7 @@ alpha-far only when its certified lower bound clears alpha.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
@@ -66,28 +67,19 @@ class WalkTranscript:
     planes[i]'s anchor line is the line of step i."""
 
     planes: list
-    resamples_init: int = 0
-    resamples_steps: list = field(default_factory=list)
-
-    @property
-    def steps(self) -> int:
-        return len(self.planes) - 1
+    resamples_steps: list
 
 
-def walk_sample(params: RmParams, x, steps=None, rng=None) -> WalkTranscript:
-    """Run the walk sampler for the given number of steps (default m)."""
+def walk_sample(params: RmParams, x, rng) -> WalkTranscript:
+    """Run the walk sampler for its m steps."""
     ctx = params.ctx
-    if steps is None:
-        steps = ctx.m
-    resamples_init = 0
     h0 = sample_h_direction(ctx, rng)
     hp0 = sample_h_direction(ctx, rng)
     while is_colinear(ctx, h0, hp0):
         hp0 = sample_h_direction(ctx, rng)
-        resamples_init += 1
     planes = [PlaneRep.make(ctx, x, h0, hp0)]
     step_resamples = []
-    for _ in range(steps):
+    for _ in range(ctx.m):
         prev = planes[-1]
         rs = 0
         s, sp = ctx.rand_element(rng), ctx.rand_element(rng)
@@ -107,7 +99,7 @@ def walk_sample(params: RmParams, x, steps=None, rng=None) -> WalkTranscript:
             rs += 1
         planes.append(PlaneRep.make(ctx, xi, hi, hpi))
         step_resamples.append(rs)
-    return WalkTranscript(planes, resamples_init, step_resamples)
+    return WalkTranscript(planes, step_resamples)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +162,7 @@ class PointCorruption:
 # The accept/reject test (Algorithm 1 end-to-end)
 
 
-def ctrw_accept(params: RmParams, word, x, rng, steps=None):
+def ctrw_accept(params: RmParams, word, x, rng) -> str:
     """ACCEPT iff the restriction to every walk plane is low-degree.
 
     word is an evaluation table indexed by point code (sequence or
@@ -178,13 +170,12 @@ def ctrw_accept(params: RmParams, word, x, rng, steps=None):
     materializable words.
     """
     word = np.asarray(word, dtype=np.int64)
-    transcript = walk_sample(params, x, steps, rng)
-    for plane in transcript.planes:
+    for plane in walk_sample(params, x, rng).planes:
         values = word[plane_codes(params, plane)]
         ok, _ = is_low_degree_on_plane(params.bivariate(), values)
         if not ok:
-            return REJECT, transcript
-    return ACCEPT, transcript
+            return REJECT
+    return ACCEPT
 
 
 # ---------------------------------------------------------------------------
@@ -238,13 +229,14 @@ def violation_check_exact(params: RmParams, word, transcript, alpha) -> RobustVe
     return RobustVerdict(witness is not None, witness, bounds)
 
 
-def _plane_density(params, corruption, plane, rng, samples) -> DensityBound:
+def _plane_density(params, corruption, plane, rng) -> DensityBound:
     n = params.ctx.n
     if n * n <= PLANE_EXACT_LIMIT:
         codes = plane_codes(params, plane)
         return DensityBound.from_exact(
             int(corruption.corrupt_mask(codes).sum()), n * n
         )
+    samples = DEFAULT_PLANE_SAMPLES
     npr = np.random.Generator(np.random.PCG64(rng.randrange(2**63)))
     jj = npr.integers(0, n, size=samples)
     kk = npr.integers(0, n, size=samples)
@@ -258,9 +250,11 @@ def violation_check_planted(
     transcript: WalkTranscript,
     alpha: Fraction,
     rng,
-    plane_samples: int = DEFAULT_PLANE_SAMPLES,
 ) -> RobustVerdict:
     """Certified verdict against the planted close codeword.
+
+    Planes larger than PLANE_EXACT_LIMIT points are estimated from
+    DEFAULT_PLANE_SAMPLES uniform grid positions.
 
     For the point predicate with a corrupted start, the distance is at
     least min(1/2, (rho - eta)/2); for a line predicate it is at least
@@ -273,7 +267,7 @@ def violation_check_planted(
     bounds = []
     witness = None
     for i, plane in enumerate(transcript.planes):
-        pb = _plane_density(params, corruption, plane, rng, plane_samples)
+        pb = _plane_density(params, corruption, plane, rng)
         eta_lo, eta_hi = pb.as_fractions()
         if i == 0:
             hit = 1 if corruption.is_corrupt_code(point_code(ctx, plane.anchor)) else 0
@@ -328,21 +322,13 @@ def step_events(params: RmParams, verdict: RobustVerdict, alpha: Fraction) -> St
 # Mixing experiment (endpoint distribution of the walk)
 
 
-def mixing_exp(
-    params: RmParams,
-    corruption: PointCorruption,
-    trials: int,
-    rng,
-    steps=None,
-    start=None,
-):
+def mixing_exp(params: RmParams, corruption: PointCorruption, trials: int, rng):
     """Estimate P[endpoint corrupted] against density + 2/|H|."""
     ctx = params.ctx
     hits = 0
     resample_total = 0
     for _ in range(trials):
-        x = tuple(start) if start is not None else sample_point(ctx, rng)
-        tr = walk_sample(params, x, steps, rng)
+        tr = walk_sample(params, sample_point(ctx, rng), rng)
         s, sp = ctx.rand_element(rng), ctx.rand_element(rng)
         z = plane_point_at(ctx, tr.planes[-1], s, sp)
         if corruption.is_corrupt_code(point_code(ctx, z)):

@@ -6,9 +6,15 @@ Reports embed the configuration hash and the package version, so a
 rerun with the same config file is byte-identical apart from the
 wall-clock field.
 
-Theorem preconditions (d < n, |F| >= 2md, delta <= rho/2, alpha <=
-rho/8) gate every soundness run; an explicit override marks the report
-UNSOUND instead of refusing.
+A config holds only what a caller varies.  The rest are the paper's
+constants: every walk takes m steps, alpha = rho/8, the proofs repeat
+R = 9 times (``PcppParams``' default), and the line-sampling set has
+density mu = 1/4.  A config whose field or code cannot be built
+(p not prime, d >= |F|) is a ConfigError.
+
+Theorem preconditions (|F| >= 2md, delta <= rho/2) gate every
+soundness run; an explicit override marks the report UNSOUND instead of
+refusing.
 """
 
 from __future__ import annotations
@@ -21,18 +27,17 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
-from . import composed, ctrw
+from . import __version__, composed, ctrw
 from .gf import Field
 from .geometry import sample_point
 from .pcpp import BOT, PcppParams, build_proof, verify_proximity
 from .prf import KeyedNoise, chain
 from .rm import POINT_KIND, RmParams, encode, eval_table, evaluate
 from .stats import freq_meets_floor, stderr, wilson_interval
-
-VERSION = "0.1.0"
 
 PRESETS = {
     "T1": {"p": 2, "m": 2, "d": 1},
@@ -54,22 +59,16 @@ class ExperimentConfig:
     p: int = 2
     m: int = 3
     d: int = 1
-    steps: int | None = None
     delta: float = 0.1
-    alpha_num: int | None = None  # defaults to rho/8 when unset
-    alpha_den: int | None = None
     trials: int = 1000
     seed: int = 1
-    pcpp_r: int = 9
-    pcpp_qv: int | None = None  # None: use the calibration sidecar
-    mu_num: int = 1
-    mu_den: int = 4
-    qv_cap: int = 24
-    plane_samples: int = ctrw.DEFAULT_PLANE_SAMPLES
+    pcpp_qv: int | None = None  # None: q_v = 4
     allow_unsound: bool = False
     sidecar: str = "calibration.json"
     json_path: str | None = None
     csv_path: str | None = None
+    # calibration tries q_v = 1 .. qv_cap
+    qv_cap: ClassVar[int] = 24
 
     def __post_init__(self):
         if self.preset:
@@ -88,13 +87,10 @@ class ExperimentConfig:
 
     @property
     def alpha(self) -> Fraction:
-        if self.alpha_num is not None:
-            return Fraction(self.alpha_num, self.alpha_den or 1)
         return self.rm.rho / 8
 
-    def pcpp(self, q_v: int | None = None) -> PcppParams:
-        qv = q_v if q_v is not None else (self.pcpp_qv or 4)
-        return PcppParams(qv, self.pcpp_r, self.alpha)
+    def pcpp(self) -> PcppParams:
+        return PcppParams(self.pcpp_qv or 4, rho_prox=self.alpha)
 
     def digest(self) -> str:
         """Hash of the experiment the config describes; where its report
@@ -146,9 +142,11 @@ def make_config(**kwargs) -> ExperimentConfig:
     if bad:
         raise ConfigError(f"unknown config keys: {sorted(bad)}")
     try:
-        return ExperimentConfig(**kwargs)
+        config = ExperimentConfig(**kwargs)
+        config.rm  # builds the field and the code, which check p, m and d
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
+    return config
 
 
 def check_preconditions(config: ExperimentConfig):
@@ -156,14 +154,10 @@ def check_preconditions(config: ExperimentConfig):
     rm = config.rm
     n = rm.ctx.n
     out = []
-    if not rm.d < n:
-        out.append(f"d < |F| violated: {rm.d} >= {n}")
     if not n >= 2 * config.m * config.d:
         out.append(f"|F| >= 2md violated: {n} < {2 * config.m * config.d}")
     if not Fraction(config.delta).limit_denominator(10**9) <= rm.rho / 2:
         out.append(f"delta <= rho/2 violated: {config.delta} > {float(rm.rho / 2)}")
-    if not config.alpha <= rm.rho / 8:
-        out.append(f"alpha <= rho/8 violated: {config.alpha} > {rm.rho / 8}")
     return out
 
 
@@ -211,7 +205,7 @@ def finish_report(config: ExperimentConfig, body: dict) -> dict:
         "kind": config.kind,
         "config_hash": config.digest(),
         "seed": config.seed,
-        "version": VERSION,
+        "version": __version__,
         "field": config.ctx.descriptor,
         "preconditions": check_preconditions(config),
     }
@@ -262,8 +256,7 @@ def completeness_experiment(config: ExperimentConfig) -> dict:
         msg = [ctx.rand_element(rng) for _ in range(rm.k)]
         word = eval_table(rm, encode(rm, msg))
         x = sample_point(ctx, rng)
-        verdict, _ = ctrw.ctrw_accept(rm, word, x, rng, config.steps)
-        accept += verdict == ctrw.ACCEPT
+        accept += ctrw.ctrw_accept(rm, word, x, rng) == ctrw.ACCEPT
     return finish_report(
         config,
         {
@@ -288,7 +281,7 @@ def soundness_experiment(config: ExperimentConfig, rows=None) -> dict:
     sigma = formula_eval(
         "sigma_rw", h=ctx.p, m=ctx.m, d=rm.d, delta=config.delta, alpha=alpha
     )
-    steps = config.steps or ctx.m
+    steps = ctx.m
     violations = 0
     p0_hits = 0
     f_all = 0
@@ -302,11 +295,9 @@ def soundness_experiment(config: ExperimentConfig, rows=None) -> dict:
         corr = ctrw.PointCorruption(rm, rng.randrange(2**63), config.delta)
         x = sample_point(ctx, rng)
         corr.target_point(x, delta=1 + rng.randrange(ctx.n - 1))
-        tr = ctrw.walk_sample(rm, x, steps, rng)
+        tr = ctrw.walk_sample(rm, x, rng)
         resamples += sum(tr.resamples_steps)
-        verdict = ctrw.violation_check_planted(
-            rm, corr, tr, alpha, rng, config.plane_samples
-        )
+        verdict = ctrw.violation_check_planted(rm, corr, tr, alpha, rng)
         violations += verdict.violated
         p0_hits += verdict.witness == 0
         ev = ctrw.step_events(rm, verdict, alpha)
@@ -361,15 +352,14 @@ def mixing_experiment(config: ExperimentConfig) -> dict:
     rm = config.rm
     rng = trial_rng(config.seed, "mixing", 0)
     corr = ctrw.PointCorruption(rm, config.seed, config.delta)
-    body = ctrw.mixing_exp(rm, corr, config.trials, rng, config.steps)
+    body = ctrw.mixing_exp(rm, corr, config.trials, rng)
     return finish_report(config, body)
 
 
 def sampling_experiment(config: ExperimentConfig) -> dict:
     ctx = config.ctx
-    mu = Fraction(config.mu_num, config.mu_den)
-    size = int(mu * ctx.n * ctx.n)
-    a_codes = range(size)  # the first mu*n^2 point codes of F^2
+    # the set A: the first mu*n^2 point codes of F^2, mu = 1/4
+    a_codes = range(ctx.n * ctx.n // 4)
     rng = trial_rng(config.seed, "sampling", 0)
     body = ctrw.line_sampling_exp(
         ctx, a_codes, [Fraction(1, 8), Fraction(1, 4), Fraction(1, 2)],
@@ -487,16 +477,16 @@ def measure_far_acceptance(rm2d, pcpp, families, trials, rng):
     return worst, per_family
 
 
-def calibrate_pcpp(config: ExperimentConfig, persist=True) -> dict:
+def calibrate_pcpp(config: ExperimentConfig) -> dict:
     """Smallest q_v whose worst-family far-acceptance clears 1/2.
 
     Results persist in a JSON sidecar keyed by a hash of (field, d, R,
     rho_prox); reruns with a matching key reuse the cached entry.
     """
     rm2d = config.rm.bivariate()
-    pcpp0 = PcppParams(1, config.pcpp_r, config.alpha)
+    pcpp0 = PcppParams(1, rho_prox=config.alpha)
     key = hashlib.sha256(
-        f"{config.ctx.descriptor}|d={config.d}|R={config.pcpp_r}|rho={config.alpha}".encode()
+        f"{config.ctx.descriptor}|d={config.d}|R={pcpp0.repetitions}|rho={config.alpha}".encode()
     ).hexdigest()[:16]
     side = Path(config.sidecar)
     if side.exists():
@@ -508,7 +498,7 @@ def calibrate_pcpp(config: ExperimentConfig, persist=True) -> dict:
     history = {}
     chosen = None
     for q_v in range(1, config.qv_cap + 1):
-        pcpp = PcppParams(q_v, config.pcpp_r, config.alpha)
+        pcpp = PcppParams(q_v, rho_prox=config.alpha)
         worst, per_family = measure_far_acceptance(
             rm2d, pcpp, families, config.trials, rng
         )
@@ -527,10 +517,9 @@ def calibrate_pcpp(config: ExperimentConfig, persist=True) -> dict:
         "key": key,
         "cached": False,
     }
-    if persist:
-        table = json.loads(side.read_text()) if side.exists() else {}
-        table[key] = {k: v for k, v in entry.items() if k != "cached"}
-        side.write_text(json.dumps(table, indent=2, sort_keys=True))
+    table = json.loads(side.read_text()) if side.exists() else {}
+    table[key] = {k: v for k, v in entry.items() if k != "cached"}
+    side.write_text(json.dumps(table, indent=2, sort_keys=True))
     return entry
 
 
@@ -607,7 +596,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
         "sampling": sampling_experiment,
         "matrix": matrix_experiment,
         "alg2": alg2_experiment,
-        "calibrate": lambda c: calibrate_pcpp(c),
+        "calibrate": calibrate_pcpp,
     }.get(config.kind)
     if runner is None:
         raise ConfigError(f"unknown experiment kind {config.kind!r}")

@@ -454,8 +454,8 @@ def enumerate_codewords(params2d: RmParams):
         yield coeffs, eval_table(params2d, coeffs)
 
 
-def nearest_codeword_bruteforce(params2d: RmParams, values, a_set=None):
-    """Exact nearest bivariate codeword under plain or dist_A metric.
+def nearest_codeword_bruteforce(params2d: RmParams, values):
+    """Exact nearest bivariate codeword under the plain metric.
 
     Returns (coeffs, distance).  The minimizer with the smallest
     coefficient tuple breaks ties, which keeps the result deterministic.
@@ -463,11 +463,7 @@ def nearest_codeword_bruteforce(params2d: RmParams, values, a_set=None):
     best = None
     values = list(values)
     for coeffs, table in enumerate_codewords(params2d):
-        dist = (
-            dist_plain(values, table)
-            if a_set is None
-            else dist_weighted(values, table, a_set)
-        )
+        dist = dist_plain(values, table)
         if best is None or dist < best[1]:
             best = (coeffs, dist)
     return best

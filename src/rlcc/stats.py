@@ -10,6 +10,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+# standard errors of slack in every check, and the Wilson interval's z
+Z = 3.0
+
 
 def stderr(p_hat: float, n: int) -> float:
     if n <= 0:
@@ -17,14 +20,14 @@ def stderr(p_hat: float, n: int) -> float:
     return math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / n)
 
 
-def wilson_interval(successes: int, n: int, z: float = 3.0):
+def wilson_interval(successes: int, n: int):
     """Wilson score interval for a binomial proportion."""
     if n <= 0:
         raise ValueError("need at least one trial")
     p_hat = successes / n
-    denom = 1.0 + z * z / n
-    center = (p_hat + z * z / (2 * n)) / denom
-    half = (z / denom) * math.sqrt(p_hat * (1 - p_hat) / n + z * z / (4 * n * n))
+    denom = 1.0 + Z * Z / n
+    center = (p_hat + Z * Z / (2 * n)) / denom
+    half = (Z / denom) * math.sqrt(p_hat * (1 - p_hat) / n + Z * Z / (4 * n * n))
     return max(0.0, center - half), min(1.0, center + half)
 
 
@@ -80,10 +83,10 @@ def chi_square_pvalue(counts, expected) -> float:
     return float(chi2.sf(stat, dof))
 
 
-def freq_meets_floor(successes: int, trials: int, floor: float, z: float = 3.0):
-    """Empirical frequency >= floor - z * stderr; returns (ok, details)."""
+def freq_meets_floor(successes: int, trials: int, floor: float):
+    """Empirical frequency >= floor - Z * stderr; returns (ok, details)."""
     p_hat = successes / trials
-    slack = z * stderr(p_hat, trials)
+    slack = Z * stderr(p_hat, trials)
     return p_hat >= floor - slack, {
         "freq": p_hat,
         "floor": floor,
@@ -92,10 +95,10 @@ def freq_meets_floor(successes: int, trials: int, floor: float, z: float = 3.0):
     }
 
 
-def freq_meets_ceiling(successes: int, trials: int, ceiling: float, z: float = 3.0):
-    """Empirical frequency <= ceiling + z * stderr; returns (ok, details)."""
+def freq_meets_ceiling(successes: int, trials: int, ceiling: float):
+    """Empirical frequency <= ceiling + Z * stderr; returns (ok, details)."""
     p_hat = successes / trials
-    slack = z * stderr(p_hat, trials)
+    slack = Z * stderr(p_hat, trials)
     return p_hat <= ceiling + slack, {
         "freq": p_hat,
         "ceiling": ceiling,

@@ -127,7 +127,7 @@ def test_c05_ctrw_perfect_completeness():
         word = rm.eval_table(params, coeffs)
         for pcode in range(ctx.n**3):
             x = tuple((pcode // ctx.n**i) % ctx.n for i in range(3))
-            verdict, _ = ctrw.ctrw_accept(params, word, x, rng)
+            verdict = ctrw.ctrw_accept(params, word, x, rng)
             exhaustive_ok = exhaustive_ok and verdict == ctrw.ACCEPT
     ok = accepted == trials and exhaustive_ok
     report(5, ok, f"{accepted}/{trials} random pairs accepted; exhaustive starts x10 codewords: {exhaustive_ok}")

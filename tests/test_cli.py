@@ -24,6 +24,22 @@ def test_config_error_exit_two(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["ctrw-run", "layout-report"])
+@pytest.mark.parametrize(
+    "lines",
+    [
+        ["p = 4", "m = 3", "d = 1"],  # no field of prime order 4
+        ["p = 2", "m = 3", "d = 9"],  # d >= |F| = 8
+        ["preset = T2", "steps = 1"],  # every walk takes m steps
+    ],
+)
+def test_unbuildable_config_exit_two(command, lines, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("\n".join(lines + ["trials = 2"]) + "\n")
+    assert main([command, "--config", str(cfg)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_precondition_violation_exit_two(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("preset = T2\ndelta = 0.9\ntrials = 2\n")

@@ -21,9 +21,8 @@ from rlcc.gf import Field
 def test_walk_transcript_shape(gf8, rng):
     params = rm.RmParams(gf8, 3, 1)
     x = sample_point(gf8, rng)
-    tr = ctrw.walk_sample(params, x, 3, rng)
+    tr = ctrw.walk_sample(params, x, rng)
     assert len(tr.planes) == 4
-    assert tr.steps == 3
     assert len(tr.resamples_steps) == 3
     assert tr.planes[0].anchor == x
     # P0 is an H-plane: both directions in H^m
@@ -34,7 +33,7 @@ def test_walk_invariants(gf8, rng):
     params = rm.RmParams(gf8, 3, 1)
     for _ in range(50):
         x = sample_point(gf8, rng)
-        tr = ctrw.walk_sample(params, x, 3, rng)
+        tr = ctrw.walk_sample(params, x, rng)
         for i in range(1, 4):
             prev, plane = tr.planes[i - 1], tr.planes[i]
             # the line of step i, plane i's anchor line, lies in P_{i-1}
@@ -49,20 +48,20 @@ def test_walk_invariants(gf8, rng):
 
 def test_walk_deterministic(gf8):
     params = rm.RmParams(gf8, 3, 1)
-    t1 = ctrw.walk_sample(params, (1, 2, 3), 3, random.Random(42))
-    t2 = ctrw.walk_sample(params, (1, 2, 3), 3, random.Random(42))
+    t1 = ctrw.walk_sample(params, (1, 2, 3), random.Random(42))
+    t2 = ctrw.walk_sample(params, (1, 2, 3), random.Random(42))
     assert t1 == t2
 
 
 def test_walk_x1_in_p0(gf4, rng):
     params = rm.RmParams(gf4, 2, 1)
-    tr = ctrw.walk_sample(params, (0, 0), 2, rng)
+    tr = ctrw.walk_sample(params, (0, 0), rng)
     assert tr.planes[1].anchor in set(plane_points(gf4, tr.planes[0]))
 
 
 def test_line_and_plane_codes_match_scalar(gf8, rng):
     params = rm.RmParams(gf8, 3, 1)
-    tr = ctrw.walk_sample(params, sample_point(gf8, rng), 3, rng)
+    tr = ctrw.walk_sample(params, sample_point(gf8, rng), rng)
     plane = tr.planes[1]
     # the line of step 1 is plane 1's anchor line, grid column k = 0
     codes = plane_codes_at(gf8, plane, np.arange(gf8.n), 0)
@@ -77,14 +76,14 @@ def test_ctrw_accept_on_codewords(gf8, rng):
     for _ in range(20):
         coeffs = tuple(rng.randrange(gf8.n) for _ in range(params.k))
         word = rm.eval_table(params, coeffs)
-        verdict, _ = ctrw.ctrw_accept(params, word, sample_point(gf8, rng), rng)
+        verdict = ctrw.ctrw_accept(params, word, sample_point(gf8, rng), rng)
         assert verdict == ctrw.ACCEPT
 
 
 def test_ctrw_accepts_zero_word(gf8, rng):
     params = rm.RmParams(gf8, 3, 1)
     word = np.zeros(gf8.n**3, dtype=np.int64)
-    verdict, _ = ctrw.ctrw_accept(params, word, (0, 0, 0), rng)
+    verdict = ctrw.ctrw_accept(params, word, (0, 0, 0), rng)
     assert verdict == ctrw.ACCEPT
 
 
@@ -99,12 +98,12 @@ def test_ctrw_rejects_blotted_plane(gf8):
         coeffs = tuple(rng.randrange(gf8.n) for _ in range(params.k))
         word = rm.eval_table(params, coeffs).copy()
         x = sample_point(gf8, rng)
-        tr = ctrw.walk_sample(params, x, 3, rng)
+        tr = ctrw.walk_sample(params, x, rng)
         blot = tr.planes[0]
         codes = ctrw.plane_codes(params, blot)
         word[codes] = [rng.randrange(gf8.n) for _ in range(len(codes))]
         # replay the same walk randomness so P_0 is the blotted plane
-        verdict, _ = ctrw.ctrw_accept(params, word, x, random.Random(i))
+        verdict = ctrw.ctrw_accept(params, word, x, random.Random(i))
         rejections += verdict == ctrw.REJECT
     assert rejections / runs >= 0.999
 
@@ -153,7 +152,7 @@ def test_violation_check_exact_matches_planted(gf4):
         table = np.array(
             [corr.read(int(v), code) for code, v in enumerate(base)], dtype=np.int64
         )
-        tr = ctrw.walk_sample(params, x, 2, rng)
+        tr = ctrw.walk_sample(params, x, rng)
         exact = ctrw.violation_check_exact(params, table, tr, alpha)
         planted = ctrw.violation_check_planted(params, corr, tr, alpha, rng)
         # the planted path is conservative: it may miss violations the
@@ -183,7 +182,7 @@ def test_linearity_reduction(gf4):
             [gf4.add(int(a), int(b)) for a, b in zip(cw, noise)], dtype=np.int64
         )
         x = sample_point(gf4, rng)
-        tr = ctrw.walk_sample(params, x, 2, rng)
+        tr = ctrw.walk_sample(params, x, rng)
         v1 = ctrw.violation_check_exact(params, word, tr, alpha)
         v2 = ctrw.violation_check_exact(params, noise, tr, alpha)
         assert v1.violated == v2.violated
@@ -211,9 +210,9 @@ def test_step_resample_rate(gf8):
     total = 0
     steps = 0
     for _ in range(2000):
-        tr = ctrw.walk_sample(params, sample_point(gf8, rng), 3, rng)
+        tr = ctrw.walk_sample(params, sample_point(gf8, rng), rng)
         total += sum(tr.resamples_steps)
-        steps += tr.steps
+        steps += gf8.m
     rate = total / steps
     bound = 3 / gf8.n
     assert rate <= bound + 3 * (bound * (1 - bound) / steps) ** 0.5
@@ -306,7 +305,7 @@ def test_event_bookkeeping_dense_regime(gf8):
         while all(c == 0 for c in coeffs):
             coeffs = [gf8.rand_element(rng) for _ in range(params.k)]
         corr = _TableCorruption(params, rm.eval_table(params, tuple(coeffs)))
-        tr = ctrw.walk_sample(params, sample_point(gf8, rng), steps, rng)
+        tr = ctrw.walk_sample(params, sample_point(gf8, rng), rng)
         verdict = ctrw.violation_check_planted(params, corr, tr, alpha, rng)
         ev = ctrw.step_events(params, verdict, alpha)
         if not ev.p0_dense:
@@ -338,7 +337,7 @@ def test_step_events_densities(gf8):
     # a full nonzero codeword difference: every plane is dense, E_i never
     coeffs = rm.encode(params, (1, 0, 0, 0))
     corr = _TableCorruption(params, rm.eval_table(params, coeffs))
-    tr = ctrw.walk_sample(params, sample_point(gf8, rng), 3, rng)
+    tr = ctrw.walk_sample(params, sample_point(gf8, rng), rng)
     ev = ctrw.step_events(
         params, ctrw.violation_check_planted(params, corr, tr, alpha, rng), alpha
     )
@@ -351,6 +350,7 @@ def test_step_events_agree_with_sampled_verdict(gf8, monkeypatch):
     # planes are sampled, so a second estimate could disagree: the
     # events must be read off the verdict's own bounds and line counts
     monkeypatch.setattr(ctrw, "PLANE_EXACT_LIMIT", 16)
+    monkeypatch.setattr(ctrw, "DEFAULT_PLANE_SAMPLES", 500)
     params = rm.RmParams(gf8, 3, 1)
     alpha = params.rho / 8
     thresh = params.rho - 2 * alpha
@@ -360,8 +360,8 @@ def test_step_events_agree_with_sampled_verdict(gf8, monkeypatch):
         corr = ctrw.PointCorruption(params, seed=i, density=0.8)
         x = sample_point(gf8, rng)
         corr.target_point(x, delta=1 + rng.randrange(gf8.n - 1))
-        tr = ctrw.walk_sample(params, x, 3, rng)
-        verdict = ctrw.violation_check_planted(params, corr, tr, alpha, rng, 500)
+        tr = ctrw.walk_sample(params, x, rng)
+        verdict = ctrw.violation_check_planted(params, corr, tr, alpha, rng)
         ev = ctrw.step_events(params, verdict, alpha)
         dense = []
         for bound in verdict.distances:

@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -51,10 +52,33 @@ def test_presets_and_preconditions():
 
 
 def test_unknown_keys_rejected():
-    with pytest.raises(harness.ConfigError):
-        harness.make_config(kind="soundness", banana=1)
+    # the paper's constants are not keys either: every walk takes m
+    # steps, alpha = rho/8, R = 9, mu = 1/4, and calibration's q_v cap
+    for key in (
+        "banana", "steps", "alpha_num", "alpha_den", "pcpp_r",
+        "mu_num", "mu_den", "qv_cap", "plane_samples",
+    ):
+        with pytest.raises(harness.ConfigError, match="unknown config keys"):
+            harness.make_config(kind="soundness", **{key: 1})
     with pytest.raises(harness.ConfigError):
         harness.make_config(preset="XX")
+
+
+def test_config_has_only_the_keys_a_caller_varies():
+    assert [f.name for f in fields(harness.ExperimentConfig)] == [
+        "kind", "preset", "p", "m", "d", "delta", "trials", "seed",
+        "pcpp_qv", "allow_unsound", "sidecar", "json_path", "csv_path",
+    ]
+    assert harness.make_config(preset="T2").qv_cap == 24
+
+
+def test_s1_calibration_key_unchanged(tmp_path):
+    # entries written before alpha and R became constants still hit
+    side = tmp_path / "cal.json"
+    side.write_text(json.dumps({"caf40218e59c1cf4": {"q_v": 7, "trials": 300}}))
+    cfg = harness.make_config(preset="S1", kind="calibrate", sidecar=str(side))
+    entry = harness.calibrate_pcpp(cfg)
+    assert entry["cached"] and entry["q_v"] == 7
 
 
 def test_config_file_parsing(tmp_path):

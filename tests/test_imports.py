@@ -1,5 +1,6 @@
-"""Every name a package module imports is used in that module, and
-every function, class and method it defines is referenced somewhere."""
+"""Every name a package module imports is used in that module, every
+function, class and method it defines is referenced somewhere, and
+every parameter with a default is passed by some call."""
 
 import ast
 import re
@@ -110,3 +111,136 @@ def test_no_unused_definitions():
     modules = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     sources = [p.read_text() for d in REFERENCE_DIRS for p in d.rglob("*.py")]
     assert unused_definitions(modules, sources) == []
+
+
+def _defaulted_params(fn: ast.FunctionDef, bound: int):
+    """(name, position) of each parameter with a default; position is
+    the index a call's positional arguments reach it at, None for a
+    keyword-only one.  A bound method's first parameter is not counted."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    out = [(a.arg, i - bound) for i, a in enumerate(positional) if i >= first]
+    out += [
+        (a.arg, None)
+        for a, default in zip(args.kwonlyargs, args.kw_defaults)
+        if default is not None
+    ]
+    return out
+
+
+def _definitions(tree):
+    """(qualified name, function, bound, call names) for every function
+    of a module: a method is called by its name, an __init__ also by
+    its class name."""
+    out = []
+    methods = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if not isinstance(sub, ast.FunctionDef):
+                    continue
+                static = any(
+                    isinstance(dec, ast.Name) and dec.id == "staticmethod"
+                    for dec in sub.decorator_list
+                )
+                names = {sub.name, node.name} if sub.name == "__init__" else {sub.name}
+                out.append((f"{node.name}.{sub.name}", sub, 0 if static else 1, names))
+                methods.add(id(sub))
+    out += [
+        (node.name, node, 0, {node.name})
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and id(node) not in methods
+    ]
+    return out
+
+
+def _call_name(func):
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
+
+
+def unused_parameters(modules: dict, reference_sources):
+    """"module:function(param)" of each defaulted parameter that no call
+    passes, by keyword or by position.  A function whose name is read
+    as a value, or that some call passes * or ** arguments to, counts
+    as passed everything."""
+    calls = {}
+    as_value = set()
+    for source in reference_sources:
+        # a called name, or a name only looked up in (K.static), is not
+        # read as a value; ast.walk visits a node before its children
+        not_values = set()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Attribute):
+                not_values.add(id(node.value))
+            if isinstance(node, ast.Call):
+                not_values.add(id(node.func))
+                name = _call_name(node.func)
+                if any(isinstance(a, ast.Starred) for a in node.args) or any(
+                    k.arg is None for k in node.keywords
+                ):
+                    as_value.add(name)
+                calls.setdefault(name, []).append(
+                    (len(node.args), {k.arg for k in node.keywords})
+                )
+            elif (
+                isinstance(node, (ast.Name, ast.Attribute))
+                and isinstance(node.ctx, ast.Load)
+                and id(node) not in not_values
+            ):
+                as_value.add(_call_name(node))
+    unused = []
+    for module, source in modules.items():
+        for qualname, fn, bound, names in _definitions(ast.parse(source)):
+            if names & as_value:
+                continue
+            for param, pos in _defaulted_params(fn, bound):
+                passed = any(
+                    param in keywords or (pos is not None and pos < count)
+                    for name in names
+                    for count, keywords in calls.get(name, ())
+                )
+                if not passed:
+                    unused.append(f"{module}:{qualname}({param})")
+    return sorted(set(unused))
+
+
+def test_checker_flags_unused_parameters():
+    module = (
+        "def never(a, b=1, *, c=2): ...\n"
+        "def by_keyword(a, b=1): ...\n"
+        "def by_position(a, b=1, c=2): ...\n"
+        "def as_value(a, b=1): ...\n"
+        "def splatted(a, b=1): ...\n"
+        "class K:\n"
+        "    def __init__(self, a, b=1): ...\n"
+        "    def method(self, a, b=1): ...\n"
+        "    @staticmethod\n"
+        "    def static(a, b=1): ...\n"
+    )
+    user = (
+        "never(0)\n"
+        "by_keyword(0, b=3)\n"
+        "by_position(0, 1)\n"
+        "TABLE = {'f': as_value}\n"
+        "splatted(*args)\n"
+        "K(0).method(0)\n"
+        "K.static(0, 1)\n"
+    )
+    assert unused_parameters({"mod": module}, [module, user]) == [
+        "mod:K.__init__(b)",
+        "mod:K.method(b)",
+        "mod:by_position(c)",
+        "mod:never(b)",
+        "mod:never(c)",
+    ]
+
+
+def test_no_unused_parameters():
+    modules = {p.name: p.read_text() for p in MODULES}
+    sources = [p.read_text() for d in REFERENCE_DIRS for p in d.rglob("*.py")]
+    assert unused_parameters(modules, sources) == []

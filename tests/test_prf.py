@@ -111,7 +111,7 @@ def test_noisy_base_family_pinned(monkeypatch):
     cfg = harness.make_config(preset="S1", kind="calibrate", seed=3)
     rm2d = cfg.rm.bivariate()
     families = harness._far_families(
-        rm2d, PcppParams(1, cfg.pcpp_r, cfg.alpha), harness.trial_rng(3, "calibrate", 0)
+        rm2d, PcppParams(1, rho_prox=cfg.alpha), harness.trial_rng(3, "calibrate", 0)
     )
     assert counted == [11987474]  # eta_count of the S1 grid, 24,137,569 points
     (name, noisy, _), _, (honest_name, base, _) = families[:3]
