@@ -22,6 +22,7 @@ EXPERIMENT_COMMANDS = {
     "matrix-exp": "matrix",
     "soundness-exp": "soundness",
     "calibrate": "calibrate",
+    "alg2-exp": "alg2",
 }
 
 

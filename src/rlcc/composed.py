@@ -297,8 +297,9 @@ class CanonicalOracle:
     def proof_block(self, region: str, key_idx: int):
         return self._proofs(region, key_idx)
 
-    def read(self, addr: int) -> int:
-        region, a, b = self.layout.decode(addr)
+    def read(self, addr: int, decoded=None) -> int:
+        """Symbol at addr; decoded is layout.decode(addr) if known."""
+        region, a, b = decoded or self.layout.decode(addr)
         if region == RM_REGION:
             return self.point_value(b)
         return int(self.proof_block(region, a)[b])
@@ -401,12 +402,13 @@ class Overlay:
             self._targets[self.layout.rm_address(copies, pcode)] = delta
         return self
 
-    def replacement(self, addr: int, base: int) -> int | None:
-        """Corrupted symbol at addr, or None when the address is clean."""
+    def replacement(self, addr: int, base: int, decoded=None) -> int | None:
+        """Corrupted symbol at addr, or None when the address is clean;
+        decoded is layout.decode(addr) if known."""
         n = self.layout.ctx.n
         if addr in self._targets:
             return (base + self._targets[addr]) % n
-        region, _, b = self.layout.decode(addr)
+        region, _, b = decoded or self.layout.decode(addr)
         if region == RM_REGION and self._target_all and b in self._target_all:
             return (base + self._target_all[b]) % n
         noise = self._noise.get(region)
@@ -455,8 +457,9 @@ class OverlayOracle:
         self.overlay = overlay
 
     def read(self, addr: int) -> int:
-        symbol = self.base.read(addr)
-        repl = self.overlay.replacement(addr, symbol)
+        decoded = self.base.layout.decode(addr)
+        symbol = self.base.read(addr, decoded)
+        repl = self.overlay.replacement(addr, symbol, decoded)
         return symbol if repl is None else repl
 
 

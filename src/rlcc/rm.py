@@ -7,14 +7,15 @@ message-to-coefficient map is the identity.  Distances are exact
 rationals throughout; thresholds like rho/8 are compared exactly.
 
 Interpolation always uses the first d+1 field elements in code order as
-nodes, one fixed inverse operator per (field, d).
+nodes e_0..e_d, through one pair of Newton operators per (field, d):
+divided differences and the Newton-to-monomial map.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product
 from math import comb
 
@@ -216,28 +217,31 @@ def grid_table(params2d: RmParams, coeffs):
 
 
 @lru_cache(maxsize=None)
-def _inverse_vandermonde(ctx: Field, d: int):
-    """Inverse of V[i][j] = node_i^j over the first d+1 elements."""
-    if d + 1 > ctx.n:
-        raise ValueError("not enough interpolation nodes: d + 1 > |F|")
+def _newton_operators(ctx: Field, d: int):
+    """(D, C) over the nodes e_j = code j, j <= d.  D maps node values
+    to divided differences, D[a][j] = 1 / prod_{i <= a, i != j} (e_j - e_i),
+    so row a reads nodes j <= a only; column a of C holds the monomial
+    coefficients of the Newton polynomial prod_{i < a} (x - e_i)."""
     size = d + 1
-    a = [[ctx.pow(i, j) for j in range(size)] for i in range(size)]
-    inv = [[1 if i == j else 0 for j in range(size)] for i in range(size)]
-    for col in range(size):
-        piv = next(r for r in range(col, size) if a[r][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        s = ctx.inv(a[col][col])
-        a[col] = [ctx.mul(s, v) for v in a[col]]
-        inv[col] = [ctx.mul(s, v) for v in inv[col]]
-        for r in range(size):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [ctx.sub(v, ctx.mul(f, w)) for v, w in zip(a[r], a[col])]
-                inv[r] = [
-                    ctx.sub(v, ctx.mul(f, w)) for v, w in zip(inv[r], inv[col])
-                ]
-    return np.array(inv, dtype=np.int64)
+    diff = np.zeros((size, size), dtype=np.int64)
+    newton = np.zeros((size, size), dtype=np.int64)
+    w, col = [], [1] + [0] * d
+    for a in range(size):
+        # w[j] = prod_{i <= a, i != j} (e_j - e_i); col is N_a
+        w = [ctx.mul(wj, ctx.sub(j, a)) for j, wj in enumerate(w)]
+        w.append(reduce(ctx.mul, (ctx.sub(a, i) for i in range(a)), 1))
+        diff[a, : a + 1] = [ctx.inv(x) for x in w]
+        newton[:, a] = col
+        col = [ctx.sub(col[i - 1] if i else 0, ctx.mul(a, col[i])) for i in range(size)]
+    return diff, newton
+
+
+@lru_cache(maxsize=None)
+def _inverse_vandermonde(ctx: Field, d: int):
+    """Inverse of V[i][j] = e_i^j: divided differences, then Newton to
+    monomial."""
+    diff, newton = _newton_operators(ctx, d)
+    return fmatmul(ctx, newton, diff)
 
 
 # from this inner dimension on, fmatmul multiplies base-p digit planes
@@ -298,57 +302,61 @@ def interpolate_grid(params2d: RmParams, grids: np.ndarray) -> np.ndarray:
     return fmatmul(ctx, fmatmul(ctx, minv, grids), minv.T)
 
 
-def coeff_grid_to_triangle(params2d: RmParams, cgrids: np.ndarray):
-    """(..., d+1, d+1) coefficient grids -> (..., k) graded-lex triangle
-    vectors, and a (...) mask that is False where a grid has mass off
-    the degree triangle."""
-    size = params2d.d + 1
-    rows, cols = np.indices((size, size))
-    inside = ~cgrids[..., rows + cols > params2d.d].any(axis=-1)
-    a, b = np.array(params2d.basis, dtype=np.int64).T
-    return cgrids[..., a, b], inside
-
-
 def restriction_triangles(params2d: RmParams, grids: np.ndarray) -> np.ndarray:
     """Triangle vectors of plane restrictions of a low-degree polynomial,
     from their (..., d+1, d+1) subgrid values."""
-    tris, inside = coeff_grid_to_triangle(params2d, interpolate_grid(params2d, grids))
-    assert inside.all(), "restriction of a low-degree polynomial must be low-degree"
-    return tris
+    cgrids = interpolate_grid(params2d, grids)
+    rows, cols = np.indices(cgrids.shape[-2:])
+    off = cgrids[..., rows + cols > params2d.d]
+    assert not off.any(), "restriction of a low-degree polynomial must be low-degree"
+    a, b = _exponent_matrix(2, params2d.d).T
+    return cgrids[..., a, b]
+
+
+def interpolate_lattice(params2d: RmParams, values) -> np.ndarray:
+    """Graded-lex triangle of the polynomial of total degree <= d with
+    the given values at the lattice points (e_a, e_b), (a, b) in
+    monomial_basis(2, d) order.
+
+    The tensor divided difference at (a, b) reads only the points
+    (e_j, e_k) with j <= a and k <= b, all on the lattice, so the Newton
+    coefficients on the triangle come out of a grid that is zero off it;
+    the ones off it are zero for such a polynomial.
+    """
+    ctx, d = params2d.ctx, params2d.d
+    diff, newton = _newton_operators(ctx, d)
+    a, b = _exponent_matrix(2, d).T
+    grid = np.zeros((d + 1, d + 1), dtype=np.int64)
+    grid[a, b] = values
+    divided = fmatmul(ctx, fmatmul(ctx, diff, grid), diff.T)
+    grid[a, b] = divided[a, b]
+    return fmatmul(ctx, fmatmul(ctx, newton, grid), newton.T)[a, b]
 
 
 def restrict_to_plane(params: RmParams, coeffs, plane: PlaneRep):
     """Bivariate triangle vector of the restriction to a rank-2 plane.
 
-    Evaluates on the (d+1)x(d+1) plane-local subgrid, then applies the
-    precomputed inverse interpolation along both axes.
+    Evaluates at the k_2 = (d+2 choose 2) plane points (e_a, e_b) with
+    a + b <= d and interpolates on that lattice.
     """
-    d = params.d
-    if d + 1 > params.ctx.n:
-        raise ValueError("not enough interpolation nodes: d + 1 > |F|")
-    size = d + 1
-    jj, kk = np.divmod(np.arange(size * size, dtype=np.int64), size)
+    jj, kk = _exponent_matrix(2, params.d).T
     coords = points_at(params.ctx, plane.anchor, (plane.dir1, plane.dir2), (jj, kk))
-    vals = evaluate_many(params, coeffs, coords).reshape(size, size)
-    return tuple(restriction_triangles(params.bivariate(), vals).tolist())
+    vals = evaluate_many(params, coeffs, coords)
+    return tuple(interpolate_lattice(params.bivariate(), vals).tolist())
 
 
 def is_low_degree_on_plane(params2d: RmParams, values):
     """Membership of an n^2 plane word in the bivariate code.
 
-    Fits the subgrid, rejects off-triangle coefficients, and verifies
-    all n^2 points.  Returns (ok, triangle-or-None).
+    Fits the degree lattice, then verifies all n^2 points.  Returns
+    (ok, triangle-or-None).
     """
-    ctx = params2d.ctx
-    n, d = ctx.n, params2d.d
+    n = params2d.ctx.n
     values = np.asarray(values, dtype=np.int64)
     if values.shape != (n * n,):
         raise ValueError("plane word must have n^2 symbols in grid order")
-    grid = values.reshape(n, n)[: d + 1, : d + 1]
-    tri, inside = coeff_grid_to_triangle(params2d, interpolate_grid(params2d, grid))
-    if not inside:
-        return False, None
-    tri = tuple(tri.tolist())
+    a, b = _exponent_matrix(2, params2d.d).T
+    tri = tuple(interpolate_lattice(params2d, values.reshape(n, n)[a, b]).tolist())
     jj, kk = np.divmod(np.arange(n * n, dtype=np.int64), n)
     expect = evaluate_many(params2d, tri, np.stack([jj, kk]))
     ok = bool(np.array_equal(expect, values))

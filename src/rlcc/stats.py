@@ -83,25 +83,24 @@ def chi_square_pvalue(counts, expected) -> float:
     return float(chi2.sf(stat, dof))
 
 
-def freq_meets_floor(successes: int, trials: int, floor: float):
-    """Empirical frequency >= floor - Z * stderr; returns (ok, details)."""
+def _frequency(successes: int, trials: int, bound_name: str, bound: float):
+    """p_hat, its 3-SE slack, and the details a frequency check returns;
+    at p_hat in {0, 1} the slack is zero, which the details flag."""
     p_hat = successes / trials
     slack = Z * stderr(p_hat, trials)
-    return p_hat >= floor - slack, {
-        "freq": p_hat,
-        "floor": floor,
-        "slack": slack,
-        "trials": trials,
-    }
+    details = {"freq": p_hat, bound_name: bound, "slack": slack, "trials": trials}
+    if successes in (0, trials):
+        details["degenerate"] = True
+    return p_hat, slack, details
+
+
+def freq_meets_floor(successes: int, trials: int, floor: float):
+    """Empirical frequency >= floor - Z * stderr; returns (ok, details)."""
+    p_hat, slack, details = _frequency(successes, trials, "floor", floor)
+    return p_hat >= floor - slack, details
 
 
 def freq_meets_ceiling(successes: int, trials: int, ceiling: float):
     """Empirical frequency <= ceiling + Z * stderr; returns (ok, details)."""
-    p_hat = successes / trials
-    slack = Z * stderr(p_hat, trials)
-    return p_hat <= ceiling + slack, {
-        "freq": p_hat,
-        "ceiling": ceiling,
-        "slack": slack,
-        "trials": trials,
-    }
+    p_hat, slack, details = _frequency(successes, trials, "ceiling", ceiling)
+    return p_hat <= ceiling + slack, details

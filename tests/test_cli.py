@@ -135,6 +135,7 @@ def test_config_kind_must_match_subcommand(tmp_path, capsys):
         ("ctrw-run", ["preset = T1", "trials = 5"]),
         ("soundness-exp", ["preset = T2", "trials = 5"]),
         ("calibrate", ["p = 2", "m = 2", "d = 1", "trials = 100"]),
+        ("alg2-exp", ["preset = T2", "trials = 5"]),
     ],
 )
 def test_report_written_once_with_wall_clock(command, lines, tmp_path, monkeypatch, capsys):

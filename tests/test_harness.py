@@ -260,3 +260,18 @@ def test_frequency_floor_and_ceiling_mirror():
     _, details = stats.freq_meets_ceiling(50, 100, 0.4)
     assert details["slack"] == pytest.approx(0.15)
     assert (details["freq"], details["ceiling"], details["trials"]) == (0.5, 0.4, 100)
+    assert "degenerate" not in details
+
+
+def test_frequency_checks_flag_zero_slack():
+    # at p_hat 0 or 1 the 3-SE slack is zero: the details say so, and the
+    # gates compare p_hat with the bound exactly
+    assert stats.freq_meets_floor(20, 20, 1.0) == (
+        True,
+        {"freq": 1.0, "floor": 1.0, "slack": 0.0, "trials": 20, "degenerate": True},
+    )
+    assert not stats.freq_meets_floor(0, 20, 0.01)[0]
+    ok, details = stats.freq_meets_ceiling(0, 20, 0.0)
+    assert ok and details["degenerate"] is True
+    assert not stats.freq_meets_ceiling(20, 20, 0.99)[0]
+    assert "degenerate" not in stats.freq_meets_floor(19, 20, 0.9)[1]

@@ -154,6 +154,17 @@ def test_batched_interpolate_matches_per_grid_and_bruteforce(case, batch, r):
         assert got[w].tolist() == want
 
 
+@pytest.mark.parametrize("p, m, d", [(2, 3, 1), (3, 3, 4), (17, 3, 32)])
+def test_inverse_vandermonde_inverts_vandermonde(p, m, d):
+    # against the definition V[i][j] = e_i^j, under the scalar product
+    ctx = field(p, m)
+    vander = [[ctx.pow(i, j) for j in range(d + 1)] for i in range(d + 1)]
+    minv = rm._inverse_vandermonde(ctx, d).tolist()
+    identity = np.eye(d + 1, dtype=np.int64).tolist()
+    assert brute_matmul(ctx, vander, minv) == identity
+    assert brute_matmul(ctx, minv, vander) == identity
+
+
 # inner dimensions on both sides of fmatmul's digit-plane cutoff
 FMATMUL_INNER = [1, 2, rm._DIGIT_INNER - 1, rm._DIGIT_INNER, 40]
 
@@ -278,6 +289,26 @@ def test_restriction_degree4(gf27, rng):
             )
 
 
+def test_restriction_every_element_a_node(gf4, rng):
+    # d = n - 1: the lattice nodes are all of F
+    params = rm.RmParams(gf4, 3, 3)
+    planes = 0
+    while planes < 10:
+        anchor, d1, d2 = ([rng.randrange(gf4.n) for _ in range(3)] for _ in range(3))
+        try:
+            plane = PlaneRep.make(gf4, anchor, d1, d2)
+        except ValueError:
+            continue
+        planes += 1
+        coeffs = tuple(rng.randrange(gf4.n) for _ in range(params.k))
+        tri = rm.restrict_to_plane(params, coeffs, plane)
+        for t, s in product(range(gf4.n), repeat=2):
+            pt = plane_point_at(gf4, plane, t, s)
+            assert brute_evaluate(gf4, params.bivariate().basis, tri, (t, s)) == (
+                brute_evaluate(gf4, params.basis, coeffs, pt)
+            )
+
+
 @pytest.mark.parametrize("kind", ["point", "line"])
 @settings(derandomize=True, max_examples=2, deadline=None)
 @given(seed=st.integers(0, 2**32))
@@ -316,13 +347,15 @@ def test_low_degree_membership(gf8, rng):
     # all-zero accepts with zero coefficients
     ok, tri = rm.is_low_degree_on_plane(params2d, [0] * 64)
     assert ok and tri == (0, 0, 0)
-    # one flip off the interpolation subgrid is caught
-    bad = list(table)
-    pos = 5 * gf8.n + 7  # outside the 2x2 node grid
-    bad[pos] = (bad[pos] + 1) % gf8.n
-    ok, _ = rm.is_low_degree_on_plane(params2d, bad)
-    assert not ok
-    # the t*s function has total degree 2: rejected at the fit stage
+    # one flip off the interpolation lattice is caught: outside the 2x2
+    # node grid, and at (e_1, e_1), on that grid but off the d = 1 lattice
+    for pos in (5 * gf8.n + 7, gf8.n + 1):
+        bad = list(table)
+        bad[pos] = (bad[pos] + 1) % gf8.n
+        ok, _ = rm.is_low_degree_on_plane(params2d, bad)
+        assert not ok
+    # the t*s function has total degree 2; it vanishes on the lattice, so
+    # the fit is zero and the full-plane check rejects it
     grid = [gf8.mul(j, k) for j in range(gf8.n) for k in range(gf8.n)]
     ok, _ = rm.is_low_degree_on_plane(params2d, grid)
     assert not ok
