@@ -68,9 +68,12 @@ from .ctrw import walk_sample
 MATERIALIZE_LIMIT = 50_000_000
 # the lazy oracle tabulates the RM region up to this many points
 TABLE_POINTS = 1_000_000
-# LRU bounds of the lazy oracle's memos; an S1 proof block is about 20 kB
+# LRU bounds of the lazy oracle's memos.  A correction rereads only the
+# m + 2 or fewer proof blocks it touches, and independent corrections at
+# S1 share almost none, so 256 blocks (about 5 MB at S1, 20 kB a block)
+# lose no hit that 4096 would keep
 POINT_MEMO = 1 << 16
-PROOF_MEMO = 4096
+PROOF_MEMO = 256
 
 RM_REGION = "rm"
 # a proof region is named by the kind of the plane language its blocks
@@ -250,43 +253,48 @@ class ComposedLayout:
 
 
 def _point_value(layout: ComposedLayout, coeffs, pcode: int) -> int:
-    return evaluate(layout.rm, coeffs, point_from_code(layout.ctx, pcode))
+    return int(evaluate(layout.rm, coeffs, point_from_code(layout.ctx, pcode)))
 
 
 def _proof_block(layout: ComposedLayout, coeffs, region: str, key_idx: int):
     plane, _ = layout.key_plane(region, key_idx)
     if plane is None:
-        return np.zeros(layout.proof_len, dtype=np.int32)
-    tri = restrict_to_plane(layout.rm, coeffs, plane)
-    return np.array(
-        build_proof(layout.rm.bivariate(), layout.pcpp, tri), dtype=np.int32
-    )
+        block = np.zeros(layout.proof_len, dtype=np.int32)
+    else:
+        tri = restrict_to_plane(layout.rm, coeffs, plane)
+        block = np.array(
+            build_proof(layout.rm.bivariate(), layout.pcpp, tri), dtype=np.int32
+        )
+    # read_span hands out views of the memoized block
+    block.flags.writeable = False
+    return block
 
 
 class CanonicalOracle:
     """Lazy honest codeword of a message: reads compute symbols on demand.
 
-    Point values (when the RM table is not built) and proof blocks are
-    kept in bounded LRU memos; both are pure functions of their key, so
-    an evicted entry recomputes to the same value.
+    The message is held once, as an int64 coefficient array.  Point
+    values (when the RM table is not built) and proof blocks are kept in
+    bounded LRU memos; both are pure functions of their key, so an
+    evicted entry recomputes to the same value.
     """
 
     def __init__(self, layout: ComposedLayout, message):
         self.layout = layout
-        self.coeffs = tuple(message)
-        if len(self.coeffs) != layout.rm.k:
+        coeffs = np.array(message, dtype=np.int64)
+        if coeffs.shape != (layout.rm.k,):
             raise ValueError(f"message length must be {layout.rm.k}")
         self._table = None
         if layout.rm_points <= TABLE_POINTS:
-            self._table = eval_table(layout.rm, self.coeffs)
+            self._table = eval_table(layout.rm, coeffs)
         # the memos hold the layout and the message, not the oracle: a
         # bound method would make a cycle that keeps a dropped oracle
         # and its message alive until the cyclic collector runs
         self._points = lru_cache(maxsize=POINT_MEMO)(
-            partial(_point_value, layout, self.coeffs)
+            partial(_point_value, layout, coeffs)
         )
         self._proofs = lru_cache(maxsize=PROOF_MEMO)(
-            partial(_proof_block, layout, self.coeffs)
+            partial(_proof_block, layout, coeffs)
         )
 
     def point_value(self, pcode: int) -> int:
@@ -303,6 +311,15 @@ class CanonicalOracle:
         if region == RM_REGION:
             return self.point_value(b)
         return int(self.proof_block(region, a)[b])
+
+    def read_span(self, lo: int, hi: int, decoded=None) -> np.ndarray:
+        """Symbols at [lo, hi), a read-only view of one memoized proof
+        block; decoded is layout.decode(lo) if known.  A span that leaves
+        one proof block raises ValueError."""
+        region, a, b = decoded or self.layout.decode(lo)
+        if region == RM_REGION or not b < b + hi - lo <= self.layout.proof_len:
+            raise ValueError("a span must lie inside one proof block")
+        return self.proof_block(region, a)[b : b + hi - lo]
 
 
 def materialize(layout: ComposedLayout, message) -> np.ndarray:
@@ -416,6 +433,22 @@ class Overlay:
             return noise.replacement(addr, base)
         return None
 
+    def replace_span(self, lo: int, region: str, symbols: np.ndarray) -> np.ndarray:
+        """The symbols of the proof-region span starting at lo, as read
+        through the overlay: the same array when nothing in it is hit,
+        else a copy.  Targeted flips lie in the RM region, so only the
+        region's keyed noise can hit a proof span."""
+        noise = self._noise.get(region)
+        if noise is None:
+            return symbols
+        hits = np.flatnonzero(noise.range_mask(lo, lo + len(symbols))).tolist()
+        if not hits:
+            return symbols
+        out = symbols.copy()
+        for i in hits:
+            out[i] = noise.replacement(lo + i, int(out[i]))
+        return out
+
     def _spans(self):
         """(region, first address, size) of each region."""
         layout = self.layout
@@ -462,6 +495,25 @@ class OverlayOracle:
         repl = self.overlay.replacement(addr, symbol, decoded)
         return symbol if repl is None else repl
 
+    def read_span(self, lo: int, hi: int) -> np.ndarray:
+        """Symbols at [lo, hi) inside one proof block, overlay applied."""
+        decoded = self.base.layout.decode(lo)
+        span = self.base.read_span(lo, hi, decoded)
+        return self.overlay.replace_span(lo, decoded[0], span)
+
+
+def span_reader(read, base: int):
+    """(lo, hi) -> the symbols at [base + lo, base + hi), from a symbol
+    reader.
+
+    The bound ``read`` of a word that also serves spans reads through
+    its ``read_span``; any other reader is called once per symbol.
+    """
+    word = getattr(read, "__self__", None)
+    if hasattr(word, "read_span") and read == word.read:
+        return lambda lo, hi: word.read_span(base + lo, base + hi)
+    return lambda lo, hi: list(map(read, range(base + lo, base + hi)))
+
 
 # ---------------------------------------------------------------------------
 # Algorithm 2: correcting an RM-region symbol
@@ -507,7 +559,7 @@ def _verify_plane(layout, read, copy, region, key_idx, plane, rng, counter):
     ctx = layout.ctx
     n = ctx.n
     cache = {}
-    base = layout.block_address(region, key_idx)
+    proof_read = span_reader(read, layout.block_address(region, key_idx))
 
     def word_read(i):
         got = cache.get(i)
@@ -516,9 +568,6 @@ def _verify_plane(layout, read, copy, region, key_idx, plane, rng, counter):
             got = read(layout.rm_address(copy, point_code(ctx, pt)))
             cache[i] = got
         return got
-
-    def proof_read(off):
-        return read(base + off)
 
     if not verify_proximity(
         layout.rm.bivariate(), layout.pcpp, word_read, proof_read, region, rng,

@@ -57,7 +57,7 @@ def is_colinear(ctx: Field, base, other) -> bool:
         return True
     j = next(i for i, c in enumerate(base) if c)
     lam = ctx.mul(other[j], ctx.inv(base[j]))
-    return all(ctx.mul(lam, base[i]) == other[i] for i in range(ctx.m))
+    return all(ctx.mul(lam, b) == o for b, o in zip(base, other))
 
 
 def spans_plane(ctx: Field, u, v) -> bool:

@@ -455,12 +455,16 @@ def _far_families(rm2d: RmParams, pcpp: PcppParams, rng):
     q_shift = list(q)
     q_shift[0] = ctx.add(q_shift[0], shift)
     shifted = build_proof(rm2d, pcpp, tuple(q_shift))
+
+    def span(proof):
+        return lambda lo, hi: proof[lo:hi]
+
     return [
-        ("noisy-base/honest-proof", noisy_read, lambda o: honest[o]),
-        ("noisy-base/forged-proof", noisy_read, lambda o: forged[o]),
-        ("honest-word/mixed-proof", base_q, lambda o: mixed[o]),
-        ("tail-flip/honest-proof", flipped_read, lambda o: honest[o]),
-        ("tail-flip/shifted-proof", flipped_read, lambda o: shifted[o]),
+        ("noisy-base/honest-proof", noisy_read, span(honest)),
+        ("noisy-base/forged-proof", noisy_read, span(forged)),
+        ("honest-word/mixed-proof", base_q, span(mixed)),
+        ("tail-flip/honest-proof", flipped_read, span(honest)),
+        ("tail-flip/shifted-proof", flipped_read, span(shifted)),
     ]
 
 

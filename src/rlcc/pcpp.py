@@ -111,8 +111,11 @@ def verify_proximity(
 ) -> bool:
     """q_v rounds of copy cross-checks plus base and tail spot checks.
 
-    word_read covers the plane grid [0, n^2), which backs every tail
-    coordinate too; proof_read covers [0, R*K).  Accepts iff every check
+    word_read(i) reads one symbol of the plane grid [0, n^2), which
+    backs every tail coordinate too.  proof_read(lo, hi) returns the
+    proof symbols at [lo, hi) of [0, R*K): check (b) reads its whole
+    coefficient copy as one span, checks (a) read spans of length 1.
+    The counter still counts every symbol read.  Accepts iff every check
     in every round passes.  Canonical pairs pass every possible check, so
     completeness is exact.
     """
@@ -129,11 +132,12 @@ def verify_proximity(
         ca = rng.randrange(rep)
         cb = (ca + 1 + rng.randrange(rep - 1)) % rep
         counter.proof += 2
-        if proof_read(ca * k + pos) != proof_read(cb * k + pos):
+        a, b = ca * k + pos, cb * k + pos
+        if proof_read(a, a + 1)[0] != proof_read(b, b + 1)[0]:
             return False
         # (b) one base point against one copy's polynomial
         u = rng.randrange(rep)
-        copy_u = [proof_read(u * k + i) for i in range(k)]
+        copy_u = proof_read(u * k, (u + 1) * k)
         counter.proof += k
         j, s = rng.randrange(n), rng.randrange(n)
         counter.word += 1
@@ -161,7 +165,8 @@ def correct_proof_symbol(
     counter: QueryCounter | None = None,
 ):
     """Repair one proof symbol: majority over the other copies, gated
-    by one verifier run.  Returns the symbol or BOT."""
+    by one verifier run.  The readers are verify_proximity's.  Returns
+    the symbol or BOT."""
     k = params2d.k
     rep = pcpp.repetitions
     if not 0 <= offset < rep * k:
@@ -174,7 +179,7 @@ def correct_proof_symbol(
     for c in range(rep):
         if c == own:
             continue
-        v = proof_read(c * k + pos)
+        v = int(proof_read(c * k + pos, c * k + pos + 1)[0])
         counter.proof += 1
         votes[v] = votes.get(v, 0) + 1
     best_val, best_cnt = max(votes.items(), key=lambda kv: (kv[1], -kv[0]))

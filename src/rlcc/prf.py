@@ -39,12 +39,13 @@ def chain(seed: int, *parts: int) -> int:
 
 
 def mix64_vec(x: np.ndarray) -> np.ndarray:
-    x = x.astype(np.uint64, copy=True)
+    """mix64 of every element of a uint64 array, in place; returns x."""
     x ^= x >> np.uint64(30)
     x *= np.uint64(0xBF58476D1CE4E5B9)
     x ^= x >> np.uint64(27)
     x *= np.uint64(0x94D049BB133111EB)
-    return x ^ (x >> np.uint64(31))
+    x ^= x >> np.uint64(31)
+    return x
 
 
 def chain_vec(seed: int, last: np.ndarray) -> np.ndarray:
@@ -52,10 +53,9 @@ def chain_vec(seed: int, last: np.ndarray) -> np.ndarray:
 
     Agrees exactly with the scalar chain on every element.
     """
-    pre = mix64(seed ^ _GOLDEN)
-    return mix64_vec(
-        np.uint64(pre) ^ last.astype(np.uint64) ^ np.uint64(_GOLDEN)
-    )
+    x = last.astype(np.uint64)
+    x ^= np.uint64(mix64(seed ^ _GOLDEN) ^ _GOLDEN)
+    return mix64_vec(x)
 
 
 def threshold_of(rate: float) -> int:
@@ -69,9 +69,11 @@ def threshold_of(rate: float) -> int:
     return int(round(rate * float(1 << 64)))
 
 
-# addresses per numpy pass of KeyedNoise.count and .apply: one pass over
-# a whole S1 grid would hold several n^2-element temporaries (about 580 MB)
-CHUNK = 4_000_000
+# addresses per numpy pass of KeyedNoise.count and .apply: a pass holds a
+# few CHUNK-element uint64 temporaries (about 25 MB at this size; one pass
+# over a whole S1 grid would take about 580 MB), and passes of 2^20 were
+# no slower than passes of 4 * 10^6
+CHUNK = 1 << 20
 
 
 class KeyedNoise:
@@ -96,28 +98,52 @@ class KeyedNoise:
         """Vectorized hit for one-limb addresses; agrees with ``hit``."""
         return chain_vec(self.prefix, addrs) < self.threshold
 
+    def range_mask(self, lo: int, hi: int) -> np.ndarray:
+        """hit(a) for every a in [lo, hi), addresses of any width.
+
+        The low limb is hashed vectorized and each higher limb, constant
+        between multiples of 2^64, is folded in after it, as ``chain``
+        does; a range that crosses such a multiple is split there.
+        """
+        out = np.empty(hi - lo, dtype=bool)
+        start = lo
+        while start < hi:
+            top = start >> 64
+            stop = min(hi, (top + 1) << 64)
+            low = np.arange(stop - start, dtype=np.uint64)
+            low += np.uint64(start & _M64)
+            h = chain_vec(self.prefix, low)
+            while top:
+                h ^= np.uint64((top & _M64) ^ _GOLDEN)
+                mix64_vec(h)
+                top >>= 64
+            out[start - lo : stop - lo] = h < self.threshold
+            start = stop
+        return out
+
     def replacement(self, addr: int, base: int) -> int:
         """The symbol a hit at addr reads instead of base."""
         return (base + 1 + chain(self.salt, addr) % (self.n - 1)) % self.n
 
     def count(self, lo: int, hi: int) -> int:
         """Number of hits in the address range [lo, hi)."""
-        return sum(int(self.hit_mask(addrs).sum()) for addrs in _chunks(lo, hi))
+        return sum(
+            int(self.range_mask(start, stop).sum()) for start, stop in _chunks(lo, hi)
+        )
 
     def apply(self, lo: int, hi: int, word: np.ndarray) -> int:
         """Replace word[a] at every hit a in [lo, hi), in place; returns
         the hit count."""
         total = 0
-        for addrs in _chunks(lo, hi):
-            mask = self.hit_mask(addrs)
-            idx = addrs[mask]
+        for start, stop in _chunks(lo, hi):
+            idx = start + np.flatnonzero(self.range_mask(start, stop))
             shift = 1 + chain_vec(self.salt, idx) % np.uint64(self.n - 1)
             word[idx] = (word[idx] + shift.astype(np.int64)) % self.n
-            total += int(mask.sum())
+            total += idx.size
         return total
 
 
 def _chunks(lo: int, hi: int):
-    """The range [lo, hi) as int64 arrays of at most CHUNK addresses."""
+    """The range [lo, hi) as (start, stop) pieces of at most CHUNK addresses."""
     for start in range(lo, hi, CHUNK):
-        yield np.arange(start, min(start + CHUNK, hi), dtype=np.int64)
+        yield start, min(start + CHUNK, hi)

@@ -24,7 +24,7 @@ from rlcc.geometry import (
 )
 from rlcc.gf import Field
 from rlcc.pcpp import BOT, PcppParams
-from rlcc.stats import stderr
+from rlcc.stats import freq_meets_floor, stderr
 
 
 def report(num, ok, detail):
@@ -342,4 +342,45 @@ def test_c11_block_length_accounting():
         all(checks) and descending,
         f"N hand-expansion exact at T1/T2; paper-bound exponent m=2 -> m=3: "
         + "; ".join(f"p={p}: {v[0]:.2f} -> {v[1]:.2f}" for p, v in rows.items()),
+    )
+
+
+# -- 12 ----------------------------------------------------------------------
+
+
+def test_c12_algorithm2_answers_on_clean_reads():
+    # With keyed noise in the RM region only, an honest S1 Algorithm-2
+    # call reads Q = 33 word symbols (every proof read is clean).  When
+    # none of them is corrupted, completeness is exact and the output is
+    # the truth, so the truth frequency is at least (1 - eta)^Q.  A
+    # corrector that aborts whenever it may fails here.
+    cfg = harness.make_config(preset="S1", kind="alg2", pcpp_qv=4, seed=1201)
+    layout = composed.ComposedLayout(cfg.rm, cfg.pcpp())
+    ctx = layout.ctx
+    eta = cfg.delta / 64
+    rng0 = random.Random("c12/message")
+    oracle = composed.CanonicalOracle(
+        layout, [ctx.rand_element(rng0) for _ in range(layout.rm.k)]
+    )
+    queries = (ctx.m + 1) * 2 * cfg.pcpp().q_v + 1
+    trials = 60
+    truth = wrong = 0
+    for i in range(trials):
+        rng = random.Random(f"c12/{i}")
+        x = sample_point(ctx, rng)
+        overlay = composed.Overlay(layout, rng.randrange(2**63))
+        overlay.add_region_random(eta, regions=(composed.RM_REGION,))
+        word = composed.OverlayOracle(oracle, overlay)
+        pcode = point_code(ctx, x)
+        addr = layout.rm_address(rng.randrange(layout.repetitions), pcode)
+        out = composed.correct_rm(layout, word.read, addr, rng)
+        truth += out == oracle.point_value(pcode)
+        wrong += out is not BOT and out != oracle.point_value(pcode)
+    floor = (1 - eta) ** queries
+    ok, details = freq_meets_floor(truth, trials, floor)
+    report(
+        12,
+        ok,
+        f"truth {truth}/{trials} >= (1 - {eta})^{queries} = {floor:.4f} - "
+        f"{details['slack']:.4f} ({wrong} wrong, {trials - truth - wrong} aborts)",
     )

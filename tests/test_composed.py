@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from rlcc import composed, rm
+from rlcc import composed, harness, rm
 from rlcc.geometry import plane_point_at, point_code, point_from_code, sample_point
 from rlcc.gf import Field
-from rlcc.pcpp import BOT, PcppParams
+from rlcc.pcpp import BOT, PcppParams, QueryCounter
 
 
 @pytest.fixture(scope="module")
@@ -309,6 +310,81 @@ def test_overlay_rates_zero_and_one(t1):
         wrapped = composed.OverlayOracle(oracle, overlay)
         for addr in range(0, layout.rm_length, 97):
             assert wrapped.read(addr) == int(arr[addr])
+
+
+@pytest.fixture(scope="module")
+def span_oracles(t1, t2):
+    """Lazy honest words at T1, T2 and S1, keyed by preset."""
+    s1 = composed.ComposedLayout(harness.make_config(preset="S1").rm, PcppParams(4))
+    rng = random.Random(33)
+    s1_message = [s1.ctx.rand_element(rng) for _ in range(s1.rm.k)]
+    return {
+        "T1": composed.CanonicalOracle(t1[0], t1[1]),
+        "T2": composed.CanonicalOracle(t2[0], t2[1]),
+        "S1": composed.CanonicalOracle(s1, s1_message),
+    }
+
+
+@pytest.mark.parametrize("preset", ["T1", "T2", "S1"])
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(data=st.data())
+def test_overlay_span_reads_match_symbol_reads(span_oracles, preset, data):
+    # whole-word keyed noise plus targeted RM flips, read as spans of
+    # one proof block and symbol by symbol
+    oracle = span_oracles[preset]
+    layout = oracle.layout
+    ctx = layout.ctx
+    overlay = composed.Overlay(layout, data.draw(st.integers(0, 2**63 - 1)))
+    overlay.add_region_random(data.draw(st.sampled_from((0.0, 0.01, 0.3, 1.0))))
+    point = tuple(data.draw(st.integers(0, ctx.n - 1)) for _ in range(ctx.m))
+    overlay.add_targeted_point(point, copies="all")
+    overlay.add_targeted_point(point, delta=2, copies=layout.repetitions - 1)
+    word = composed.OverlayOracle(oracle, overlay)
+    keys = {composed.POINT_REGION: layout.point_keys, composed.LINE_REGION: layout.line_keys}
+    region = data.draw(st.sampled_from(sorted(keys)))
+    key_idx = data.draw(st.integers(0, keys[region] - 1))
+    block = layout.block_address(region, key_idx)
+    size = layout.proof_len
+    lo = block + data.draw(st.integers(0, size - 1))
+    hi = data.draw(st.integers(lo + 1, block + size))
+    symbols = [word.read(a) for a in range(lo, hi)]
+    assert word.read_span(lo, hi).tolist() == symbols
+    # the verifier's adapter reads the word's spans
+    span = composed.span_reader(word.read, block)(lo - block, hi - block)
+    assert isinstance(span, np.ndarray) and span.tolist() == symbols
+    # a span that leaves the block raises
+    with pytest.raises(ValueError, match="one proof block"):
+        word.read_span(lo, block + size + data.draw(st.integers(1, size)))
+
+
+def test_span_reader_of_a_plain_reader(t1):
+    layout, _, word = t1
+    read = lambda a: int(word[a])
+    base = layout.point_region_base
+    assert composed.span_reader(read, base)(5, 12) == word[base + 5 : base + 12].tolist()
+
+
+def test_honest_s1_correction_reads_its_budget():
+    # an honest, noiseless S1 Algorithm-2 call reads exactly the verifier
+    # budget on each of the m + 1 walk planes, plus the final symbol
+    layout = composed.ComposedLayout(harness.make_config(preset="S1").rm, PcppParams(4))
+    ctx = layout.ctx
+    rng = random.Random(34)
+    oracle = composed.CanonicalOracle(
+        layout, [ctx.rand_element(rng) for _ in range(layout.rm.k)]
+    )
+    pcode = point_code(ctx, sample_point(ctx, rng))
+    counter = QueryCounter()
+    out = composed.correct_rm(
+        layout, oracle.read, layout.rm_address(2, pcode), rng, counter
+    )
+    assert out == oracle.point_value(pcode)
+    report = composed.block_length_report(layout)
+    walk = ctx.m + 1
+    assert (counter.word, counter.proof) == (
+        walk * report["verifier_word_queries"] + 1,
+        walk * report["verifier_proof_queries"],
+    ) == (33, 9008)
 
 
 def test_correct_rm_completeness_exhaustive_t1(t1):

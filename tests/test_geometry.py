@@ -59,6 +59,17 @@ def test_zero_direction_rejected(gf4):
         geo.PlaneRep.make(gf4, (0, 0), (1, 0), (2, 0))  # dependent directions
 
 
+def test_colinearity_reads_every_coordinate(gf4, gf8):
+    # dimension 3 over GF(2^2), and dimension 2 over GF(2^3): vector
+    # lengths other than the field's m
+    assert not geo.is_colinear(gf4, (1, 0, 0), (1, 0, 1))
+    plane = geo.PlaneRep.make(gf4, (0, 0, 0), (1, 0, 0), (1, 0, 1))
+    assert plane.dir2 == (1, 0, 1)
+    assert geo.is_colinear(gf4, (1, 0, 1), (2, 0, 2))
+    assert not geo.is_colinear(gf8, (1, 0), (0, 1))
+    assert geo.is_colinear(gf8, (1, 2), (2, gf8.mul(2, 2)))
+
+
 def test_plane_grid_gf4_cubed():
     ctx = Field(2, 2)  # points live in F^2 here; use a 3-dim field for e1,e2
     ctx3 = Field(2, 3)

@@ -18,6 +18,11 @@ from rlcc.pcpp import (
 )
 
 
+def spans(proof):
+    """verify_proximity's proof reader over a proof sequence."""
+    return lambda lo, hi: proof[lo:hi]
+
+
 def make_member(params2d, coeffs, kind, selector=(0, 0)):
     table = rm.grid_table(params2d, coeffs).tolist()
     return rm.augment(params2d.ctx, table, kind, selector), table
@@ -99,7 +104,7 @@ def test_canonical_completeness_exhaustive_gf4():
             for rounds in range(5):
                 rng = random.Random(rounds)
                 assert verify_proximity(
-                    params2d, pcpp, member.read, proof.__getitem__, kind, rng
+                    params2d, pcpp, member.read, spans(proof), kind, rng
                 )
     assert len(proofs) == 2 * 64  # distinct members get distinct proofs
 
@@ -116,7 +121,7 @@ def test_verifier_rejects_wrong_tail(gf4, rng):
     view = rm.augment(gf4, flipped, rm.POINT_KIND)
     rejected = sum(
         not verify_proximity(
-            params2d, pcpp, view.read, proof.__getitem__, rm.POINT_KIND,
+            params2d, pcpp, view.read, spans(proof), rm.POINT_KIND,
             random.Random(i),
         )
         for i in range(40)
@@ -135,7 +140,7 @@ def test_verifier_catches_copy_corruption(gf4):
     runs = 400
     for i in range(runs):
         if not verify_proximity(
-            params2d, pcpp, member.read, proof.__getitem__, rm.LINE_KIND,
+            params2d, pcpp, member.read, spans(proof), rm.LINE_KIND,
             random.Random(i),
         ):
             hits += 1
@@ -153,7 +158,7 @@ def test_query_accounting(gf8, rng):
     proof = canonical_proof(params2d, pcpp, member)
     counter = QueryCounter()
     assert verify_proximity(
-        params2d, pcpp, member.read, proof.__getitem__, rm.POINT_KIND, rng,
+        params2d, pcpp, member.read, spans(proof), rm.POINT_KIND, rng,
         counter=counter,
     )
     max_word, max_proof = query_budget(params2d, pcpp)
@@ -165,7 +170,7 @@ def test_verifier_rejects_unknown_kind(gf4, rng):
     params2d = rm.RmParams(gf4, 2, 1)
     with pytest.raises(ValueError, match="unknown augmentation kind"):
         verify_proximity(
-            params2d, PcppParams(1), lambda i: 0, lambda o: 0, "plane", rng
+            params2d, PcppParams(1), lambda i: 0, spans([0]), "plane", rng
         )
 
 
@@ -177,7 +182,7 @@ def test_correct_proof_symbol_honest(gf4, rng):
     proof = canonical_proof(params2d, pcpp, member)
     for offset in range(len(proof)):
         got = correct_proof_symbol(
-            params2d, pcpp, member.read, proof.__getitem__, offset,
+            params2d, pcpp, member.read, spans(proof), offset,
             rm.POINT_KIND, rng,
         )
         assert got == proof[offset]
@@ -195,7 +200,7 @@ def test_correct_proof_symbol_majority_beats_one_bad_copy(gf4):
     # the verifier does not (legitimately) flag the corrupted copy
     outputs = [
         correct_proof_symbol(
-            params2d, pcpp, member.read, proof.__getitem__, 0 * 3 + 1,
+            params2d, pcpp, member.read, spans(proof), 0 * 3 + 1,
             rm.POINT_KIND, random.Random(i),
         )
         for i in range(100)
@@ -214,7 +219,7 @@ def test_correct_proof_symbol_aborts_on_far_word(gf4):
     view = rm.augment(params2d.ctx, garbage, rm.POINT_KIND)
     bots = sum(
         correct_proof_symbol(
-            params2d, pcpp, view.read, proof.__getitem__, 5, rm.POINT_KIND,
+            params2d, pcpp, view.read, spans(proof), 5, rm.POINT_KIND,
             random.Random(i),
         )
         is BOT

@@ -9,6 +9,11 @@ from rlcc.gf import Field
 from rlcc.pcpp import PcppParams
 from rlcc.prf import KeyedNoise
 
+# length of the S1 composed word, about 1.4 * 10^26 addresses (87 bits)
+S1_LENGTH = composed.ComposedLayout(
+    harness.make_config(preset="S1").rm, PcppParams(4)
+).length
+
 
 @pytest.mark.parametrize("rate", [0.0, 0.37, 1.0])
 @settings(derandomize=True, max_examples=20, deadline=None)
@@ -19,14 +24,24 @@ from rlcc.prf import KeyedNoise
     lo=st.integers(0, 2000),
     size=st.integers(0, 300),
     far=st.integers(0, 2**63 - 301),
+    wide=st.integers(2**63, S1_LENGTH),
+    crossing=st.integers(1, 2**23),
     chunk=st.integers(1, 64),
 )
-def test_keyed_noise_paths_agree(rate, prefix, salt, n, lo, size, far, chunk):
+def test_keyed_noise_paths_agree(
+    rate, prefix, salt, n, lo, size, far, wide, crossing, chunk
+):
     noise = KeyedNoise(prefix, salt, rate, n)
     hi = lo + size
     for start in (lo, far):
         addrs = np.arange(start, start + size, dtype=np.int64)
         assert noise.hit_mask(addrs).tolist() == [noise.hit(a) for a in addrs.tolist()]
+    # the range mask at any width: S1-sized addresses, and a range that
+    # straddles a multiple of 2^64
+    for start in (lo, far, wide, (crossing << 64) - size // 2):
+        assert noise.range_mask(start, start + size).tolist() == [
+            noise.hit(a) for a in range(start, start + size)
+        ]
     base = (np.arange(hi, dtype=np.int64) ** 2 + 3) % n
     word = base.copy()
     hits = noise.apply(lo, hi, word)
