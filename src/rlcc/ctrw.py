@@ -52,7 +52,13 @@ from .rm import (
     enumerate_codewords,
     is_low_degree_on_plane,
 )
-from .stats import DensityBound, freq_meets_ceiling, stderr, wilson_interval
+from .stats import (
+    DensityBound,
+    check_fields,
+    freq_meets_ceiling,
+    stderr,
+    wilson_interval,
+)
 
 PLANE_EXACT_LIMIT = 200_000
 DEFAULT_PLANE_SAMPLES = 20_000
@@ -344,7 +350,7 @@ def mixing_exp(params: RmParams, corruption: PointCorruption, trials: int, rng):
         "bound": bound,
         "stderr": stderr(est, trials),
         "wilson": [lo, hi],
-        "ok": freq_meets_ceiling(hits, trials, bound)[0],
+        **check_fields(freq_meets_ceiling(hits, trials, bound)),
         "step_resamples": resample_total,
     }
 

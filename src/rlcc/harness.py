@@ -37,7 +37,7 @@ from .geometry import sample_point
 from .pcpp import BOT, PcppParams, build_proof, verify_proximity
 from .prf import KeyedNoise, chain
 from .rm import POINT_KIND, RmParams, encode, eval_table, evaluate
-from .stats import freq_meets_floor, stderr, wilson_interval
+from .stats import check_fields, freq_meets_floor, stderr, wilson_interval
 
 PRESETS = {
     "T1": {"p": 2, "m": 2, "d": 1},
@@ -333,9 +333,9 @@ def soundness_experiment(config: ExperimentConfig, rows=None) -> dict:
             "sigma_decimal": sigma["decimal"],
             "stderr": se,
             "wilson": list(wilson_interval(violations, config.trials)),
-            "ok": freq_meets_floor(
-                violations, config.trials, float(sigma["value"])
-            )[0],
+            **check_fields(
+                freq_meets_floor(violations, config.trials, float(sigma["value"]))
+            ),
             "p0_witness": p0_hits,
             "epsilon_counts": eps_hits,
             "f_all_frequency": f_all / config.trials,
@@ -403,12 +403,17 @@ def _far_families(rm2d: RmParams, pcpp: PcppParams, rng):
     n = ctx.n
     k2 = rm2d.k
     rep = pcpp.repetitions
-    q = encode(rm2d, [ctx.rand_element(rng) for _ in range(k2)])
-    q_alt = list(q)
+
+    # q and the proofs are int64 arrays, so no read converts a tuple
+    def proof_of(coeffs):
+        return np.array(build_proof(rm2d, pcpp, coeffs), dtype=np.int64)
+
+    message = [ctx.rand_element(rng) for _ in range(k2)]
+    q = np.array(encode(rm2d, message), dtype=np.int64)
+    q_alt = q.copy()
     q_alt[0] = (q_alt[0] + 1 + rng.randrange(ctx.n - 1)) % ctx.n
-    q_alt = tuple(q_alt)
-    honest = build_proof(rm2d, pcpp, q)
-    forged = build_proof(rm2d, pcpp, q_alt)
+    honest = proof_of(q)
+    forged = proof_of(q_alt)
 
     def table_read(coeffs):
         cache = {}
@@ -440,10 +445,8 @@ def _far_families(rm2d: RmParams, pcpp: PcppParams, rng):
     # family bad-proof: > rho_prox*R copies replaced (word honest)
     k_len = len(honest) // rep
     replaced = int(pcpp.rho_prox * rep) + 1
-    mixed = list(honest)
-    for c in range(replaced):
-        mixed[c * k_len : (c + 1) * k_len] = forged[c * k_len : (c + 1) * k_len]
-    mixed = tuple(mixed)
+    mixed = honest.copy()
+    mixed[: replaced * k_len] = forged[: replaced * k_len]
     # family tail-flip: base value at the proved point flipped
     delta0 = 1 + rng.randrange(ctx.n - 1)
 
@@ -452,9 +455,9 @@ def _far_families(rm2d: RmParams, pcpp: PcppParams, rng):
         return (v + delta0) % ctx.n if i == 0 else v
 
     shift = delta0  # constant polynomial shift matches the flipped tail
-    q_shift = list(q)
-    q_shift[0] = ctx.add(q_shift[0], shift)
-    shifted = build_proof(rm2d, pcpp, tuple(q_shift))
+    q_shift = q.copy()
+    q_shift[0] = ctx.add(int(q_shift[0]), shift)
+    shifted = proof_of(q_shift)
 
     def span(proof):
         return lambda lo, hi: proof[lo:hi]
@@ -582,7 +585,7 @@ def alg2_experiment(config: ExperimentConfig, target_floor=None) -> dict:
     }
     if target_floor is not None:
         body["target_floor"] = target_floor
-        body["ok"] = freq_meets_floor(good, config.trials, target_floor)[0]
+        body.update(check_fields(freq_meets_floor(good, config.trials, target_floor)))
     return finish_report(config, body)
 
 

@@ -86,8 +86,10 @@ def evaluate(params: RmParams, coeffs, point) -> int:
     """Value of the polynomial at one point of F^dim.
 
     Low degrees, and fields too large for log tables, use the
-    per-monomial loop; higher degrees sum every monomial at once in the
-    log domain.
+    per-monomial loop; from d = 8 on, _monomial_sum sums every monomial
+    at once in the log domain.  That sum views an int64 coefficient
+    array as it is, and converts a tuple or another dtype on every call,
+    so hot callers hold their coefficients as int64 arrays.
     """
     ctx = params.ctx
     if params.d >= _BULK_DEGREE and ctx.n <= _TABLE_LIMIT:
@@ -112,28 +114,43 @@ def _exponent_matrix(dim: int, d: int):
     return np.array(monomial_basis(dim, d), dtype=np.int64)
 
 
+@lru_cache(maxsize=None)
+def _antilog_lanes(ctx: Field):
+    """The n-1 antilogs with their base-p digits packed into 21-bit lanes,
+    digit i at bit 21*i, and those bit shifts: an integer sum of entries
+    adds each digit in its own lane."""
+    exp_t, _, digits, _ = ctx.tables
+    shifts = 21 * np.arange(ctx.m, dtype=np.int64)
+    return (digits[exp_t[: ctx.n - 1]].astype(np.int64) << shifts).sum(axis=1), shifts
+
+
 def _monomial_sum(params: RmParams, coeffs, coords) -> np.ndarray:
-    """Log-domain evaluation term by term: each live monomial's value is
-    exp[E @ logs] with zero coordinates masked out, then the terms are
-    summed digit-wise mod p."""
+    """Log-domain evaluation term by term, over every monomial: term i
+    at point j is the antilog of (log c_i + E_i . log x_j) mod (n-1),
+    read from the n-1 entry table, and is dead (zeroed) when c_i = 0 or
+    when a coordinate with a positive exponent in E_i is zero.  The
+    terms are summed in 21-bit digit lanes with one reduction when
+    m <= 3, as each lane then adds fewer than 2^21 digits; otherwise
+    digit-wise by sum_elements."""
     ctx = params.ctx
-    _, log_t, _, _ = ctx.tables
-    npts = coords.shape[1]
+    exp_t, log_t, _, weights = ctx.tables
     E = _exponent_matrix(params.dim, params.d)
     cvec = np.asarray(coeffs, dtype=np.int64)
-    live = np.flatnonzero(cvec)
-    if live.size == 0:
-        return np.zeros(npts, dtype=np.int64)
-    El = E[live]
-    logs = log_t[coords]
-    sums = El @ logs + log_t[cvec[live]][:, None]
-    vals = ctx.exp_extended(params.dim * params.d * (ctx.n - 2) + ctx.n)[sums]
-    zcols = np.flatnonzero((coords == 0).any(axis=0))
-    if zcols.size:
-        # a zero coordinate kills every monomial with a positive exponent there
-        killed = (El > 0) @ (coords[:, zcols] == 0)
-        vals[np.ix_(np.arange(live.size), zcols)] *= ~killed
-    return ctx.sum_elements(vals, axis=0)
+    expo = E @ log_t[coords]
+    expo += log_t[cvec][:, None]
+    expo %= ctx.n - 1
+    dead = cvec == 0
+    if not coords.all():
+        dead = dead[:, None] | ((E > 0) @ (coords == 0))
+    if ctx.m > 3 or len(E) * (ctx.p - 1) >= 1 << 21:
+        vals = exp_t[expo]
+        vals[dead] = 0
+        return ctx.sum_elements(vals, axis=0)
+    lanes, shifts = _antilog_lanes(ctx)
+    vals = lanes[expo]
+    vals[dead] = 0
+    lane_sums = vals.sum(axis=0)[:, None] >> shifts
+    return (lane_sums & 0x1FFFFF) % ctx.p @ weights
 
 
 @lru_cache(maxsize=64)

@@ -104,3 +104,12 @@ def freq_meets_ceiling(successes: int, trials: int, ceiling: float):
     """Empirical frequency <= ceiling + Z * stderr; returns (ok, details)."""
     p_hat, slack, details = _frequency(successes, trials, "ceiling", ceiling)
     return p_hat <= ceiling + slack, details
+
+
+def check_fields(check) -> dict:
+    """A frequency check's report fields: ``ok``, and ``degenerate`` when
+    p_hat in {0, 1} left the check no 3-SE slack."""
+    ok, details = check
+    if details.get("degenerate"):
+        return {"ok": ok, "degenerate": True}
+    return {"ok": ok}

@@ -275,3 +275,53 @@ def test_frequency_checks_flag_zero_slack():
     assert ok and details["degenerate"] is True
     assert not stats.freq_meets_ceiling(20, 20, 0.99)[0]
     assert "degenerate" not in stats.freq_meets_floor(19, 20, 0.9)[1]
+
+
+def test_reports_flag_zero_slack():
+    # a report whose ok comes from a frequency check at p_hat 0 or 1
+    # carries the check's degenerate flag
+    sound = harness.run_experiment(
+        harness.make_config(preset="T3", kind="soundness", trials=20, seed=6)
+    )
+    assert sound["violations"] == 20 and sound["degenerate"] is True
+    mixed = harness.run_experiment(
+        harness.make_config(
+            preset="T1", kind="soundness", trials=20, seed=6, delta=0.3,
+            allow_unsound=True,
+        )
+    )
+    assert mixed["violations"] == 19 and "degenerate" not in mixed
+    cfg = harness.make_config(preset="T2", kind="alg2", trials=10, seed=3)
+    alg2 = harness.alg2_experiment(cfg, target_floor=0.5)
+    assert alg2["good"] == 10 and alg2["ok"] and alg2["degenerate"] is True
+    # without a floor no check runs, so there is nothing to flag
+    assert "degenerate" not in harness.alg2_experiment(cfg)
+    mixing = [
+        harness.run_experiment(
+            harness.make_config(preset="T2", kind="mixing", trials=5, seed=s)
+        )
+        for s in (0, 1)
+    ]
+    assert [(r["hits"], r.get("degenerate")) for r in mixing] == [(0, True), (1, None)]
+
+
+def test_s1_calibration_pinned(tmp_path):
+    # a small S1 calibration's history and per-family acceptances, exactly:
+    # a change to the draws or to the arithmetic moves them
+    cfg = harness.make_config(
+        preset="S1", kind="calibrate", trials=40, seed=801,
+        sidecar=str(tmp_path / "cal.json"),
+    )
+    entry = harness.calibrate_pcpp(cfg)
+    assert entry["q_v"] == 7
+    assert entry["history"] == {
+        1: 31 / 40, 2: 22 / 40, 3: 19 / 40, 4: 18 / 40, 5: 13 / 40, 6: 12 / 40,
+        7: 9 / 40,
+    }
+    assert entry["per_family"] == {
+        "noisy-base/honest-proof": 2 / 40,
+        "noisy-base/forged-proof": 0.0,
+        "honest-word/mixed-proof": 9 / 40,
+        "tail-flip/honest-proof": 0.0,
+        "tail-flip/shifted-proof": 0.0,
+    }

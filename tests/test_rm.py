@@ -79,9 +79,13 @@ def test_evaluate_matches_bruteforce(gf27, rng):
         )
 
 
-# (p, m, dim, d): T1, T2 and T3 sit below evaluate's d = 8 cutoff, the
-# S1 bivariate code above it
-EVAL_CASES = [(2, 2, 2, 1), (2, 3, 3, 1), (3, 3, 3, 4), (17, 3, 2, 32)]
+# (p, m, dim, d): T1, T2 and T3 sit below evaluate's d = 8 cutoff; above
+# it are the S1 bivariate code, the S1 trivariate code that gives the
+# oracle its point values, and GF(3^4), whose digits do not fit 21-bit lanes
+EVAL_CASES = [
+    (2, 2, 2, 1), (2, 3, 3, 1), (3, 3, 3, 4), (17, 3, 2, 32), (17, 3, 3, 32),
+    (3, 4, 2, 8),
+]
 
 
 @pytest.mark.parametrize("case", EVAL_CASES)
@@ -91,12 +95,20 @@ def test_evaluate_matches_bruteforce_across_cutoff(case, data):
     p, m, dim, d = case
     ctx = field(p, m)
     params = rm.RmParams(ctx, dim, d)
-    coeffs = data.draw(
-        st.lists(st.integers(0, ctx.n - 1), min_size=params.k, max_size=params.k)
-    )
-    point = data.draw(st.tuples(*[st.integers(0, ctx.n - 1)] * dim))
+    # zero coefficients and zero coordinates kill terms; uniform draws at
+    # S1 almost never make one, so they are forced here
+    r = random.Random(data.draw(st.integers(0, 2**32)))
+    zero_rate = data.draw(st.sampled_from([0.0, 0.5, 1.0]))
+    coeffs = [0 if r.random() < zero_rate else r.randrange(ctx.n) for _ in range(params.k)]
+    element = st.one_of(st.just(0), st.integers(0, ctx.n - 1))
+    point = data.draw(st.tuples(*[element] * dim))
     want = brute_evaluate(ctx, params.basis, coeffs, point)
-    assert rm.evaluate(params, coeffs, point) == want
+    # coefficients arrive as a tuple, an int64 array, or a read-only int32
+    # view of one copy in a proof block
+    block = np.array(coeffs * 2, dtype=np.int32)
+    block.flags.writeable = False
+    for form in (tuple(coeffs), np.array(coeffs, dtype=np.int64), block[params.k :]):
+        assert rm.evaluate(params, form, point) == want
     column = np.array(point, dtype=np.int64).reshape(-1, 1)
     assert rm.evaluate_many(params, coeffs, column)[0] == want
 
