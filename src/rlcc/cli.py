@@ -12,8 +12,9 @@ import random
 import sys
 
 from . import composed, harness
+from .gf import Field
 from .pcpp import BOT
-from .rm import encode
+from .rm import RmParams, encode
 
 EXPERIMENT_COMMANDS = {
     "ctrw-run": "completeness",
@@ -73,23 +74,24 @@ def _config_from_args(args, kind) -> harness.ExperimentConfig:
     return harness.make_config(**opts)
 
 
-def _print_report(report: dict):
-    print(harness.render_json(report))
-
-
 def cmd_experiment(args, kind) -> int:
     config = _config_from_args(args, kind)
     report = harness.run_experiment(config)
-    _print_report(report)
+    print(harness.render_json(report))
     return 0 if report.get("ok", True) else 1
 
 
 def cmd_encode(args) -> int:
     config = _config_from_args(args, "encode")
     layout = composed.ComposedLayout(config.rm, config.pcpp())
+    if layout.length > composed.MATERIALIZE_LIMIT:
+        raise harness.ConfigError(f"N = {layout.length} is too large to encode")
     rng = random.Random(config.seed)
     if args.message:
-        message = [int(s) for s in args.message.split(",")]
+        try:
+            message = encode(config.rm, [int(s) for s in args.message.split(",")])
+        except ValueError as exc:
+            raise harness.ConfigError(f"--message {args.message!r}: {exc}") from exc
     else:
         message = [config.ctx.rand_element(rng) for _ in range(config.rm.k)]
     word = composed.materialize(layout, encode(config.rm, message))
@@ -116,6 +118,10 @@ def cmd_encode(args) -> int:
 def cmd_correct(args) -> int:
     config = _config_from_args(args, "correct")
     layout = composed.ComposedLayout(config.rm, config.pcpp())
+    if not 0 <= args.address < layout.length:
+        raise harness.ConfigError(f"--address must lie in [0, {layout.length})")
+    if not 0 <= args.noise <= 1:
+        raise harness.ConfigError("--noise must lie in [0, 1]")
     rng = random.Random(config.seed)
     message = [config.ctx.rand_element(rng) for _ in range(config.rm.k)]
     oracle = composed.CanonicalOracle(layout, message)
@@ -135,44 +141,38 @@ def cmd_correct(args) -> int:
 def cmd_layout_report(args) -> int:
     config = _config_from_args(args, "layout")
     layout = composed.ComposedLayout(config.rm, config.pcpp())
-    _print_report(composed.block_length_report(layout))
+    print(harness.render_json(composed.block_length_report(layout)))
     return 0
 
 
 def cmd_sweep(args) -> int:
     config = _config_from_args(args, "sweep")
-    from .gf import Field
-
-    entries = []
+    rows = []
     for p in (int(s) for s in args.ps.split(",")):
         for m in (int(s) for s in args.ms.split(",")):
             ctx = Field(p, m)
             d = max(1, round(ctx.n / 4))  # pins rho near 3/4
-            entries.append((ctx, d, config.pcpp()))
-    rows = composed.sweep_report(entries)
-    _print_report({"rows": rows})
+            layout = composed.ComposedLayout(RmParams(ctx, m, d), config.pcpp())
+            rows.append(composed.block_length_report(layout))
+    print(harness.render_json({"rows": rows}))
     return 0
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    commands = {
+        "encode": cmd_encode,
+        "correct": cmd_correct,
+        "layout-report": cmd_layout_report,
+        "sweep": cmd_sweep,
+    }
     try:
         if args.command in EXPERIMENT_COMMANDS:
             return cmd_experiment(args, EXPERIMENT_COMMANDS[args.command])
-        if args.command == "encode":
-            return cmd_encode(args)
-        if args.command == "correct":
-            return cmd_correct(args)
-        if args.command == "layout-report":
-            return cmd_layout_report(args)
-        if args.command == "sweep":
-            return cmd_sweep(args)
-        parser.error(f"unhandled command {args.command}")
+        return commands[args.command](args)
     except harness.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    return 2
 
 
 if __name__ == "__main__":

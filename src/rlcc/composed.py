@@ -15,9 +15,11 @@ never queries them because its sampler resamples degenerate draws, and
 the proof corrector returns the fixed content for them directly since
 those coordinates do not depend on the message.
 
-The honest codeword is a function, never a table, above tiny sizes;
-corruption is an overlay predicate, so the distance to the codeword is
-controlled by construction.
+The honest codeword is a function, never a table, above tiny sizes:
+``CanonicalOracle`` computes each symbol on demand, one RM point or one
+whole proof block at a time.  Corruption is an overlay predicate
+(``Overlay``: keyed noise per region plus point flips in every RM copy),
+so the distance to the codeword is controlled by construction.
 """
 
 from __future__ import annotations
@@ -66,8 +68,6 @@ from .rm import (
 from .ctrw import walk_sample
 
 MATERIALIZE_LIMIT = 50_000_000
-# the lazy oracle tabulates the RM region up to this many points
-TABLE_POINTS = 1_000_000
 # LRU bounds of the lazy oracle's memos.  A correction rereads only the
 # m + 2 or fewer proof blocks it touches, and independent corrections at
 # S1 share almost none, so 256 blocks (about 5 MB at S1, 20 kB a block)
@@ -233,7 +233,7 @@ class ComposedLayout:
         direction outside the region's table raises ValueError."""
         ctx = self.ctx
         if region == LINE_REGION:
-            dir1, _ = normalize_direction(ctx, plane.dir1)
+            dir1 = normalize_direction(ctx, plane.dir1)
             plane = PlaneRep.make(ctx, plane.anchor, dir1, plane.dir2)
         key_idx = self.key_index(
             region,
@@ -274,9 +274,9 @@ class CanonicalOracle:
     """Lazy honest codeword of a message: reads compute symbols on demand.
 
     The message is held once, as an int64 coefficient array.  Point
-    values (when the RM table is not built) and proof blocks are kept in
-    bounded LRU memos; both are pure functions of their key, so an
-    evicted entry recomputes to the same value.
+    values and proof blocks are kept in bounded LRU memos; both are pure
+    functions of their key, so an evicted entry recomputes to the same
+    value.  The point memo holds every point of the T1-T3 codes.
     """
 
     def __init__(self, layout: ComposedLayout, message):
@@ -284,9 +284,6 @@ class CanonicalOracle:
         coeffs = np.array(message, dtype=np.int64)
         if coeffs.shape != (layout.rm.k,):
             raise ValueError(f"message length must be {layout.rm.k}")
-        self._table = None
-        if layout.rm_points <= TABLE_POINTS:
-            self._table = eval_table(layout.rm, coeffs)
         # the memos hold the layout and the message, not the oracle: a
         # bound method would make a cycle that keeps a dropped oracle
         # and its message alive until the cyclic collector runs
@@ -298,25 +295,21 @@ class CanonicalOracle:
         )
 
     def point_value(self, pcode: int) -> int:
-        if self._table is not None:
-            return int(self._table[pcode])
         return self._points(pcode)
 
     def proof_block(self, region: str, key_idx: int):
         return self._proofs(region, key_idx)
 
-    def read(self, addr: int, decoded=None) -> int:
-        """Symbol at addr; decoded is layout.decode(addr) if known."""
-        region, a, b = decoded or self.layout.decode(addr)
+    def read(self, addr: int) -> int:
+        region, a, b = self.layout.decode(addr)
         if region == RM_REGION:
             return self.point_value(b)
         return int(self.proof_block(region, a)[b])
 
-    def read_span(self, lo: int, hi: int, decoded=None) -> np.ndarray:
+    def read_span(self, lo: int, hi: int) -> np.ndarray:
         """Symbols at [lo, hi), a read-only view of one memoized proof
-        block; decoded is layout.decode(lo) if known.  A span that leaves
-        one proof block raises ValueError."""
-        region, a, b = decoded or self.layout.decode(lo)
+        block.  A span that leaves one proof block raises ValueError."""
+        region, a, b = self.layout.decode(lo)
         if region == RM_REGION or not b < b + hi - lo <= self.layout.proof_len:
             raise ValueError("a span must lie inside one proof block")
         return self.proof_block(region, a)[b : b + hi - lo]
@@ -388,20 +381,18 @@ def key_subgrids(layout: ComposedLayout, region: str):
 class Overlay:
     """Deterministic adversary over composed addresses.
 
-    Rules, in precedence order: targeted point flips (optionally in
-    every RM copy), then keyed noise (``prf.KeyedNoise``, one key for
-    every region) at a per-region rate.  The support is exactly the set
-    of addresses whose read differs from the base oracle.
+    Rules, in precedence order: targeted point flips in every RM copy,
+    then keyed noise (``prf.KeyedNoise``, one key for every region) at a
+    per-region rate.  The support is exactly the set of addresses whose
+    read differs from the base oracle.
     """
 
     def __init__(self, layout: ComposedLayout, seed: int):
         self.layout = layout
-        self.seed = seed
         self._prefix = chain(seed, 0x0C)
         self._salt = chain(seed, 0x5A)
         self._noise = {}
-        self._targets = {}
-        self._target_all = {}
+        self._flips = {}  # point code -> shift, in every RM copy
 
     def add_region_random(self, rate: float, regions=(RM_REGION, POINT_REGION, LINE_REGION)):
         noise = KeyedNoise(self._prefix, self._salt, rate, self.layout.ctx.n)
@@ -409,36 +400,29 @@ class Overlay:
             self._noise[r] = noise
         return self
 
-    def add_targeted_point(self, point, delta: int = 1, copies="all"):
-        pcode = point_code(self.layout.ctx, point)
+    def add_targeted_point(self, point, delta: int = 1):
+        """Shift the point's symbol by delta (mod n) in every RM copy."""
         if delta % self.layout.ctx.n == 0:
             raise ValueError("targeted delta must be nonzero")
-        if copies == "all":
-            self._target_all[pcode] = delta
-        else:
-            self._targets[self.layout.rm_address(copies, pcode)] = delta
+        self._flips[point_code(self.layout.ctx, point)] = delta
         return self
 
-    def replacement(self, addr: int, base: int, decoded=None) -> int | None:
-        """Corrupted symbol at addr, or None when the address is clean;
-        decoded is layout.decode(addr) if known."""
-        n = self.layout.ctx.n
-        if addr in self._targets:
-            return (base + self._targets[addr]) % n
-        region, _, b = decoded or self.layout.decode(addr)
-        if region == RM_REGION and self._target_all and b in self._target_all:
-            return (base + self._target_all[b]) % n
+    def replacement(self, addr: int, base: int) -> int | None:
+        """Corrupted symbol at addr, or None when the address is clean."""
+        region, _, b = self.layout.decode(addr)
+        if region == RM_REGION and b in self._flips:
+            return (base + self._flips[b]) % self.layout.ctx.n
         noise = self._noise.get(region)
         if noise is not None and noise.hit(addr):
             return noise.replacement(addr, base)
         return None
 
-    def replace_span(self, lo: int, region: str, symbols: np.ndarray) -> np.ndarray:
+    def replace_span(self, lo: int, symbols: np.ndarray) -> np.ndarray:
         """The symbols of the proof-region span starting at lo, as read
         through the overlay: the same array when nothing in it is hit,
         else a copy.  Targeted flips lie in the RM region, so only the
         region's keyed noise can hit a proof span."""
-        noise = self._noise.get(region)
+        noise = self._noise.get(self.layout.decode(lo)[0])
         if noise is None:
             return symbols
         hits = np.flatnonzero(noise.range_mask(lo, lo + len(symbols))).tolist()
@@ -463,24 +447,21 @@ class Overlay:
         layout = self.layout
         sizes = {region: size for region, _, size in self._spans()}
         total = sum(sizes[r] * noise.rate for r, noise in self._noise.items())
-        total += len(self._targets) + len(self._target_all) * layout.repetitions
+        total += len(self._flips) * layout.repetitions
         return total / layout.length
 
     def apply_to_array(self, word: np.ndarray) -> dict:
         """Corrupt a materialized word in place; returns exact counts."""
         layout = self.layout
-        n = layout.ctx.n
         counts = {}
         for region, base, size in self._spans():
             noise = self._noise.get(region)
             if noise is not None and size:
                 counts[region] = noise.apply(base, base + size, word)
-        for addr, delta in self._targets.items():
-            word[addr] = (word[addr] + delta) % n
-        for pcode, delta in self._target_all.items():
+        for pcode, delta in self._flips.items():
             idx = np.arange(layout.repetitions, dtype=np.int64) * layout.rm_points + pcode
-            word[idx] = (word[idx] + delta) % n
-        counts["targeted"] = len(self._targets) + len(self._target_all) * layout.repetitions
+            word[idx] = (word[idx] + delta) % layout.ctx.n
+        counts["targeted"] = len(self._flips) * layout.repetitions
         return counts
 
 
@@ -490,16 +471,13 @@ class OverlayOracle:
         self.overlay = overlay
 
     def read(self, addr: int) -> int:
-        decoded = self.base.layout.decode(addr)
-        symbol = self.base.read(addr, decoded)
-        repl = self.overlay.replacement(addr, symbol, decoded)
+        symbol = self.base.read(addr)
+        repl = self.overlay.replacement(addr, symbol)
         return symbol if repl is None else repl
 
     def read_span(self, lo: int, hi: int) -> np.ndarray:
         """Symbols at [lo, hi) inside one proof block, overlay applied."""
-        decoded = self.base.layout.decode(lo)
-        span = self.base.read_span(lo, hi, decoded)
-        return self.overlay.replace_span(lo, decoded[0], span)
+        return self.overlay.replace_span(lo, self.base.read_span(lo, hi))
 
 
 def span_reader(read, base: int):
@@ -644,12 +622,3 @@ def block_length_report(layout: ComposedLayout) -> dict:
         "verifier_word_queries": word_queries,
         "verifier_proof_queries": proof_queries,
     }
-
-
-def sweep_report(entries) -> list:
-    """entries: iterable of (Field, d, PcppParams); tabulates the bounds."""
-    rows = []
-    for ctx, d, pcpp in entries:
-        layout = ComposedLayout(RmParams(ctx, ctx.m, d), pcpp)
-        rows.append(block_length_report(layout))
-    return rows

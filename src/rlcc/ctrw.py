@@ -55,6 +55,7 @@ from .rm import (
 from .stats import (
     DensityBound,
     check_fields,
+    chi_square_pvalue,
     freq_meets_ceiling,
     stderr,
     wilson_interval,
@@ -133,7 +134,6 @@ class PointCorruption:
 
     def __init__(self, params: RmParams, seed: int, density: float = 0.0):
         self.params = params
-        self.seed = seed
         self.density = density
         self._noise = KeyedNoise(
             chain(seed, 0xC0), chain(seed, 0xA5), density, params.ctx.n
@@ -301,6 +301,7 @@ class StepEvents:
     """Per-step nonzero bookkeeping of one trial."""
 
     line_counts: list
+    line_heavy: list  # True when the line has >= 2 alpha n nonzeros
     plane_dense: list  # True when the plane has >= (rho - 2 alpha) n^2 nonzeros
     p0_dense: bool
     e_flags: list
@@ -321,7 +322,35 @@ def step_events(params: RmParams, verdict: RobustVerdict, alpha: Fraction) -> St
     heavy = [Fraction(cnt, n) >= 2 * alpha for cnt in counts]
     e_flags = [h and d is False for h, d in zip(heavy, dense[1:])]
     f_flags = [h and d is True for h, d in zip(heavy, dense[1:])]
-    return StepEvents(counts, dense[1:], dense[0] is True, e_flags, f_flags)
+    return StepEvents(counts, heavy, dense[1:], dense[0] is True, e_flags, f_flags)
+
+
+class PeelingTally:
+    """The peeling argument's counters, summed over trials.  A step's
+    prefix holds when F held at every earlier step.  Per step: ``eps``
+    counts E under the prefix, ``prefix`` the prefix, and ``sparse`` a
+    line that is not heavy under the prefix.  ``f_all`` counts trials
+    with F at every step, ``p0_dense`` a certified dense start plane."""
+
+    def __init__(self, steps: int):
+        self.eps = [0] * steps
+        self.prefix = [0] * steps
+        self.sparse = [0] * steps
+        self.f_all = 0
+        self.p0_dense = 0
+
+    def add(self, events: StepEvents):
+        holds = True
+        for s, (e, f, heavy) in enumerate(
+            zip(events.e_flags, events.f_flags, events.line_heavy)
+        ):
+            if holds:
+                self.eps[s] += e
+                self.prefix[s] += 1
+                self.sparse[s] += not heavy
+            holds = holds and f
+        self.f_all += holds
+        self.p0_dense += events.p0_dense
 
 
 # ---------------------------------------------------------------------------
@@ -432,31 +461,21 @@ def matrix_product_check(p: int, m: int, mode="exhaustive", trials=0, rng=None):
             }
         )
     else:
-        from .stats import chi_square_pvalue
-
         hist = {}
         singular = 0
-        draws = 0
-        while draws < trials:
-            h = tuple(
-                tuple(rng.randrange(p) for _ in range(m)) for _ in range(m)
-            )
-            t = tuple(
-                tuple(rng.randrange(p) for _ in range(m)) for _ in range(m)
-            )
-            draws += 1
+        for _ in range(trials):
+            h = tuple(tuple(rng.randrange(p) for _ in range(m)) for _ in range(m))
+            t = tuple(tuple(rng.randrange(p) for _ in range(m)) for _ in range(m))
             if not _mat_invertible(h, p, m):
                 singular += 1
                 continue
             prod_m = _mat_mul(h, t, p, m)
             hist[prod_m] = hist.get(prod_m, 0) + 1
-        kept = sum(hist.values())
-        counts = [hist.get(a, 0) for a in _all_matrices(p, m)]
-        pval = chi_square_pvalue(counts, [kept / total] * total)
+        pval = chi_square_pvalue(list(hist.values()), total)
         report.update(
             {
-                "singular_fraction": Fraction(singular, draws),
-                "conditional_draws": kept,
+                "singular_fraction": Fraction(singular, trials),
+                "conditional_draws": sum(hist.values()),
                 "chi2_pvalue": pval,
                 "uniform_ok": pval >= 1e-3,
             }

@@ -146,17 +146,11 @@ def sample_h_direction(ctx: Field, rng):
 
 
 def normalize_direction(ctx: Field, direction):
-    """Projective representative with first nonzero coordinate 1.
-
-    Returns (normalized, lam) with direction = lam * normalized, so a
-    caller can translate coordinates expressed against the original
-    direction into the normalized frame.
-    """
+    """Projective representative with first nonzero coordinate 1."""
     if is_zero(direction):
         raise ValueError("cannot normalize the zero direction")
-    lam = next(c for c in direction if c)
-    inv = ctx.inv(lam)
-    return tuple(ctx.mul(inv, c) for c in direction), lam
+    inv = ctx.inv(next(c for c in direction if c))
+    return tuple(ctx.mul(inv, c) for c in direction)
 
 
 # number of projective representatives: (n^m - 1) / (n - 1)

@@ -250,7 +250,6 @@ class Field:
             cur = self._mul_schoolbook(cur, g)
         for i in range(n - 1, 2 * (n - 1)):
             exp[i] = exp[i - (n - 1)]
-        self.generator = g
         self._exp = exp
         self._log = log
 

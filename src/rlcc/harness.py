@@ -14,7 +14,8 @@ density mu = 1/4.  A config whose field or code cannot be built
 
 Theorem preconditions (|F| >= 2md, delta <= rho/2) gate every
 soundness run; an explicit override marks the report UNSOUND instead of
-refusing.
+refusing.  A run that would fail or not finish on its field
+(``check_runnable``) is a ConfigError before it starts.
 """
 
 from __future__ import annotations
@@ -32,11 +33,11 @@ from typing import ClassVar
 import numpy as np
 
 from . import __version__, composed, ctrw
-from .gf import Field
+from .gf import _TABLE_LIMIT, Field
 from .geometry import sample_point
 from .pcpp import BOT, PcppParams, build_proof, verify_proximity
 from .prf import KeyedNoise, chain
-from .rm import POINT_KIND, RmParams, encode, eval_table, evaluate
+from .rm import ENUM_BUDGET, POINT_KIND, RmParams, encode, eval_table, evaluate
 from .stats import check_fields, freq_meets_floor, stderr, wilson_interval
 
 PRESETS = {
@@ -137,10 +138,16 @@ def _parse_value(text: str):
 
 
 def make_config(**kwargs) -> ExperimentConfig:
+    """A checked config.  A key the preset also sets must repeat the
+    preset's value."""
     known = {f.name for f in fields(ExperimentConfig)}
     bad = set(kwargs) - known
     if bad:
         raise ConfigError(f"unknown config keys: {sorted(bad)}")
+    preset = PRESETS.get(kwargs.get("preset"), {})
+    clash = {k: v for k, v in kwargs.items() if k in preset and v != preset[k]}
+    if clash:
+        raise ConfigError(f"preset {kwargs['preset']} sets {preset}, not {clash}")
     try:
         config = ExperimentConfig(**kwargs)
         config.rm  # builds the field and the code, which check p, m and d
@@ -284,11 +291,7 @@ def soundness_experiment(config: ExperimentConfig, rows=None) -> dict:
     steps = ctx.m
     violations = 0
     p0_hits = 0
-    f_all = 0
-    f_premise = 0
-    eps_hits = [0] * steps
-    line_fail_given_f = [0] * steps
-    f_prefix_counts = [0] * steps
+    tally = ctrw.PeelingTally(steps)
     resamples = 0
     for i in range(config.trials):
         rng = trial_rng(config.seed, "sound", i)
@@ -300,18 +303,7 @@ def soundness_experiment(config: ExperimentConfig, rows=None) -> dict:
         verdict = ctrw.violation_check_planted(rm, corr, tr, alpha, rng)
         violations += verdict.violated
         p0_hits += verdict.witness == 0
-        ev = ctrw.step_events(rm, verdict, alpha)
-        prefix_holds = True
-        for s in range(steps):
-            if prefix_holds and ev.e_flags[s]:
-                eps_hits[s] += 1
-            if prefix_holds:
-                f_prefix_counts[s] += 1
-                if Fraction(ev.line_counts[s], ctx.n) < 2 * alpha:
-                    line_fail_given_f[s] += 1
-            prefix_holds = prefix_holds and ev.f_flags[s]
-        f_all += prefix_holds
-        f_premise += ev.p0_dense
+        tally.add(ctrw.step_events(rm, verdict, alpha))
         if rows is not None:
             rows.append(
                 {
@@ -337,12 +329,10 @@ def soundness_experiment(config: ExperimentConfig, rows=None) -> dict:
                 freq_meets_floor(violations, config.trials, float(sigma["value"]))
             ),
             "p0_witness": p0_hits,
-            "epsilon_counts": eps_hits,
-            "f_all_frequency": f_all / config.trials,
-            "p0_dense_frequency": f_premise / config.trials,
-            "line_fail_given_prefix": [
-                (line_fail_given_f[s], f_prefix_counts[s]) for s in range(steps)
-            ],
+            "epsilon_counts": tally.eps,
+            "f_all_frequency": tally.f_all / config.trials,
+            "p0_dense_frequency": tally.p0_dense / config.trials,
+            "line_fail_given_prefix": list(zip(tally.sparse, tally.prefix)),
             "step_resample_rate": resamples / (config.trials * steps),
         },
     )
@@ -547,9 +537,7 @@ def alg2_experiment(config: ExperimentConfig, target_floor=None) -> dict:
     rng0 = trial_rng(config.seed, "alg2-setup", 0)
     message = [ctx.rand_element(rng0) for _ in range(layout.rm.k)]
     oracle = composed.CanonicalOracle(layout, message)
-    # keep the whole-word expected corruption within the decoding radius
-    # delta/4: the targeted flips consume repetitions/N of the budget
-    radius = config.delta / 4 - layout.repetitions / layout.length
+    radius = _alg2_noise_rate(config, layout)
     good = 0
     bots = 0
     expected_fraction = None
@@ -558,7 +546,7 @@ def alg2_experiment(config: ExperimentConfig, target_floor=None) -> dict:
         x = sample_point(ctx, rng)
         overlay = composed.Overlay(layout, rng.randrange(2**63))
         overlay.add_region_random(radius)
-        overlay.add_targeted_point(x, delta=1 + rng.randrange(ctx.n - 1), copies="all")
+        overlay.add_targeted_point(x, delta=1 + rng.randrange(ctx.n - 1))
         if expected_fraction is None:
             expected_fraction = overlay.expected_fraction()
         word = composed.OverlayOracle(oracle, overlay)
@@ -589,7 +577,36 @@ def alg2_experiment(config: ExperimentConfig, target_floor=None) -> dict:
     return finish_report(config, body)
 
 
+def _alg2_noise_rate(config: ExperimentConfig, layout) -> float:
+    """The keyed-noise rate that keeps an alg2 word's expected corruption
+    within the decoding radius delta/4, of which the flips of the queried
+    point in every copy take repetitions/N."""
+    flips = layout.repetitions / layout.length
+    if config.delta / 4 < flips:
+        raise ConfigError(f"alg2 needs delta >= 4r/N = {4 * flips:g}, got {config.delta}")
+    return config.delta / 4 - flips
+
+
 GATED_KINDS = ("soundness", "mixing", "alg2")
+
+
+def check_runnable(config: ExperimentConfig):
+    """ConfigError for a run that would fail or not finish on its field:
+    completeness tabulates F^m, sampling and calibration walk the whole
+    n^2 plane grid, and the soundness and alg2 vector ops need the
+    field's log tables.  Mixing and matrix runs work at any field."""
+    n = config.ctx.n
+    size, limit, what = {
+        "completeness": (config.rm.length, ENUM_BUDGET, "points of F^m"),
+        "sampling": (n * n, composed.MATERIALIZE_LIMIT, "plane grid points"),
+        "calibrate": (n * n, composed.MATERIALIZE_LIMIT, "plane grid points"),
+        "soundness": (n, _TABLE_LIMIT, "log-table entries"),
+        "alg2": (n, _TABLE_LIMIT, "log-table entries"),
+    }.get(config.kind, (0, 0, ""))
+    if size > limit:
+        raise ConfigError(f"{config.kind} needs {size} {what}, above {limit}")
+    if config.kind == "alg2":
+        _alg2_noise_rate(config, composed.ComposedLayout(config.rm, config.pcpp()))
 
 
 def run_experiment(config: ExperimentConfig) -> dict:
@@ -616,6 +633,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
     broken = check_preconditions(config)
     if broken and config.kind in GATED_KINDS and not config.allow_unsound:
         raise ConfigError("theorem preconditions violated: " + "; ".join(broken))
+    check_runnable(config)
     start = time.time()
     report = runner(config)
     report["wall_clock"] = round(time.time() - start, 3)

@@ -31,13 +31,6 @@ def wilson_interval(successes: int, n: int):
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def hoeffding_halfwidth(samples: int, err: float = 1e-12) -> float:
-    """Two-sided Hoeffding deviation bound at confidence 1 - err."""
-    if samples <= 0:
-        raise ValueError("need at least one sample")
-    return math.sqrt(math.log(2.0 / err) / (2.0 * samples))
-
-
 @dataclass(frozen=True)
 class DensityBound:
     """Certified interval for a {0,1}-density, exact or sampled."""
@@ -55,9 +48,10 @@ class DensityBound:
         return DensityBound(f, f, True, total, count, total)
 
     @staticmethod
-    def from_sample(hits: int, samples: int, err: float = 1e-12) -> "DensityBound":
+    def from_sample(hits: int, samples: int) -> "DensityBound":
+        """Two-sided Hoeffding interval at confidence 1 - 1e-12."""
         f = hits / samples
-        h = hoeffding_halfwidth(samples, err)
+        h = math.sqrt(math.log(2.0 / 1e-12) / (2.0 * samples))
         return DensityBound(max(0.0, f - h), min(1.0, f + h), False, samples)
 
     def as_fractions(self):
@@ -75,12 +69,18 @@ class DensityBound:
         )
 
 
-def chi_square_pvalue(counts, expected) -> float:
+def chi_square_pvalue(counts, cells: int) -> float:
+    """Chi-square p-value of the hypothesis that the draws ``counts``
+    tallies are uniform over ``cells`` cells.  ``counts`` may leave out
+    empty cells: each adds its expected count to the statistic, so a
+    sparse histogram of a huge space costs only its own length."""
     from scipy.stats import chi2
 
-    stat = sum((c - e) ** 2 / e for c, e in zip(counts, expected))
-    dof = len(counts) - 1
-    return float(chi2.sf(stat, dof))
+    expected = sum(counts) / cells
+    stat = sum((c - expected) ** 2 / expected for c in counts)
+    stat += (cells - len(counts)) * expected
+    # a float: scipy takes no integer above 64 bits
+    return float(chi2.sf(stat, float(cells - 1)))
 
 
 def _frequency(successes: int, trials: int, bound_name: str, bound: float):

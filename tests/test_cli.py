@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from rlcc import composed, harness
-from rlcc.cli import main
+from rlcc.cli import EXPERIMENT_COMMANDS, main
 from rlcc.rm import encode
 
 
@@ -157,3 +157,57 @@ def test_report_written_once_with_wall_clock(command, lines, tmp_path, monkeypat
     assert "wall_clock" in rep
     printed = json.loads(capsys.readouterr().out)
     assert printed == rep
+
+
+@pytest.mark.parametrize("preset", ["T1", "T2", "T3"])
+@pytest.mark.parametrize(
+    "argv",
+    [[command] for command in EXPERIMENT_COMMANDS]
+    + [["layout-report"], ["sweep"], ["correct", "--address", "5"]],
+)
+def test_every_command_exits_with_a_code(argv, preset, tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(
+        f"preset = {preset}\ntrials = 3\nallow_unsound = true\n"
+        f"sidecar = {tmp_path / 'cal.json'}\n"
+    )
+    assert main(argv + ["--config", str(cfg)]) in (0, 1, 2)
+
+
+BIG_FIELD = ["p = 2", "m = 21", "d = 1", "trials = 3"]
+
+
+@pytest.mark.parametrize(
+    "argv, lines, message",
+    [
+        (["alg2-exp"], ["preset = T1"], "delta >= 4r/N = 0.125"),
+        (["ctrw-run"], ["preset = S1"], "points of F"),
+        (["soundness-exp"], BIG_FIELD, "log-table entries"),
+        (["alg2-exp"], BIG_FIELD, "log-table entries"),
+        (["sampling-exp"], BIG_FIELD, "plane grid points"),
+        (["calibrate"], BIG_FIELD, "plane grid points"),
+        (["soundness-exp"], ["preset = S1", "d = 5"], "preset S1"),
+        (["encode", "--message", "1,2"], ["preset = T1"], "--message"),
+        (["encode", "--message", "1,2,9"], ["preset = T1"], "--message"),
+        (["encode", "--message", "1,x,2"], ["preset = T1"], "--message"),
+        (["encode"], ["preset = S1"], "too large"),
+        (["correct", "--address", "-1"], ["preset = T1"], "--address"),
+        (["correct", "--address", "31104"], ["preset = T1"], "--address"),
+        (["correct", "--address", "3", "--noise", "2"], ["preset = T1"], "--noise"),
+    ],
+)
+def test_unrunnable_inputs_exit_two(argv, lines, message, tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("\n".join(lines + [f"sidecar = {tmp_path / 'cal.json'}"]) + "\n")
+    assert main(argv + ["--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
+
+
+@pytest.mark.parametrize(
+    "argv", [["mixing-exp"], ["layout-report"], ["sweep", "--ps", "2", "--ms", "21"]]
+)
+def test_big_fields_still_run_where_they_can(argv, tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("\n".join(BIG_FIELD) + "\n")
+    assert main(argv + ["--config", str(cfg)]) == 0

@@ -110,8 +110,7 @@ def test_lazy_oracle_matches_materialized(t2, rng):
 
 
 def test_lazy_oracle_memos_stay_bounded(t2, monkeypatch):
-    # tiny bounds and no RM table, so both memos evict all the time
-    monkeypatch.setattr(composed, "TABLE_POINTS", 0)
+    # tiny bounds, so both memos evict all the time
     monkeypatch.setattr(composed, "POINT_MEMO", 8)
     monkeypatch.setattr(composed, "PROOF_MEMO", 4)
     layout, message, word = t2
@@ -129,8 +128,7 @@ def test_lazy_oracle_memos_stay_bounded(t2, monkeypatch):
     assert oracle._proofs.cache_info().misses > 4
 
 
-def test_dropped_oracle_is_freed_without_the_cycle_collector(t1, monkeypatch):
-    monkeypatch.setattr(composed, "TABLE_POINTS", 0)
+def test_dropped_oracle_is_freed_without_the_cycle_collector(t1):
     layout, message, _ = t1
     oracle = composed.CanonicalOracle(layout, message)
     oracle.read(0)
@@ -249,22 +247,10 @@ def test_overlay_empty_is_identity(t1, rng):
     assert overlay.expected_fraction() == 0
 
 
-def test_overlay_targeted_single_copy(t1):
-    layout, message, word = t1
-    overlay = composed.Overlay(layout, seed=4)
-    overlay.add_targeted_point((1, 1), delta=2, copies=5)
-    arr = word.copy()
-    counts = overlay.apply_to_array(arr)
-    diff = np.flatnonzero(arr != word)
-    assert counts["targeted"] == 1
-    assert len(diff) == 1
-    assert diff[0] == layout.rm_address(5, point_code(layout.ctx, (1, 1)))
-
-
 def test_overlay_targeted_all_copies(t1):
     layout, message, word = t1
     overlay = composed.Overlay(layout, seed=4)
-    overlay.add_targeted_point((0, 1), delta=1, copies="all")
+    overlay.add_targeted_point((0, 1), delta=1)
     arr = word.copy()
     overlay.apply_to_array(arr)
     pcode = point_code(layout.ctx, (0, 1))
@@ -337,8 +323,7 @@ def test_overlay_span_reads_match_symbol_reads(span_oracles, preset, data):
     overlay = composed.Overlay(layout, data.draw(st.integers(0, 2**63 - 1)))
     overlay.add_region_random(data.draw(st.sampled_from((0.0, 0.01, 0.3, 1.0))))
     point = tuple(data.draw(st.integers(0, ctx.n - 1)) for _ in range(ctx.m))
-    overlay.add_targeted_point(point, copies="all")
-    overlay.add_targeted_point(point, delta=2, copies=layout.repetitions - 1)
+    overlay.add_targeted_point(point)
     word = composed.OverlayOracle(oracle, overlay)
     keys = {composed.POINT_REGION: layout.point_keys, composed.LINE_REGION: layout.line_keys}
     region = data.draw(st.sampled_from(sorted(keys)))
@@ -423,7 +408,7 @@ def test_correct_rm_output_discipline(t1):
     truth = oracle.point_value(pcode)
     flipped = (truth + 2) % layout.ctx.n
     overlay = composed.Overlay(layout, seed=5)
-    overlay.add_targeted_point((1, 0), delta=2, copies="all")
+    overlay.add_targeted_point((1, 0), delta=2)
     wrapped = composed.OverlayOracle(oracle, overlay)
     outs = set()
     for i in range(60):

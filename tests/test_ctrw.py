@@ -16,6 +16,7 @@ from rlcc.geometry import (
     sample_point,
 )
 from rlcc.gf import Field
+from rlcc.stats import chi_square_pvalue
 
 
 def test_walk_transcript_shape(gf8, rng):
@@ -239,6 +240,23 @@ def test_matrix_product_sampled_p3m2():
     assert abs(float(rep["singular_fraction"]) - float(exact)) <= 4 * se
 
 
+def test_matrix_chi_square_matches_the_enumerating_formula():
+    # the 3^9 products of T3, most never drawn: the statistic over the
+    # drawn cells plus the empty ones equals the sum over every cell
+    from scipy.stats import chi2
+
+    cells, draws = 3**9, 5000
+    rng = random.Random(12)
+    hist = {}
+    for _ in range(draws):
+        c = rng.randrange(cells)
+        hist[c] = hist.get(c, 0) + 1
+    e = draws / cells
+    stat = sum((hist.get(c, 0) - e) ** 2 / e for c in range(cells))
+    got = chi_square_pvalue(list(hist.values()), cells)
+    assert got == pytest.approx(chi2.sf(stat, cells - 1), rel=1e-9)
+
+
 def test_line_sampling_trivial_sets(gf8):
     rep = ctrw.line_sampling_exp(gf8, [], [Fraction(1, 4)])
     assert rep["rows"][0]["tail_fraction"] == 0
@@ -294,10 +312,8 @@ def test_event_bookkeeping_dense_regime(gf8):
     alpha = params.rho / 8
     steps = 3
     trials = 2000
-    f_all = 0
     premise = 0
-    eps_hits = [0] * steps
-    cond_fail = [0, 0]
+    tally = ctrw.PeelingTally(steps)
     master = random.Random(424242)
     for i in range(trials):
         rng = random.Random(master.randrange(2**63))
@@ -311,23 +327,14 @@ def test_event_bookkeeping_dense_regime(gf8):
         if not ev.p0_dense:
             continue
         premise += 1
-        prefix = True
-        for s in range(steps):
-            if prefix and ev.e_flags[s]:
-                eps_hits[s] += 1
-            if prefix:
-                cond_fail[1] += 1
-                if Fraction(ev.line_counts[s], gf8.n) < 2 * alpha:
-                    cond_fail[0] += 1
-            prefix = prefix and ev.f_flags[s]
-        f_all += prefix
+        tally.add(ev)
     assert premise >= trials // 2
-    freq = f_all / premise
-    bound = float((1 - Fraction(4, gf8.n)) ** steps) - sum(eps_hits) / premise
+    freq = tally.f_all / premise
+    bound = float((1 - Fraction(4, gf8.n)) ** steps) - sum(tally.eps) / premise
     assert freq >= bound - 3 * (freq * (1 - freq) / premise + 1e-9) ** 0.5
-    cond = cond_fail[0] / cond_fail[1]
+    cond = sum(tally.sparse) / sum(tally.prefix)
     line_bound = 4 / gf8.n
-    assert cond <= line_bound + 3 * (line_bound * (1 - line_bound) / cond_fail[1]) ** 0.5
+    assert cond <= line_bound + 3 * (line_bound * (1 - line_bound) / sum(tally.prefix)) ** 0.5
 
 
 def test_step_events_densities(gf8):

@@ -172,7 +172,7 @@ def test_sample_h_direction_chi_square_uniformity():
         counts[v] = counts.get(v, 0) + 1
     cells = list(counts.values())
     assert len(cells) == 15
-    assert chi_square_pvalue(cells, [draws / 15] * 15) >= 1e-3
+    assert chi_square_pvalue(cells, 15) >= 1e-3
 
 
 def test_point_code_roundtrip(gf8, rng):
@@ -182,13 +182,8 @@ def test_point_code_roundtrip(gf8, rng):
 
 
 def test_normalize_direction(gf4):
-    # dir = (w, 0) normalizes to (1, 0) with lam = w
-    norm, lam = geo.normalize_direction(gf4, (2, 0))
-    assert norm == (1, 0)
-    assert lam == 2
-    assert geo.scale_point(gf4, lam, norm) == (2, 0)
-    norm, lam = geo.normalize_direction(gf4, (1, 3))
-    assert (norm, lam) == ((1, 3), 1)
+    assert geo.normalize_direction(gf4, (2, 0)) == (1, 0)
+    assert geo.normalize_direction(gf4, (1, 3)) == (1, 3)
 
 
 def test_plane_key_invariant_under_rescaling(gf8, rng):
@@ -214,7 +209,8 @@ def test_plane_key_lambda_translates(gf8, rng):
         d1 = geo.sample_point(gf8, rng)
         if geo.is_zero(d1):
             continue
-        norm, lam = geo.normalize_direction(gf8, d1)
+        norm = geo.normalize_direction(gf8, d1)
+        lam = next(c for c in d1 if c)
         # anchor + t*d1 = anchor + (t*lam) * norm: same line, rescaled parameter
         t = gf8.rand_element(rng)
         lhs = geo.scale_point(gf8, t, d1)

@@ -64,6 +64,13 @@ def test_unknown_keys_rejected():
         harness.make_config(preset="XX")
 
 
+def test_keys_must_agree_with_the_preset():
+    with pytest.raises(harness.ConfigError, match="preset S1"):
+        harness.make_config(preset="S1", delta=0.05, d=5)
+    cfg = harness.make_config(preset="S1", p=17, delta=0.1, seed=3)
+    assert (cfg.p, cfg.d, cfg.delta, cfg.seed) == (17, 32, 0.1, 3)
+
+
 def test_config_has_only_the_keys_a_caller_varies():
     assert [f.name for f in fields(harness.ExperimentConfig)] == [
         "kind", "preset", "p", "m", "d", "delta", "trials", "seed",
