@@ -145,12 +145,23 @@ def cmd_layout_report(args) -> int:
     return 0
 
 
+def _int_list(flag: str, text: str):
+    try:
+        return [int(s) for s in text.split(",")]
+    except ValueError as exc:
+        raise harness.ConfigError(f"{flag} {text!r}: {exc}") from exc
+
+
 def cmd_sweep(args) -> int:
     config = _config_from_args(args, "sweep")
+    ps, ms = _int_list("--ps", args.ps), _int_list("--ms", args.ms)
     rows = []
-    for p in (int(s) for s in args.ps.split(",")):
-        for m in (int(s) for s in args.ms.split(",")):
-            ctx = Field(p, m)
+    for p in ps:
+        for m in ms:
+            try:
+                ctx = Field(p, m)
+            except ValueError as exc:
+                raise harness.ConfigError(f"--ps/--ms: {exc}") from exc
             d = max(1, round(ctx.n / 4))  # pins rho near 3/4
             layout = composed.ComposedLayout(RmParams(ctx, m, d), config.pcpp())
             rows.append(composed.block_length_report(layout))

@@ -38,24 +38,32 @@ def chain(seed: int, *parts: int) -> int:
     return h
 
 
-def mix64_vec(x: np.ndarray) -> np.ndarray:
-    """mix64 of every element of a uint64 array, in place; returns x."""
-    x ^= x >> np.uint64(30)
-    x *= np.uint64(0xBF58476D1CE4E5B9)
-    x ^= x >> np.uint64(27)
-    x *= np.uint64(0x94D049BB133111EB)
-    x ^= x >> np.uint64(31)
+def mix64_vec(x: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """mix64 of every element of a uint64 array, in place; returns x.
+
+    tmp, a uint64 array of x's shape, takes the shifted copies, so the
+    mix allocates nothing.
+    """
+    for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        np.right_shift(x, np.uint64(shift), out=tmp)
+        x ^= tmp
+        x *= np.uint64(mult)
+    np.right_shift(x, np.uint64(31), out=tmp)
+    x ^= tmp
     return x
 
 
-def chain_vec(seed: int, last: np.ndarray) -> np.ndarray:
+def chain_vec(seed: int, last: np.ndarray, tmp=None) -> np.ndarray:
     """Vectorized chain(seed, v) for one-limb values v (v < 2^64).
 
-    Agrees exactly with the scalar chain on every element.
+    Agrees exactly with the scalar chain on every element.  Given tmp,
+    a uint64 array of last's shape, last must be uint64 as well: it is
+    hashed in place, with tmp as mix64_vec's scratch, and nothing is
+    allocated.
     """
-    x = last.astype(np.uint64)
+    x = last.astype(np.uint64) if tmp is None else last
     x ^= np.uint64(mix64(seed ^ _GOLDEN) ^ _GOLDEN)
-    return mix64_vec(x)
+    return mix64_vec(x, np.empty_like(x) if tmp is None else tmp)
 
 
 def threshold_of(rate: float) -> int:
@@ -69,11 +77,13 @@ def threshold_of(rate: float) -> int:
     return int(round(rate * float(1 << 64)))
 
 
-# addresses per numpy pass of KeyedNoise.count and .apply: a pass holds a
-# few CHUNK-element uint64 temporaries (about 25 MB at this size; one pass
-# over a whole S1 grid would take about 580 MB), and passes of 2^20 were
-# no slower than passes of 4 * 10^6
-CHUNK = 1 << 20
+# addresses per numpy pass of KeyedNoise.count, .apply and .range_mask.
+# A call allocates its few CHUNK-element buffers once (about 1.6 MB at
+# this size, inside L2) and every pass reuses them.  Counting the hits
+# of one S1 grid (24 million addresses) took about 0.6 s in passes of
+# 2^20 that allocated fresh 8 MB temporaries, 0.12 s in passes of 2^15
+# and 0.10 s in passes of 2^16 with reused buffers (2-vCPU VM)
+CHUNK = 1 << 16
 
 
 class KeyedNoise:
@@ -98,27 +108,39 @@ class KeyedNoise:
         """Vectorized hit for one-limb addresses; agrees with ``hit``."""
         return chain_vec(self.prefix, addrs) < self.threshold
 
-    def range_mask(self, lo: int, hi: int) -> np.ndarray:
-        """hit(a) for every a in [lo, hi), addresses of any width.
+    def _passes(self, lo: int, hi: int):
+        """hit(a) for a in [lo, hi), addresses of any width, one pass of
+        at most CHUNK addresses at a time: yields (start, mask), where
+        mask is a view of a buffer that the next pass overwrites.
 
         The low limb is hashed vectorized and each higher limb, constant
         between multiples of 2^64, is folded in after it, as ``chain``
-        does; a range that crosses such a multiple is split there.
+        does; a pass never crosses such a multiple.
         """
-        out = np.empty(hi - lo, dtype=bool)
+        size = min(CHUNK, hi - lo)
+        ramp = np.arange(size, dtype=np.uint64)
+        h, tmp = np.empty(size, dtype=np.uint64), np.empty(size, dtype=np.uint64)
+        mask = np.empty(size, dtype=bool)
         start = lo
         while start < hi:
             top = start >> 64
-            stop = min(hi, (top + 1) << 64)
-            low = np.arange(stop - start, dtype=np.uint64)
-            low += np.uint64(start & _M64)
-            h = chain_vec(self.prefix, low)
+            stop = min(hi, start + CHUNK, (top + 1) << 64)
+            k = stop - start
+            hk, tk = h[:k], tmp[:k]
+            np.add(ramp[:k], np.uint64(start & _M64), out=hk)
+            chain_vec(self.prefix, hk, tk)
             while top:
-                h ^= np.uint64((top & _M64) ^ _GOLDEN)
-                mix64_vec(h)
+                hk ^= np.uint64((top & _M64) ^ _GOLDEN)
+                mix64_vec(hk, tk)
                 top >>= 64
-            out[start - lo : stop - lo] = h < self.threshold
+            yield start, np.less(hk, self.threshold, out=mask[:k])
             start = stop
+
+    def range_mask(self, lo: int, hi: int) -> np.ndarray:
+        """hit(a) for every a in [lo, hi), addresses of any width."""
+        out = np.empty(hi - lo, dtype=bool)
+        for start, mask in self._passes(lo, hi):
+            out[start - lo : start - lo + mask.size] = mask
         return out
 
     def replacement(self, addr: int, base: int) -> int:
@@ -127,23 +149,18 @@ class KeyedNoise:
 
     def count(self, lo: int, hi: int) -> int:
         """Number of hits in the address range [lo, hi)."""
-        return sum(
-            int(self.range_mask(start, stop).sum()) for start, stop in _chunks(lo, hi)
-        )
+        return sum(np.count_nonzero(mask) for _, mask in self._passes(lo, hi))
 
     def apply(self, lo: int, hi: int, word: np.ndarray) -> int:
         """Replace word[a] at every hit a in [lo, hi), in place; returns
-        the hit count."""
+        the hit count.  Addresses are word indices, so one limb wide."""
         total = 0
-        for start, stop in _chunks(lo, hi):
-            idx = start + np.flatnonzero(self.range_mask(start, stop))
-            shift = 1 + chain_vec(self.salt, idx) % np.uint64(self.n - 1)
+        for start, mask in self._passes(lo, hi):
+            idx = np.flatnonzero(mask)
+            idx += start
+            shift = chain_vec(self.salt, idx)
+            shift %= np.uint64(self.n - 1)
+            shift += np.uint64(1)
             word[idx] = (word[idx] + shift.astype(np.int64)) % self.n
             total += idx.size
         return total
-
-
-def _chunks(lo: int, hi: int):
-    """The range [lo, hi) as (start, stop) pieces of at most CHUNK addresses."""
-    for start in range(lo, hi, CHUNK):
-        yield start, min(start + CHUNK, hi)

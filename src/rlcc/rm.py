@@ -280,26 +280,72 @@ def fmatmul(ctx: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return ctx.sum_elements(prod, axis=-2)
 
 
+@lru_cache(maxsize=None)
+def _centred_digits(ctx: Field) -> np.ndarray:
+    """m x n float64: row i holds digit i of every code, centred into
+    [-floor(p/2), floor(p/2)] (the same residue mod p)."""
+    _, _, digits, _ = ctx.tables
+    return np.where(digits > ctx.p // 2, digits - ctx.p, digits).T.astype(np.float64)
+
+
+def _lane_layout(ctx: Field, inner: int):
+    """(width, lanes) for _fmatmul_digits: a sum of inner products of
+    two centred digits lies in [-bound, bound], bound = inner *
+    floor(p/2)^2, so it fits a width-bit two's-complement lane; lanes
+    of them share one float64 while they stay within its 53-bit
+    mantissa."""
+    m, p = ctx.m, ctx.p
+    bound = inner * (p // 2) ** 2
+    width = bound.bit_length() + 1
+    lanes = min(m, 53 // width)
+    # the reduction sums m lanes per power of X, then up to m of those
+    # times coefficients below p per output digit, in int64
+    assert lanes and m * bound * (1 + (m - 1) * (p - 1)) < 2**63, (
+        "digit products would not be exact"
+    )
+    return width, lanes
+
+
+@lru_cache(maxsize=64)
+def _packed_digits(ctx: Field, width: int, lanes: int) -> np.ndarray:
+    """groups x n float64: group g of code c holds its centred digits
+    g*lanes + t, t < lanes, as sum_t digit * 2^(width * t)."""
+    planes = _centred_digits(ctx)
+    scale = 2.0 ** (width * np.arange(lanes))
+    return np.stack(
+        [scale[: len(g)] @ g for g in np.split(planes, range(lanes, ctx.m, lanes))]
+    )
+
+
 def _fmatmul_digits(ctx: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """fmatmul through the m^2 float64 products of the operands' base-p
+    """fmatmul through float64 products of the operands' centred base-p
     digit matrices, then the digit polynomial reduced by the irreducible.
 
-    Exact: each product entry is an integer below inner * m * (p-1)^2.
+    a's m digit matrices are stacked row-wise and b's digits packed in
+    lanes (_lane_layout), so one product per lane group yields every
+    digit block (i, j); at S1 that is one product in all.  Exact: every
+    partial sum is an integer below 2^53, and each lane is read back
+    after a bias makes it nonnegative.
     """
-    _, _, digits, weights = ctx.tables
+    _, _, _, weights = ctx.tables
     m, p = ctx.m, ctx.p
     rows, inner = a.shape[-2:]
-    assert inner * m * (p - 1) ** 2 < 2**53, "digit products would not be exact"
-    planes = digits.T.astype(np.float64)
-    # digit i of a stacked row-wise, so one product per digit of b gives
-    # the blocks (i, j) for every i
-    da = np.concatenate([plane[a] for plane in planes], axis=-2)
-    conv = [0.0] * (2 * m - 1)
-    for j, plane in enumerate(planes):
-        prod = da @ plane[b]
-        for i in range(m):
-            conv[i + j] = conv[i + j] + prod[..., i * rows : (i + 1) * rows, :]
-    conv = [c.astype(np.int64) % p for c in conv]
+    width, lanes = _lane_layout(ctx, inner)
+    # digit i of a stacked row-wise: block i of a product is a_i @ b's lanes
+    da = np.concatenate([plane[a] for plane in _centred_digits(ctx)], axis=-2)
+    half, lane_mask = 1 << (width - 1), (1 << width) - 1
+    bias = sum(half << (width * t) for t in range(lanes))
+    conv = [0] * (2 * m - 1)
+    for g, packed in enumerate(_packed_digits(ctx, width, lanes)):
+        prod = (da @ packed[b]).astype(np.int64)
+        prod += bias
+        lane = np.empty_like(prod)
+        for j in range(g * lanes, min(m, (g + 1) * lanes)):
+            np.right_shift(prod, width * (j - g * lanes), out=lane)
+            lane &= lane_mask
+            lane -= half
+            for i in range(m):
+                conv[i + j] = conv[i + j] + lane[..., i * rows : (i + 1) * rows, :]
     out = 0
     for lo in range(m):
         digit = conv[lo] + sum(

@@ -194,6 +194,9 @@ BIG_FIELD = ["p = 2", "m = 21", "d = 1", "trials = 3"]
         (["correct", "--address", "-1"], ["preset = T1"], "--address"),
         (["correct", "--address", "31104"], ["preset = T1"], "--address"),
         (["correct", "--address", "3", "--noise", "2"], ["preset = T1"], "--noise"),
+        (["sweep", "--ps", "4", "--ms", "2"], ["preset = T1"], "p = 4 is not prime"),
+        (["sweep", "--ps", "x"], ["preset = T1"], "--ps 'x'"),
+        (["sweep", "--ms", "1"], ["preset = T1"], "m = 1 must be >= 2"),
     ],
 )
 def test_unrunnable_inputs_exit_two(argv, lines, message, tmp_path, capsys):

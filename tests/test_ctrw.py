@@ -240,6 +240,32 @@ def test_matrix_product_sampled_p3m2():
     assert abs(float(rep["singular_fraction"]) - float(exact)) <= 4 * se
 
 
+def test_matrix_product_sampled_detects_a_biased_product(monkeypatch):
+    # S1's field, 1000 draws: about 940 kept, so the chi-square runs on
+    # the product's (0, 0) entry, 17 cells of about 55 draws each
+    def check(trials):
+        return ctrw.matrix_product_check(17, 3, "sampled", trials, random.Random(5))
+
+    rep = check(1000)
+    assert rep["uniform_entries"] == 1 and rep["uniform_ok"]
+    honest = ctrw._mat_mul
+
+    def biased(a, b, p, m):
+        # (0, 0) never reads p - 1: one cell in p empties into cell 0
+        prod = honest(a, b, p, m)
+        head = (prod[0][0] % (p - 1),) + prod[0][1:]
+        return (head,) + prod[1:]
+
+    monkeypatch.setattr(ctrw, "_mat_mul", biased)
+    rep = check(1000)
+    assert rep["uniform_entries"] == 1 and not rep["uniform_ok"]
+    # too few draws for 5 per cell even on one entry: nothing is tested
+    monkeypatch.setattr(ctrw, "_mat_mul", honest)
+    rep = check(60)
+    assert rep["uniform_entries"] == 0 and rep["chi2_pvalue"] is None
+    assert not rep["uniform_ok"]
+
+
 def test_matrix_chi_square_matches_the_enumerating_formula():
     # the 3^9 products of T3, most never drawn: the statistic over the
     # drawn cells plus the empty ones equals the sum over every cell

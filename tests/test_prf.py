@@ -65,6 +65,37 @@ def test_keyed_noise_paths_agree(
     assert (chunked == word).all()
 
 
+@settings(derandomize=True, max_examples=6, deadline=None)
+@given(
+    prefix=st.integers(0, 2**64 - 1),
+    rate=st.sampled_from((0.0, 0.37, 1.0)),
+    wide=st.integers(2**64, S1_LENGTH - 2 * prf.CHUNK),
+    crossing=st.integers(1, 2**23),
+    size=st.integers(prf.CHUNK + 1, 2 * prf.CHUNK),
+    back=st.integers(0, 2 * prf.CHUNK),
+)
+def test_keyed_noise_count_matches_scalar_hit(prefix, rate, wide, crossing, size, back):
+    # whole passes of the real CHUNK at S1-sized addresses, and a range
+    # that starts up to back addresses before a multiple of 2^64
+    noise = KeyedNoise(prefix, 0, rate, 17)
+    for start in (wide, max(0, (crossing << 64) - min(back, size))):
+        want = sum(noise.hit(a) for a in range(start, start + size))
+        assert noise.count(start, start + size) == want
+
+
+def test_keyed_noise_apply_over_several_passes():
+    noise = KeyedNoise(2024, 77, 0.3, 4913)
+    lo, hi = 5, 5 + 2 * prf.CHUNK + 123
+    base = np.arange(hi, dtype=np.int64) * 7 % 4913
+    word = base.copy()
+    hits = [a for a in range(lo, hi) if noise.hit(a)]
+    assert noise.apply(lo, hi, word) == len(hits) == noise.count(lo, hi)
+    want = base.copy()
+    for a in hits:
+        want[a] = noise.replacement(a, int(base[a]))
+    assert (word == want).all()
+
+
 # Values recorded before Overlay, PointCorruption and the calibration's
 # noisy-base family were built on KeyedNoise: every selected address and
 # every Overlay symbol must stay the same.

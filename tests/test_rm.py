@@ -208,6 +208,86 @@ def test_fmatmul_matches_scalar_product_across_cutoff(pm, inner, rows, cols, bat
         assert gw.tolist() == brute_matmul(ctx, aw.tolist(), bw.tolist())
 
 
+# fmatmul's digit path: S1's GF(17^3), p = 2 (where centred digits are
+# 0 and 1 only) with few and many digits, and small odd p
+DIGIT_FIELDS = [(17, 3), (2, 3), (3, 4), (5, 2), (2, 8)]
+# inner dimensions tested stop here: GF(5^2) packs both digits up to 2^23
+DIGIT_INNER_CAP = 1 << 16
+
+
+def digit_inners(ctx):
+    """The digit path's least inner dimension, and the last one with as
+    many of b's digits per float64 as at 16 and the first with fewer
+    (or the cap)."""
+    lanes = rm._lane_layout(ctx, rm._DIGIT_INNER)[1]
+    last = rm._DIGIT_INNER
+    while last < DIGIT_INNER_CAP and rm._lane_layout(ctx, last + 1)[1] == lanes:
+        last += 1
+    return [rm._DIGIT_INNER, last, last + 1]
+
+
+def assert_fmatmul_matches_scalar(ctx, a, b, lead_a, lead_b):
+    """fmatmul of a and b, each given a leading batch axis of two
+    differing copies when asked, against the scalar product."""
+    if lead_a:
+        a = np.stack([a, a[::-1]])
+    if lead_b:
+        b = np.stack([b, b[:, ::-1]])
+    got = rm.fmatmul(ctx, a, b)
+    for w in range(2 if lead_a or lead_b else 1):
+        aw, bw = (a[w] if lead_a else a), (b[w] if lead_b else b)
+        gw = got[w] if got.ndim == 3 else got
+        assert gw.tolist() == brute_matmul(ctx, aw.tolist(), bw.tolist())
+
+
+@pytest.mark.parametrize("pm", DIGIT_FIELDS)
+@CROSS_CHECK
+@given(data=st.data())
+def test_fmatmul_digit_path_matches_scalar_product(pm, data):
+    ctx = field(*pm)
+    inner = data.draw(
+        st.one_of(st.sampled_from(digit_inners(ctx)), st.integers(rm._DIGIT_INNER, 600))
+    )
+    # small products at the largest inner dimensions keep the scalar reference quick
+    top = 3 if inner <= 600 else 1
+    rows, cols = data.draw(st.integers(1, top)), data.draw(st.integers(1, top))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    gen = np.random.default_rng(seed)
+    a = gen.integers(0, ctx.n, (rows, inner)) * (gen.random((rows, inner)) < 0.8)
+    b = gen.integers(0, ctx.n, (inner, cols)) * (gen.random((inner, cols)) < 0.8)
+    assert_fmatmul_matches_scalar(ctx, a, b, data.draw(st.booleans()), data.draw(st.booleans()))
+
+
+@pytest.mark.parametrize("pm", DIGIT_FIELDS)
+@settings(derandomize=True, max_examples=8, deadline=None)
+@given(data=st.data())
+def test_fmatmul_digit_path_exact_at_worst_magnitude(pm, data):
+    # every centred digit of every operand is +-floor(p/2), one sign
+    # pattern per row of a and column of b, so every digit block's
+    # entries reach the +-inner * floor(p/2)^2 that sizes the lanes
+    ctx = field(*pm)
+    half = ctx.p // 2
+    inner = data.draw(st.sampled_from(digit_inners(ctx)))
+    # digit h centres to +h and p - h to -h; at p = 2 only +1 exists
+    digit = st.sampled_from(sorted({half, ctx.p - half}))
+
+    def code():
+        return sum(data.draw(digit) * ctx.p**i for i in range(ctx.m))
+
+    a = np.repeat(np.array([[code()], [code()]]), inner, axis=1)
+    b = np.repeat(np.array([[code(), code()]]), inner, axis=0)
+    assert_fmatmul_matches_scalar(ctx, a, b, data.draw(st.booleans()), data.draw(st.booleans()))
+
+
+def test_lane_layout_packs_s1_horner_product_in_one_float():
+    # S1's Horner product: inner 561 = (d+2 choose 2) at d = 32; its
+    # centred digit products stay within 561 * 8^2 = 35,904, so 17-bit
+    # lanes hold all three of b's digits in one float64
+    assert rm._lane_layout(field(17, 3), 561) == (17, 3)
+    assert rm._lane_layout(field(17, 3), 1024) == (18, 2)
+    assert rm._lane_layout(field(2, 8), 32) == (7, 7)
+
+
 # (p, m) fields for evaluate_many; degrees reach the digit-plane fmatmul
 # (16 or more monomials in the other coordinates) where the field allows
 EVAL_MANY_FIELDS = [(2, 3), (3, 2), (5, 2), (2, 4), (17, 3)]
