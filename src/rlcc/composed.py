@@ -62,8 +62,8 @@ from .rm import (
     RmParams,
     eval_table,
     evaluate,
+    interpolate_lattice,
     restrict_to_plane,
-    restriction_triangles,
 )
 from .ctrw import walk_sample
 
@@ -334,23 +334,24 @@ def materialize(layout: ComposedLayout, message) -> np.ndarray:
 def _batched_proofs(layout, rm_tab, region) -> np.ndarray:
     """Coefficient triangles of every key in a region, degenerate keys zero.
 
-    Vectorized: gathers each live key's (d+1)^2 subgrid from the RM table
-    and interpolates all keys at once.
+    Vectorized: gathers each live key's k_2 degree-lattice values from
+    the RM table and interpolates all keys at once.
     """
     live, codes = key_subgrids(layout, region)
     tris = np.zeros((live.size, layout.coeff_len), dtype=np.int64)
     if codes.size:
-        grids = np.asarray(rm_tab, dtype=np.int64)[codes]
-        tris[live] = restriction_triangles(layout.rm.bivariate(), grids)
+        values = np.asarray(rm_tab, dtype=np.int64)[codes]
+        tris[live] = interpolate_lattice(layout.rm.bivariate(), values)
     return tris
 
 
 def key_subgrids(layout: ComposedLayout, region: str):
     """Live mask over every key of a proof region, and the point codes of
-    each live key's (d+1)^2 subgrid, shape (live, d+1, d+1).
+    each live key's k_2 degree-lattice points, shape (live, k_2).
 
     The numpy form of key_plane followed by
-    point_code(plane_point_at(plane, j, k)) for j, k <= d.
+    point_code(plane_point_at(plane, j, k)) for (j, k) in
+    monomial_basis(2, d) order, the lattice interpolate_lattice reads.
     """
     ctx = layout.ctx
     table = layout.key_tables[region]
@@ -361,12 +362,12 @@ def key_subgrids(layout: ComposedLayout, region: str):
     anchor, d1, d2 = layout.key_fields(region, np.arange(count, dtype=np.int64))
     live = spans[d1, d2]
     anchor, d1, d2 = anchor[live], d1[live], d2[live]
-    # offsets[:, a, b, j, k]: elem(j) * dir1[a] + elem(k) * dir2[b]
-    js = np.arange(layout.rm.d + 1, dtype=np.int64)
-    u = np.array(dir1, dtype=np.int64).T[:, :, None, None, None]
-    v = np.array(dir2, dtype=np.int64).T[:, None, :, None, None]
-    offsets = points_at(ctx, (0,) * ctx.m, (u, v), (js[:, None], js))
-    anchors = point_from_code(ctx, anchor[:, None, None])
+    # offsets[:, a, b, i]: elem(j_i) * dir1[a] + elem(k_i) * dir2[b]
+    js, ks = np.array(layout.rm.bivariate().basis, dtype=np.int64).T
+    u = np.array(dir1, dtype=np.int64).T[:, :, None, None]
+    v = np.array(dir2, dtype=np.int64).T[:, None, :, None]
+    offsets = points_at(ctx, (0,) * ctx.m, (u, v), (js, ks))
+    anchors = point_from_code(ctx, anchor[:, None])
     # one coordinate at a time keeps the digit temporaries small
     coords = [
         ctx.vec_add(a, offset[d1, d2]) for a, offset in zip(anchors, offsets)

@@ -8,7 +8,7 @@ wall-clock field.
 
 A config holds only what a caller varies.  The rest are the paper's
 constants: every walk takes m steps, alpha = rho/8, the proofs repeat
-R = 9 times (``PcppParams``' default), and the line-sampling set has
+R = 9 times (``PcppParams.repetitions``), and the line-sampling set has
 density mu = 1/4.  A config whose field or code cannot be built
 (p not prime, d >= |F|) is a ConfigError.
 
@@ -91,7 +91,8 @@ class ExperimentConfig:
         return self.rm.rho / 8
 
     def pcpp(self) -> PcppParams:
-        return PcppParams(self.pcpp_qv or 4, rho_prox=self.alpha)
+        q_v = 4 if self.pcpp_qv is None else self.pcpp_qv
+        return PcppParams(q_v, rho_prox=self.alpha)
 
     def digest(self) -> str:
         """Hash of the experiment the config describes; where its report
@@ -113,7 +114,9 @@ class ConfigError(ValueError):
 
 
 def parse_config_file(path) -> dict:
-    """Line-oriented ``key = value`` parser; '#' starts a comment."""
+    """Line-oriented ``key = value`` parser; '#' starts a comment.  A file
+    is the one outside input argparse does not check, so each value is
+    read as its field's type, within its range (_parse_value)."""
     out = {}
     for raw in Path(path).read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -121,20 +124,29 @@ def parse_config_file(path) -> dict:
             continue
         if "=" not in line:
             raise ConfigError(f"bad config line: {raw!r}")
-        key, _, val = line.partition("=")
-        out[key.strip()] = _parse_value(val.strip())
+        key, val = (part.strip() for part in line.split("=", 1))
+        out[key] = _parse_value(key, val)
     return out
 
 
-def _parse_value(text: str):
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            pass
-    if text.lower() in ("true", "false"):
-        return text.lower() == "true"
-    return text
+def _parse_value(key: str, text: str):
+    """A config-file value as its field's type.  Text fields, and keys
+    that are no field (make_config rejects them), keep the text."""
+    kinds = {f.name: f.type.removesuffix(" | None") for f in fields(ExperimentConfig)}
+    kind = kinds.get(key, "str")
+    bools = {"true": True, "false": False}
+    read = {"int": int, "float": float, "bool": lambda t: bools[t.lower()]}.get(kind)
+    if read is None:
+        return text
+    try:
+        value = read(text)
+    except (KeyError, ValueError):
+        raise ConfigError(f"{key} = {text!r} is not a valid {kind}") from None
+    if key == "pcpp_qv" and value < 1:
+        raise ConfigError(f"pcpp_qv = {value} must be >= 1")
+    if key == "delta" and not 0 <= value <= 1:
+        raise ConfigError(f"delta = {value} must lie in [0, 1]")
+    return value
 
 
 def make_config(**kwargs) -> ExperimentConfig:

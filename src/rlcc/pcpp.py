@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import ClassVar
 
 from .rm import (
     AugmentedWord,
@@ -48,17 +49,15 @@ BOT = _Bottom()
 
 @dataclass(frozen=True)
 class PcppParams:
-    """q_v spot-check rounds over R repeated coefficient blocks."""
+    """q_v spot-check rounds over R = 9 repeated coefficient blocks."""
 
     q_v: int
-    repetitions: int = 9
     rho_prox: Fraction = Fraction(1, 8)
+    repetitions: ClassVar[int] = 9
 
     def __post_init__(self):
         if self.q_v < 1:
             raise ValueError("q_v must be >= 1")
-        if self.repetitions < 3 or self.repetitions % 2 == 0:
-            raise ValueError("repetition count must be odd and >= 3")
         if not 0 < self.rho_prox < 1:
             raise ValueError("proximity parameter must lie in (0, 1)")
 

@@ -197,6 +197,18 @@ BIG_FIELD = ["p = 2", "m = 21", "d = 1", "trials = 3"]
         (["sweep", "--ps", "4", "--ms", "2"], ["preset = T1"], "p = 4 is not prime"),
         (["sweep", "--ps", "x"], ["preset = T1"], "--ps 'x'"),
         (["sweep", "--ms", "1"], ["preset = T1"], "m = 1 must be >= 2"),
+        # config-file values are read as their field's type and range
+        (["ctrw-run"], ["preset = T2", "trials = 2.5"], "trials = '2.5' is not a valid int"),
+        (["layout-report"], ["preset = T2", "pcpp_qv = abc"], "pcpp_qv = 'abc' is not a valid int"),
+        (["layout-report"], ["preset = T2", "pcpp_qv = -2"], "pcpp_qv = -2 must be >= 1"),
+        (["layout-report"], ["preset = T2", "pcpp_qv = 0"], "pcpp_qv = 0 must be >= 1"),
+        (["soundness-exp"], ["preset = T2", "delta = abc"], "delta = 'abc' is not a valid float"),
+        (["soundness-exp"], ["preset = T2", "delta = -0.1"], "delta = -0.1 must lie in [0, 1]"),
+        (
+            ["soundness-exp"],
+            ["p = 2", "m = 2", "d = 2", "trials = 2", "allow_unsound = no"],
+            "allow_unsound = 'no' is not a valid bool",
+        ),
     ],
 )
 def test_unrunnable_inputs_exit_two(argv, lines, message, tmp_path, capsys):

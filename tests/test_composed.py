@@ -8,7 +8,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rlcc import composed, harness, rm
-from rlcc.geometry import plane_point_at, point_code, point_from_code, sample_point
+from rlcc.geometry import (
+    codes_of,
+    plane_point_at,
+    point_code,
+    point_from_code,
+    points_at,
+    sample_point,
+    spans_plane,
+)
 from rlcc.gf import Field
 from rlcc.pcpp import BOT, PcppParams, QueryCounter
 
@@ -183,24 +191,25 @@ def test_degenerate_blocks_are_zero(t1):
     assert zero_count == 16 * (4 + 3 * 2)
 
 
-def _scalar_subgrids(layout, region, size):
+def _scalar_lattices(layout, region, d):
     """Reference for key_subgrids: the scalar key plane of every key in a
-    region, then point_code(plane_point_at(...)) on its size^2 subgrid."""
+    region, then point_code(plane_point_at(...)) at its degree-d lattice
+    points (j, k), in monomial_basis(2, d) order."""
     ctx = layout.ctx
     count = {
         composed.POINT_REGION: layout.point_keys,
         composed.LINE_REGION: layout.line_keys,
     }[region]
+    lattice = rm.monomial_basis(2, d)
     live, codes = [], []
     for key_idx in range(count):
         plane, _ = layout.key_plane(region, key_idx)
         live.append(plane is not None)
         if plane is not None:
-            codes.append([
-                [point_code(ctx, plane_point_at(ctx, plane, j, k)) for k in range(size)]
-                for j in range(size)
-            ])
-    return np.array(live), np.array(codes, dtype=np.int64).reshape(-1, size, size)
+            codes.append(
+                [point_code(ctx, plane_point_at(ctx, plane, j, k)) for j, k in lattice]
+            )
+    return np.array(live), np.array(codes, dtype=np.int64).reshape(-1, len(lattice))
 
 
 # T1, T2 and GF(3^2): with p = 3, v = 2u is a colinear H-pair
@@ -212,17 +221,59 @@ def test_key_subgrids_match_scalar_key_planes(p, m, region):
         d: composed.ComposedLayout(rm.RmParams(ctx, m, d), PcppParams(4))
         for d in (1, 2)
     }
-    # key planes do not depend on d, and the d = 1 subgrid is the top-left
-    # corner of the d = 2 one, so one scalar pass serves both degrees
-    ref_live, ref_codes = _scalar_subgrids(layouts[2], region, 3)
+    # key planes do not depend on d, and graded-lex order puts the d = 1
+    # lattice first in the d = 2 one, so one scalar pass serves both degrees
+    ref_live, ref_codes = _scalar_lattices(layouts[2], region, 2)
     for d, layout in layouts.items():
         live, codes = composed.key_subgrids(layout, region)
         assert live.dtype == bool
         assert np.array_equal(live, ref_live)
-        assert np.array_equal(codes, ref_codes[:, : d + 1, : d + 1])
+        assert np.array_equal(codes, ref_codes[:, : layout.coeff_len])
     if p == 3 and region == composed.POINT_REGION:
         # u = (1, 0) has H-index 1 and v = 2u = (2, 0) has H-index 2
         assert not live[layouts[1].key_index(region, 0, 1, 2)]
+
+
+# T2, and GF(3^2) at d = 2, where the lattice is not the whole node grid
+@pytest.mark.parametrize("p, m, d", [(2, 3, 1), (3, 2, 2)])
+def test_materialized_triangles_are_the_key_plane_restrictions(p, m, d):
+    # no interpolation: every live key's triangle, evaluated over its whole
+    # plane, must give the RM table at that plane's points
+    ctx = Field(p, m)
+    layout = composed.ComposedLayout(rm.RmParams(ctx, m, d), PcppParams(4))
+    r = random.Random(15)
+    message = [r.randrange(ctx.n) for _ in range(layout.rm.k)]
+    word = composed.materialize(layout, message)
+    table = rm.eval_table(layout.rm, message)
+    n = ctx.n
+    tt, ss = np.divmod(np.arange(n * n), n)
+    # monomials[i, g] = t^a s^b for basis entry i = (a, b) at grid position g
+    monomials = np.array(
+        [
+            [ctx.mul(ctx.pow(t, a), ctx.pow(s, b)) for t, s in zip(tt.tolist(), ss.tolist())]
+            for a, b in layout.rm.bivariate().basis
+        ],
+        dtype=np.int64,
+    )
+    anchors = np.arange(layout.rm_points, dtype=np.int64)
+    anchor_coords = [c[:, None] for c in point_from_code(ctx, anchors)]
+    for region in (composed.POINT_REGION, composed.LINE_REGION):
+        keys = layout.key_tables[region]
+        for d1 in range(keys.dir1_count):
+            u = keys.dir1_of(d1)
+            for d2 in range(layout.h_count):
+                v = ctx.coeffs_of(d2)
+                if not spans_plane(ctx, u, v):
+                    continue
+                starts = layout.block_address(
+                    region, layout.key_index(region, anchors, d1, d2)
+                )
+                blocks = word[starts[:, None] + np.arange(layout.proof_len)]
+                copies = blocks.reshape(len(anchors), -1, layout.coeff_len)
+                assert (copies == copies[:, :1]).all()
+                got = rm.fmatmul(ctx, copies[:, 0].astype(np.int64), monomials)
+                codes = codes_of(ctx, points_at(ctx, anchor_coords, (u, v), (tt, ss)))
+                assert np.array_equal(got, table[codes])
 
 
 @pytest.mark.parametrize(

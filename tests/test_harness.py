@@ -212,12 +212,12 @@ def test_calibration_doubling_halves(tmp_path):
     )
     rm2d = cfg.rm.bivariate()
     rng = random.Random(5)
-    families = harness._far_families(rm2d, PcppParams(1, 9, cfg.alpha), rng)
+    families = harness._far_families(rm2d, PcppParams(1, cfg.alpha), rng)
     a1, _ = harness.measure_far_acceptance(
-        rm2d, PcppParams(2, 9, cfg.alpha), families, 400, random.Random(1)
+        rm2d, PcppParams(2, cfg.alpha), families, 400, random.Random(1)
     )
     a2, _ = harness.measure_far_acceptance(
-        rm2d, PcppParams(4, 9, cfg.alpha), families, 400, random.Random(2)
+        rm2d, PcppParams(4, cfg.alpha), families, 400, random.Random(2)
     )
     if a1 <= 0.5:
         assert a2 <= a1 / 2 + 0.1

@@ -31,10 +31,10 @@ def make_member(params2d, coeffs, kind, selector=(0, 0)):
 def test_params_validation():
     with pytest.raises(ValueError):
         PcppParams(0)
-    with pytest.raises(ValueError):
-        PcppParams(2, repetitions=4)  # even
-    with pytest.raises(ValueError):
-        PcppParams(2, repetitions=1)
+    # R = 9 is a constant, not a parameter
+    assert PcppParams(2).repetitions == 9
+    with pytest.raises(TypeError):
+        PcppParams(2, repetitions=9)
     with pytest.raises(ValueError):
         PcppParams(2, rho_prox=Fraction(3, 2))
 

@@ -147,31 +147,33 @@ def test_batched_interpolate_matches_per_grid_and_bruteforce(case, batch, r):
     p, m, d = case
     ctx = field(p, m)
     params2d = rm.RmParams(ctx, 2, d)
-    size = d + 1
-    # about 30% of the entries are zero, which the log-domain product masks
-    grids = np.array(
+    lattice = np.array(params2d.basis, dtype=np.int64).T
+    # about 30% of the values are zero, which the log-domain product masks
+    values = np.array(
         [
-            [[r.randrange(ctx.n) if r.random() < 0.7 else 0 for _ in range(size)]
-             for _ in range(size)]
+            [r.randrange(ctx.n) if r.random() < 0.7 else 0 for _ in params2d.basis]
             for _ in range(batch)
         ],
         dtype=np.int64,
     )
-    got = rm.interpolate_grid(params2d, grids)
-    minv = rm._inverse_vandermonde(ctx, d).tolist()
-    minv_t = [list(col) for col in zip(*minv)]
-    for w in range(batch):
-        assert np.array_equal(got[w], rm.interpolate_grid(params2d, grids[w]))
-        want = brute_matmul(ctx, brute_matmul(ctx, minv, grids[w].tolist()), minv_t)
-        assert got[w].tolist() == want
+    got = rm.interpolate_lattice(params2d, values)
+    assert got.shape == values.shape
+    for row, tri in zip(values, got):
+        assert np.array_equal(tri, rm.interpolate_lattice(params2d, row))
+        # the lattice point (e_a, e_b) is the grid position (a, b)
+        assert np.array_equal(rm.evaluate_many(params2d, tri, lattice), row)
+        want = [brute_evaluate(ctx, params2d.basis, tri.tolist(), pt) for pt in lattice.T]
+        assert row.tolist() == want
 
 
 @pytest.mark.parametrize("p, m, d", [(2, 3, 1), (3, 3, 4), (17, 3, 32)])
 def test_inverse_vandermonde_inverts_vandermonde(p, m, d):
-    # against the definition V[i][j] = e_i^j, under the scalar product
+    # the Newton operators compose to V^-1 for V[i][j] = e_i^j, checked
+    # against that definition under the scalar product
     ctx = field(p, m)
     vander = [[ctx.pow(i, j) for j in range(d + 1)] for i in range(d + 1)]
-    minv = rm._inverse_vandermonde(ctx, d).tolist()
+    diff, newton = rm._newton_operators(ctx, d)
+    minv = brute_matmul(ctx, newton.tolist(), diff.tolist())
     identity = np.eye(d + 1, dtype=np.int64).tolist()
     assert brute_matmul(ctx, vander, minv) == identity
     assert brute_matmul(ctx, minv, vander) == identity
