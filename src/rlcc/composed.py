@@ -362,17 +362,11 @@ def key_subgrids(layout: ComposedLayout, region: str):
     anchor, d1, d2 = layout.key_fields(region, np.arange(count, dtype=np.int64))
     live = spans[d1, d2]
     anchor, d1, d2 = anchor[live], d1[live], d2[live]
-    # offsets[:, a, b, i]: elem(j_i) * dir1[a] + elem(k_i) * dir2[b]
     js, ks = np.array(layout.rm.bivariate().basis, dtype=np.int64).T
-    u = np.array(dir1, dtype=np.int64).T[:, :, None, None]
-    v = np.array(dir2, dtype=np.int64).T[:, None, :, None]
-    offsets = points_at(ctx, (0,) * ctx.m, (u, v), (js, ks))
+    u = np.array(dir1, dtype=np.int64)[d1].T[:, :, None]
+    v = np.array(dir2, dtype=np.int64)[d2].T[:, :, None]
     anchors = point_from_code(ctx, anchor[:, None])
-    # one coordinate at a time keeps the digit temporaries small
-    coords = [
-        ctx.vec_add(a, offset[d1, d2]) for a, offset in zip(anchors, offsets)
-    ]
-    return live, codes_of(ctx, coords)
+    return live, codes_of(ctx, points_at(ctx, anchors, (u, v), (js, ks)))
 
 
 # ---------------------------------------------------------------------------

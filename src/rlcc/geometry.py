@@ -13,12 +13,16 @@ column k = 0, is the line anchor + elem(j) * dir1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .gf import Field
 
 Point = tuple
+
+# entries of one lane_tables reduce table (512 KB as int32)
+_REDUCE_LIMIT = 1 << 17
 
 
 def point_code(ctx: Field, point) -> int:
@@ -94,19 +98,85 @@ def plane_point_at(ctx: Field, plane: PlaneRep, j: int, k: int):
     return add_points(ctx, pt, scale_point(ctx, k, plane.dir2))
 
 
+@lru_cache(maxsize=None)
+def lane_tables(ctx: Field):
+    """Integer tables that add up to three field elements without carries.
+
+    A code's base-p digits are packed into mixed-radix lanes, digit i in
+    lane i, with radix R = 3(p-1)+1: the lanes of an anchor and of two
+    products then sum lane-wise, each lane below R.  Returns (log,
+    lanes, reduce, group):
+
+    - log: the log table with log(0) = 2(n-1)-1, past every sum of two
+      nonzero logs;
+    - lanes[e]: the lanes of antilog(e) for e < 2(n-1)-1, and 0 at the
+      last entry, so lanes[log[a]] packs a, and a sum of two logs read
+      with mode="clip" gives 0 when either factor is zero;
+    - reduce[s]: the code of a value s of `group` lanes, each lane taken
+      mod p.  The lanes split into equal groups of at most 2^17 reduce
+      entries, so the table stays small however large m is.
+
+    lanes is int32 when R^m fits, and R^m < 2^63 for every field with
+    cached tables.
+    """
+    exp_t, log_t, digits, _ = ctx.tables
+    n, m, p = ctx.n, ctx.m, ctx.p
+    radix = 3 * (p - 1) + 1
+    dtype = np.int32 if radix**m <= 1 << 31 else np.int64
+    zero = 2 * (n - 1) - 1
+    log = np.array(log_t, dtype=np.int32)
+    log[0] = zero
+    packed = np.zeros(n, dtype=dtype)
+    for i in range(m):
+        packed += digits[:, i] * dtype(radix**i)
+    lanes = np.zeros(zero + 1, dtype=dtype)
+    lanes[:zero] = packed[exp_t[:zero]]
+    group = 1
+    while group < m and radix ** (group + 1) <= _REDUCE_LIMIT:
+        group += 1
+    # the fewest groups, then lanes spread evenly over them
+    group = -(-m // -(-m // group))
+    # outer sums of length-R lane vectors: no temporary outgrows the table
+    lane = np.arange(radix, dtype=np.int32) % p
+    reduce = lane
+    for i in range(1, group):
+        reduce = (reduce + (lane * p**i)[:, None]).reshape(-1)
+    return log, lanes, reduce, group
+
+
+def _lane_codes(ctx: Field, s) -> np.ndarray:
+    """Codes of lane sums s: one reduce lookup per group of lanes, the
+    top group first."""
+    _, _, reduce, group = lane_tables(ctx)
+    lows = []
+    for _ in range(-(-ctx.m // group) - 1):
+        s, low = np.divmod(s, len(reduce))
+        lows.append(low)
+    code = reduce[s]
+    for low in reversed(lows):
+        code = code * ctx.p**group + reduce[low]
+    return code
+
+
 def points_at(ctx: Field, anchor, dirs, params) -> np.ndarray:
     """Coordinates of anchor + sum of elem(t) * u over (u, t) in
     zip(dirs, params), vectorized: the numpy form of line_points and
     plane_point_at.  Anchor and direction coordinates and parameters
     are codes or code arrays that broadcast together; the result is a
-    (len(anchor), *shape) code array.  Each coordinate's terms are
-    summed in one field sum."""
+    (len(anchor), *shape) code array.  Each coordinate is the lane sum
+    of the anchor and at most two products, read from lane_tables and
+    reduced to codes once."""
+    if len(dirs) > 2:
+        raise ValueError("points_at adds at most two products to the anchor")
+    log, lanes, _, _ = lane_tables(ctx)
+    logs = [log[t] for t in params]
     coords = []
     for i, a in enumerate(anchor):
-        terms = [ctx.vec_mul(u[i], t) for u, t in zip(dirs, params)]
-        terms = np.stack(np.broadcast_arrays(a, *terms))
-        coords.append(ctx.sum_elements(terms, axis=0))
-    return np.stack(np.broadcast_arrays(*coords))
+        s = lanes[log[a]]
+        for u, lt in zip(dirs, logs):
+            s = s + np.take(lanes, log[u[i]] + lt, mode="clip")
+        coords.append(_lane_codes(ctx, s))
+    return np.stack(np.broadcast_arrays(*coords), dtype=np.int64)
 
 
 def codes_of(ctx: Field, coords) -> np.ndarray:

@@ -324,17 +324,6 @@ class Field:
             return out
         return (digits[arr].sum(axis=axis) % self.p) @ weights
 
-    def vec_add(self, a, b):
-        _, _, digits, w = self.tables
-        return ((digits[a] + digits[b]) % self.p) @ w
-
-    def vec_mul(self, a, b):
-        exp, log, _, _ = self.tables
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        out = exp[log[a] + log[b]]
-        return np.where((a == 0) | (b == 0), 0, out)
-
     def __repr__(self):
         return f"Field({self.p}^{self.m}, X-poly {list(self.irreducible)})"
 

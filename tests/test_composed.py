@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from rlcc import composed, harness, rm
 from rlcc.geometry import (
+    PlaneRep,
     codes_of,
     plane_point_at,
     point_code,
@@ -192,24 +193,42 @@ def test_degenerate_blocks_are_zero(t1):
 
 
 def _scalar_lattices(layout, region, d):
-    """Reference for key_subgrids: the scalar key plane of every key in a
-    region, then point_code(plane_point_at(...)) at its degree-d lattice
-    points (j, k), in monomial_basis(2, d) order."""
-    ctx = layout.ctx
-    count = {
-        composed.POINT_REGION: layout.point_keys,
-        composed.LINE_REGION: layout.line_keys,
-    }[region]
+    """Reference for key_subgrids, one (dir1, dir2) pair at a time: the
+    scalar key plane of the pair at anchor 0, its plane_point_at offsets
+    at the degree-d lattice points (j, k) in monomial_basis(2, d) order,
+    added to every anchor's base-p digits mod p, then point codes; keys
+    in key-index order."""
+    ctx, p, m = layout.ctx, layout.ctx.p, layout.ctx.m
+    dir1_count = layout.key_tables[region].dir1_count
     lattice = rm.monomial_basis(2, d)
-    live, codes = [], []
-    for key_idx in range(count):
-        plane, _ = layout.key_plane(region, key_idx)
-        live.append(plane is not None)
-        if plane is not None:
-            codes.append(
-                [point_code(ctx, plane_point_at(ctx, plane, j, k)) for j, k in lattice]
+    # digits[a, i, c]: base-p digit c of coordinate i of anchor a
+    digits = np.array(
+        [
+            [ctx.coeffs_of(c) for c in point_from_code(ctx, a)]
+            for a in range(layout.rm_points)
+        ],
+        dtype=np.int64,
+    )
+    live = np.zeros((layout.rm_points, dir1_count, layout.h_count), dtype=bool)
+    codes = np.zeros(live.shape + (len(lattice),), dtype=np.int64)
+    for d1 in range(dir1_count):
+        for d2 in range(layout.h_count):
+            plane, _ = layout.key_plane(region, layout.key_index(region, 0, d1, d2))
+            if plane is None:
+                continue
+            origin = PlaneRep((0,) * m, plane.dir1, plane.dir2)
+            offsets = np.array(
+                [
+                    [ctx.coeffs_of(c) for c in plane_point_at(ctx, origin, j, k)]
+                    for j, k in lattice
+                ],
+                dtype=np.int64,
             )
-    return np.array(live), np.array(codes, dtype=np.int64).reshape(-1, len(lattice))
+            # coords[a, l, i]: coordinate i of lattice point l of anchor a
+            coords = (digits[:, None] + offsets) % p @ (p ** np.arange(m))
+            live[:, d1, d2] = True
+            codes[:, d1, d2] = coords @ (ctx.n ** np.arange(m))
+    return live.reshape(-1), codes[live]
 
 
 # T1, T2 and GF(3^2): with p = 3, v = 2u is a colinear H-pair

@@ -1,4 +1,5 @@
 import random
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -110,37 +111,66 @@ def test_plane_matches_bruteforce_tiny():
     assert set(geo.plane_points(ctx, plane)) == expected
 
 
-@settings(derandomize=True, max_examples=20, deadline=None)
+# one Field per (p, m): GF(17^4) takes about a second to tabulate
+_field = lru_cache(maxsize=None)(Field)
+
+
+# (2, 10), (17, 4) and (31, 3) reduce their lanes in two groups; GF(31^3)
+# and GF(17^4) have radix 91 and 49
+@settings(derandomize=True, max_examples=24, deadline=None)
 @given(
-    st.sampled_from([(2, 2), (2, 3), (3, 3), (17, 3)]),
+    st.sampled_from([(2, 2), (2, 3), (3, 3), (17, 3), (2, 10), (3, 5), (17, 4), (31, 3)]),
     st.integers(0, 2**32),
 )
 def test_points_at_matches_scalar_points(pm, seed):
-    ctx = Field(*pm)
+    ctx = _field(*pm)
     r = random.Random(seed)
     while True:
         d1, d2 = geo.sample_point(ctx, r), geo.sample_point(ctx, r)
         if not (geo.is_zero(d1) or geo.is_zero(d2) or geo.is_colinear(ctx, d1, d2)):
             break
-    plane = geo.PlaneRep.make(ctx, geo.sample_point(ctx, r), d1, d2)
-    # plane positions (jj, kk)
-    jj = np.array([[0, r.randrange(ctx.n)], [r.randrange(ctx.n), ctx.n - 1]])
-    kk = np.array([[0, 0], [r.randrange(ctx.n), r.randrange(ctx.n)]])
+    # a zero coordinate in each direction reads the log(0) tail
+    d1 = d1[:-1] + (0,) if any(d1[:-1]) else d1
+    d2 = (0,) + d2[1:] if any(d2[1:]) else d2
+    plane = geo.PlaneRep(geo.sample_point(ctx, r), d1, d2)
+    # plane positions (jj, kk), zero parameters among them
+    jj = np.array([[0, r.randrange(ctx.n)], [r.randrange(ctx.n), ctx.n - 1], [0, 1]])
+    kk = np.array([[0, 0], [r.randrange(ctx.n), r.randrange(ctx.n)], [r.randrange(ctx.n), 0]])
     coords = geo.points_at(ctx, plane.anchor, (d1, d2), (jj, kk))
-    assert coords.shape == (ctx.m, 2, 2)
+    assert coords.shape == (ctx.m, 3, 2)
+    # int64 point codes exist only while n^m < 2^63: not in GF(2^10)^10
+    # or GF(17^4)^4
+    has_codes = ctx.n**ctx.m < 2**63
     codes = geo.plane_codes_at(ctx, plane, jj, kk)
     for idx in np.ndindex(jj.shape):
         pt = geo.plane_point_at(ctx, plane, int(jj[idx]), int(kk[idx]))
         assert tuple(coords[(slice(None),) + idx].tolist()) == pt
-        assert codes[idx] == geo.point_code(ctx, pt)
-    # one direction: a whole line in position order
-    coords = geo.points_at(ctx, plane.anchor, (d1,), (np.arange(ctx.n),))
-    pts = geo.line_points(ctx, plane.anchor, d1)
-    assert [tuple(c) for c in coords.T.tolist()] == pts
-    assert geo.codes_of(ctx, coords).tolist() == [geo.point_code(ctx, p) for p in pts]
+        assert codes[idx] == geo.point_code(ctx, pt) or not has_codes
+    # one direction: a whole line in position order, in fields up to
+    # S1's; the lines below check larger ones at chosen positions
+    if ctx.n <= 17**3:
+        coords = geo.points_at(ctx, plane.anchor, (d1,), (np.arange(ctx.n),))
+        pts = geo.line_points(ctx, plane.anchor, d1)
+        assert [tuple(c) for c in coords.T.tolist()] == pts
+        want = [geo.point_code(ctx, p) for p in pts]
+        assert geo.codes_of(ctx, coords).tolist() == want or not has_codes
+    # one direction per line with array anchors, shaped (m, lines, 1)
+    # against positions as line_sampling_exp passes them; the last line
+    # starts at the origin
+    lines = [(geo.sample_point(ctx, r), geo.sample_point(ctx, r)) for _ in range(3)]
+    lines[-1] = ((0,) * ctx.m, lines[-1][1])
+    xs, ys = (np.array(a).T[:, :, None] for a in zip(*lines))
+    ts = np.array([0, 1, r.randrange(ctx.n), ctx.n - 1])
+    coords = geo.points_at(ctx, xs, (ys,), (ts,))
+    assert coords.shape == (ctx.m, 3, 4)
+    for line_idx, (x, y) in enumerate(lines):
+        for t_idx, t in enumerate(ts.tolist()):
+            pt = geo.plane_point_at(ctx, geo.PlaneRep(x, y, y), t, 0)
+            assert tuple(coords[:, line_idx, t_idx].tolist()) == pt
     # array anchors and directions, one (d+1) x (d+1) subgrid per key;
     # degenerate direction pairs are allowed here
     keys = [tuple(geo.sample_point(ctx, r) for _ in range(3)) for _ in range(5)]
+    keys[0] = (keys[0][0], (0,) * ctx.m, keys[0][2])
     anchors, us, vs = (np.array(a).T[:, :, None, None] for a in zip(*keys))
     js = np.arange(3)
     coords = geo.points_at(ctx, anchors, (us, vs), (js[:, None], js))
@@ -149,6 +179,20 @@ def test_points_at_matches_scalar_points(pm, seed):
         for j, k in product(range(3), repeat=2):
             pt = geo.plane_point_at(ctx, geo.PlaneRep(a, u, v), j, k)
             assert tuple(coords[:, key_idx, j, k].tolist()) == pt
+
+
+def test_points_at_takes_at_most_two_directions(gf8):
+    with pytest.raises(ValueError, match="at most two"):
+        geo.points_at(gf8, (1, 2, 3), ((1, 0, 0),) * 3, (1, 2, 3))
+
+
+def test_lane_tables_stay_small():
+    # the reduce table is split into lane groups of at most 2^17 entries,
+    # so no field of a sweep over m = 2..6 allocates a huge table
+    for ctx in (_field(17, 3), _field(17, 4), _field(2, 12)):
+        log, lanes, reduce, _ = geo.lane_tables(ctx)
+        assert len(reduce) <= 1 << 17
+        assert log.nbytes + lanes.nbytes + reduce.nbytes <= 1 << 20
 
 
 def test_sample_h_direction_support(gf4, rng):

@@ -4,6 +4,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from rlcc.geometry import points_at
 from rlcc.gf import Field, find_irreducible, is_irreducible, matrix_rep, parse_descriptor, point_from_matrix
 
 
@@ -107,16 +108,20 @@ def test_descriptor_roundtrip(gf8):
 
 
 def test_vector_ops_match_scalar():
+    # the vector sums and products are points_at on one coordinate:
+    # a + elem(b) * 1 and 0 + elem(b) * a
     f = Field(17, 3)
     rng = random.Random(3)
     a = np.array([rng.randrange(f.n) for _ in range(400)], dtype=np.int64)
     b = np.array([rng.randrange(f.n) for _ in range(400)], dtype=np.int64)
-    va, vm = f.vec_add(a, b), f.vec_mul(a, b)
+    a[:20], b[10:30] = 0, 0
+    (va,) = points_at(f, (a,), ((1,),), (b,))
+    (vm,) = points_at(f, (0,), ((a,),), (b,))
     for i in range(400):
         assert va[i] == f.add(int(a[i]), int(b[i]))
         assert vm[i] == f.mul(int(a[i]), int(b[i]))
     t = rng.randrange(1, f.n)
-    vsc = f.vec_mul(t, a)
+    (vsc,) = points_at(f, (0,), ((t,),), (a,))
     for i in range(400):
         assert vsc[i] == f.mul(t, int(a[i]))
 

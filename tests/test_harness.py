@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from dataclasses import fields
@@ -332,3 +333,13 @@ def test_s1_calibration_pinned(tmp_path):
         "tail-flip/honest-proof": 0.0,
         "tail-flip/shifted-proof": 0.0,
     }
+
+
+def test_s1_soundness_report_pinned():
+    # a small S1 soundness report, byte for byte apart from its wall
+    # clock: a change to the draws or to the plane arithmetic moves it
+    cfg = harness.make_config(preset="S1", kind="soundness", trials=8, seed=716)
+    rep = harness.run_experiment(cfg)
+    rep.pop("wall_clock")
+    digest = hashlib.sha256(harness.render_json(rep).encode()).hexdigest()
+    assert digest == "eecdcabee2feeb30208673b26dea37966e6d9e5278b9efc2bf03e2d2b24ec58d"
