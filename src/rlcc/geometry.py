@@ -179,9 +179,13 @@ def points_at(ctx: Field, anchor, dirs, params) -> np.ndarray:
     return np.stack(np.broadcast_arrays(*coords), dtype=np.int64)
 
 
+# codes_of's int64 point codes are exact only below this
+CODE_LIMIT = 1 << 63
+
+
 def codes_of(ctx: Field, coords) -> np.ndarray:
     """Point codes of a sequence of coordinate arrays, the numpy form of
-    point_code."""
+    point_code; they wrap once n^m reaches CODE_LIMIT."""
     code = np.zeros((), dtype=np.int64)
     for c in reversed(coords):
         code = code * ctx.n + c

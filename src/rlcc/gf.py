@@ -132,7 +132,6 @@ class Field:
             self._build_tables()
         self._np = None
         self._packed = None
-        self._exp_ext = None
 
     # -- codecs -------------------------------------------------------------
 
@@ -289,16 +288,6 @@ class Field:
                 np.array(self._pw, dtype=np.int64),
             )
         return self._np
-
-    def exp_extended(self, needed: int) -> np.ndarray:
-        """Antilog table covering exponents [0, needed): avoids a modulo
-        pass on large exponent arrays."""
-        if self._exp_ext is None or len(self._exp_ext) < needed:
-            q = self.n - 1
-            reps = -(-max(needed, 2 * q) // q)
-            base = np.array(self._exp[:q], dtype=np.int64)
-            self._exp_ext = np.tile(base, reps)
-        return self._exp_ext
 
     def sum_elements(self, arr: np.ndarray, axis: int) -> np.ndarray:
         """Sum field elements (codes) along an axis of an int array.

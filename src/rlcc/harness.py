@@ -34,7 +34,7 @@ import numpy as np
 
 from . import __version__, composed, ctrw
 from .gf import _TABLE_LIMIT, Field
-from .geometry import sample_point
+from .geometry import CODE_LIMIT, sample_point
 from .pcpp import BOT, PcppParams, build_proof, verify_proximity
 from .prf import KeyedNoise, chain
 from .rm import ENUM_BUDGET, POINT_KIND, RmParams, encode, eval_table, evaluate
@@ -606,7 +606,8 @@ def check_runnable(config: ExperimentConfig):
     """ConfigError for a run that would fail or not finish on its field:
     completeness tabulates F^m, sampling and calibration walk the whole
     n^2 plane grid, and the soundness and alg2 vector ops need the
-    field's log tables.  Mixing and matrix runs work at any field."""
+    field's log tables and int64 point codes.  Mixing and matrix runs
+    work at any field."""
     n = config.ctx.n
     size, limit, what = {
         "completeness": (config.rm.length, ENUM_BUDGET, "points of F^m"),
@@ -617,6 +618,11 @@ def check_runnable(config: ExperimentConfig):
     }.get(config.kind, (0, 0, ""))
     if size > limit:
         raise ConfigError(f"{config.kind} needs {size} {what}, above {limit}")
+    points = n**config.ctx.m
+    if config.kind in ("soundness", "alg2") and points >= CODE_LIMIT:
+        raise ConfigError(
+            f"{config.kind} needs int64 point codes, and F^m has {points} points, not below 2^63"
+        )
     if config.kind == "alg2":
         _alg2_noise_rate(config, composed.ComposedLayout(config.rm, config.pcpp()))
 

@@ -19,12 +19,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import product
-from math import comb
+from math import comb, prod
 
 import numpy as np
 
 from .gf import _TABLE_LIMIT, Field
-from .geometry import PlaneRep, codes_of, points_at
+from .geometry import PlaneRep, codes_of, lane_tables, points_at
 
 ENUM_BUDGET = 10**7
 
@@ -155,54 +155,162 @@ def _monomial_sum(params: RmParams, coeffs, coords) -> np.ndarray:
     return (lane_sums & 0x1FFFFF) % ctx.p @ weights
 
 
+# columns of a band of evaluate_many's Horner product: the rest monomials
+# of consecutive degrees, gathered and multiplied in one piece
+_BAND_COLUMNS = 64
+
+
 @lru_cache(maxsize=64)
 def _horner_layout(dim: int, d: int):
     """Where each graded-lex coefficient sits in the (d+1) x rest matrix
-    of evaluate_many: (rows = last-coordinate exponents, columns = index
-    of the other coordinates' monomial), plus those monomials' exponents."""
+    of evaluate_many (rows = last-coordinate exponents, columns = index
+    of the other coordinates' monomial), those monomials' exponents,
+    and the bands of that matrix's nonzero part.
+
+    The rest monomials are in graded order, so row e is zero past the
+    monomials of degree <= d - e.  A band (lo, hi, k) is the column
+    range of consecutive degrees, at least _BAND_COLUMNS wide where the
+    degrees allow; only rows e < k reach it, k = d + 1 - its lowest
+    degree."""
     rest = monomial_basis(dim - 1, d)
     col = {t: i for i, t in enumerate(rest)}
     basis = monomial_basis(dim, d)
     rows = np.array([t[-1] for t in basis], dtype=np.int64)
     cols = np.array([col[t[:-1]] for t in basis], dtype=np.int64)
-    return rows, cols, np.array(rest, dtype=np.int64)
+    bands, lo, low = [], 0, 0
+    for g in range(d + 1):
+        # columns of degree <= g
+        hi = comb(g + dim - 1, dim - 1)
+        if hi - lo >= _BAND_COLUMNS or g == d:
+            bands.append((lo, hi, d + 1 - low))
+            lo, low = hi, g + 1
+    return rows, cols, np.array(rest, dtype=np.int64), tuple(bands)
+
+
+@lru_cache(maxsize=None)
+def _antilogs(ctx: Field) -> np.ndarray:
+    """The 2(n-1) antilog codes with the last entry 0, as in
+    geometry.lane_tables: a sum of two logs reads its product, and an
+    index from 2(n-1)-1 on reads 0 under mode="clip"."""
+    exp_t = ctx.tables[0].copy()
+    exp_t[-1] = 0
+    return exp_t
+
+
+@lru_cache(maxsize=64)
+def _packed_antilogs(ctx: Field, width: int, lanes: int) -> np.ndarray:
+    """groups x 2(n-1) float64: _packed_digits of _antilogs, so a sum
+    of logs reads its product's packed digits, and 0 past the end."""
+    return _packed_digits(ctx, width, lanes)[:, _antilogs(ctx)]
+
+
+def _mod(x: np.ndarray, q: int, work: np.ndarray):
+    """x %= q in place, through a work array of x's shape: numpy's floor
+    division by a constant is several times faster than its remainder."""
+    np.floor_divide(x, q, out=work)
+    work *= q
+    x -= work
+
+
+def _log_powers(ctx: Field, coords: np.ndarray, d: int, zero: int) -> np.ndarray:
+    """dim x (d+1) x NP: e * log x mod (n-1) at [c, e] for each
+    coordinate x = coords[c], and `zero` where x is 0 and e > 0 (x^0 = 1
+    even at 0).  A scratch array, valid until the next call."""
+    _, log_t, _, _ = ctx.tables
+    dim, points = coords.shape
+    out = _scratch("powers", (dim, d + 1, points), np.int64)
+    np.multiply(log_t[coords][:, None, :], np.arange(d + 1)[:, None], out=out)
+    _mod(out, ctx.n - 1, _scratch("quotients", out.shape, np.int64))
+    np.copyto(out[:, 1:], zero, where=(coords == 0)[:, None, :])
+    return out
+
+
+# scratch arrays by role, kept across calls so that a restriction makes
+# no large temporaries (fresh ones cost page faults: glibc unmaps large
+# freed blocks).  A request above _SCRATCH_LIMIT elements gets a fresh
+# array that is not kept, so the kept ones stay bounded.  Each caller
+# fully writes a scratch array before reading it, and no two calls
+# overlap: the package runs no threads.
+_SCRATCH: dict = {}
+_SCRATCH_LIMIT = 1 << 17
+
+
+def _scratch(role: str, shape, dtype) -> np.ndarray:
+    size = prod(shape)
+    if size > _SCRATCH_LIMIT:
+        return np.empty(shape, dtype)
+    buf = _SCRATCH.get(role)
+    if buf is None or buf.dtype != dtype or buf.size < size:
+        buf = _SCRATCH[role] = np.empty(_SCRATCH_LIMIT, dtype)
+    return buf[:size].reshape(shape)
 
 
 def evaluate_many(params: RmParams, coeffs, coords) -> np.ndarray:
     """Evaluate at many points at once; coords is a dim x NP code array.
 
-    Horner form on the last coordinate: one fmatmul of the (d+1) x rest
-    coefficient matrix (row = last-coordinate exponent) with the table
-    of the other coordinates' monomials at every point, then the sum of
-    those rows times the powers of the last coordinate.  When there are
-    too few other monomials for fmatmul's digit-plane path, the (d+1)
-    times larger Horner product loses to summing every monomial
-    directly, which is what runs then.  Cross-checked against a
+    Horner form on the last coordinate: the (d+1) x rest coefficient
+    matrix (row = last-coordinate exponent) times the table of the other
+    coordinates' monomials at every point, then the sum of those rows
+    times the powers of the last coordinate.  The table is never formed
+    as codes: per coordinate, a (d+1) x NP table of log powers; per
+    band of the matrix's nonzero triangle, each monomial's log sum,
+    gathered straight into the packed digit lanes of _fmatmul_digits
+    and multiplied by the band's rows.  A zero coordinate's positive
+    powers hold a sentinel that every sum carries past the end of the
+    antilog table, which reads 0.  When there are too few other monomials for the digit
+    path, the (d+1) times larger Horner product loses to summing every
+    monomial directly, which is what runs then.  Cross-checked against a
     brute-force evaluator in the tests.
     """
-    ctx = params.ctx
-    d = params.d
+    ctx, d, dim = params.ctx, params.d, params.dim
     coords = np.asarray(coords, dtype=np.int64)
     # monomials of degree <= d in the other dim - 1 coordinates
-    if comb(d + params.dim - 1, d) < _DIGIT_INNER:
+    if comb(d + dim - 1, d) < _DIGIT_INNER:
         return _monomial_sum(params, coeffs, coords)
-    rows, cols, rest = _horner_layout(params.dim, d)
-    _, log_t, _, _ = ctx.tables
-    exp_t = ctx.exp_extended((d + 1) * (ctx.n - 1))
-    cmat = np.zeros((d + 1, len(rest)), dtype=np.int64)
-    cmat[rows, cols] = np.asarray(coeffs, dtype=np.int64)
-    head, last = coords[:-1], coords[-1]
-    table = exp_t[rest @ log_t[head]]
-    zcols = np.flatnonzero((head == 0).any(axis=0))
-    if zcols.size:
-        # a zero coordinate kills every monomial with a positive exponent there
-        killed = (rest > 0).astype(np.int64) @ (head[:, zcols] == 0)
-        table[:, zcols] *= killed == 0
-    partial = fmatmul(ctx, cmat, table)
-    # partial[e] * last^e, summed over e; a zero last coordinate keeps e = 0
-    expo = np.arange(d + 1, dtype=np.int64)[:, None]
-    vals = exp_t[log_t[partial] + expo * log_t[last]]
-    vals[(partial == 0) | ((last == 0) & (expo > 0))] = 0
+    rows, cols, rest, bands = _horner_layout(dim, d)
+    m, q = ctx.m, ctx.n - 1
+    width, lanes = _lane_layout(ctx, len(rest))
+    antilogs = _packed_antilogs(ctx, width, lanes)
+    # the centred digits of the coefficient matrix, digit i of row e at
+    # row e*m + i, so that the rows e < k are a prefix
+    da = _scratch("digits", (d + 1, m, len(rest)), np.float64)
+    da.fill(0)
+    da[rows, :, cols] = _centred_digits(ctx)[:, np.asarray(coeffs, dtype=np.int64)].T
+    da = da.reshape(-1, len(rest))
+    # a sum holding a zero's power stays past 2(n-1) - 2 through the
+    # dim - 3 reductions below, and so reads 0
+    zero = dim * q
+    points = coords.shape[1]
+    powers = _log_powers(ctx, coords, d, zero)
+    acc = _scratch("acc", (len(antilogs), (d + 1) * m, points), np.float64)
+    for lo, hi, k in bands:
+        # each rest monomial's log sum; mode="clip", as take buffers its
+        # output in the default mode
+        logs = _scratch("logs", (hi - lo, points), np.int64)
+        np.take(powers[0], rest[lo:hi, 0], axis=0, out=logs, mode="clip")
+        for i in range(1, dim - 1):
+            if i > 1:
+                # keep the running sum below 2(n-1) - 1
+                np.subtract(logs, q, out=logs, where=logs >= q)
+            term = _scratch("term", logs.shape, np.int64)
+            logs += np.take(powers[i], rest[lo:hi, i], axis=0, out=term, mode="clip")
+        vals = _scratch("vals", logs.shape, np.float64)
+        for table, part in zip(antilogs, acc):
+            np.take(table, logs, mode="clip", out=vals)
+            if lo == 0:
+                np.matmul(da[:, :hi], vals, out=part)
+            else:
+                band = _scratch("band", (k * m, points), np.float64)
+                part[: k * m] += np.matmul(da[: k * m, lo:hi], vals, out=band)
+    partial = _read_lanes(
+        ctx, width, lanes,
+        (part.reshape(d + 1, m, points).swapaxes(0, 1) for part in acc),
+    )
+    # partial[e] * last^e, summed over e; log(0) is 2(n-1) - 1
+    last = powers[-1]
+    last += lane_tables(ctx)[0][partial]
+    vals = _scratch("codes", last.shape, np.int64)
+    np.take(_antilogs(ctx), last, mode="clip", out=vals)
     return ctx.sum_elements(vals, axis=0)
 
 
@@ -313,40 +421,62 @@ def _packed_digits(ctx: Field, width: int, lanes: int) -> np.ndarray:
 
 def _fmatmul_digits(ctx: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """fmatmul through float64 products of the operands' centred base-p
-    digit matrices, then the digit polynomial reduced by the irreducible.
+    digit matrices, read back by _read_lanes.
 
     a's m digit matrices are stacked row-wise and b's digits packed in
     lanes (_lane_layout), so one product per lane group yields every
-    digit block (i, j); at S1 that is one product in all.  Exact: every
-    partial sum is an integer below 2^53, and each lane is read back
-    after a bias makes it nonnegative.
+    digit block (i, j); at S1 that is one product in all.
     """
-    _, _, _, weights = ctx.tables
-    m, p = ctx.m, ctx.p
     rows, inner = a.shape[-2:]
     width, lanes = _lane_layout(ctx, inner)
     # digit i of a stacked row-wise: block i of a product is a_i @ b's lanes
     da = np.concatenate([plane[a] for plane in _centred_digits(ctx)], axis=-2)
+    lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    shape = lead + (ctx.m, rows, b.shape[-1])
+    return _read_lanes(
+        ctx, width, lanes,
+        ((da @ packed[b]).reshape(shape) for packed in _packed_digits(ctx, width, lanes)),
+    )
+
+
+def _read_lanes(ctx: Field, width: int, lanes: int, products) -> np.ndarray:
+    """Codes of F-matrix products from their digit products: one float64
+    array (..., m, rows, cols) per lane group g, whose entry (i, r, c)
+    holds in lane t the integer product of digit i of row r of a with
+    digit g * lanes + t of column c of b.
+
+    Exact: every partial sum is an integer below 2^53.  Each lane is
+    read back after a bias makes it nonnegative, the degree-(2m-2) digit
+    polynomial is folded by the irreducible, and each output digit is
+    reduced mod p once.  The work arrays are scratch arrays.
+    """
+    _, _, _, weights = ctx.tables
+    m, p = ctx.m, ctx.p
     half, lane_mask = 1 << (width - 1), (1 << width) - 1
     bias = sum(half << (width * t) for t in range(lanes))
-    conv = [0] * (2 * m - 1)
-    for g, packed in enumerate(_packed_digits(ctx, width, lanes)):
-        prod = (da @ packed[b]).astype(np.int64)
-        prod += bias
-        lane = np.empty_like(prod)
+    conv = None
+    for g, prod in enumerate(products):
+        if conv is None:
+            conv = _scratch("conv", (2 * m - 1,) + prod.shape[:-3] + prod.shape[-2:], np.int64)
+            conv.fill(0)
+        packed = _scratch("packed", prod.shape, np.int64)
+        np.add(prod, bias, out=packed, casting="unsafe")
+        lane = _scratch("lane", prod.shape, np.int64)
         for j in range(g * lanes, min(m, (g + 1) * lanes)):
-            np.right_shift(prod, width * (j - g * lanes), out=lane)
+            np.right_shift(packed, width * (j - g * lanes), out=lane)
             lane &= lane_mask
             lane -= half
             for i in range(m):
-                conv[i + j] = conv[i + j] + lane[..., i * rows : (i + 1) * rows, :]
-    out = 0
+                conv[i + j] += lane[..., i, :, :]
+    term = _scratch("fold", conv.shape[1:], np.int64)
     for lo in range(m):
-        digit = conv[lo] + sum(
-            conv[m + t] * red[lo] for t, red in enumerate(ctx.reduction) if red[lo]
-        )
-        out = out + digit % p * weights[lo]
-    return out
+        digit = conv[lo]
+        for t, red in enumerate(ctx.reduction):
+            if red[lo]:
+                digit += np.multiply(conv[m + t], red[lo], out=term)
+        _mod(digit, p, term)
+        digit *= weights[lo]
+    return conv[:m].sum(axis=0)
 
 
 def _tensor_apply(ctx: Field, op: np.ndarray, grid: np.ndarray) -> np.ndarray:

@@ -175,6 +175,8 @@ def test_every_command_exits_with_a_code(argv, preset, tmp_path, capsys):
 
 
 BIG_FIELD = ["p = 2", "m = 21", "d = 1", "trials = 3"]
+# n = 2^10 has log tables, but F^m has 2^100 points
+CODE_OVERFLOW = ["p = 2", "m = 10", "d = 40", "trials = 3"]
 
 
 @pytest.mark.parametrize(
@@ -209,6 +211,8 @@ BIG_FIELD = ["p = 2", "m = 21", "d = 1", "trials = 3"]
             ["p = 2", "m = 2", "d = 2", "trials = 2", "allow_unsound = no"],
             "allow_unsound = 'no' is not a valid bool",
         ),
+        (["soundness-exp"], CODE_OVERFLOW, "int64 point codes"),
+        (["alg2-exp"], CODE_OVERFLOW, "int64 point codes"),
     ],
 )
 def test_unrunnable_inputs_exit_two(argv, lines, message, tmp_path, capsys):

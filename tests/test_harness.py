@@ -52,6 +52,16 @@ def test_presets_and_preconditions():
     assert rep.get("UNSOUND") is True
 
 
+@pytest.mark.parametrize("kind", ["soundness", "alg2"])
+def test_point_codes_must_fit_int64(kind):
+    # GF(2^10)^10 has 2^100 points, past the int64 point codes these runs
+    # index the word by, yet it breaks no theorem precondition
+    cfg = harness.make_config(p=2, m=10, d=40, kind=kind, trials=3)
+    assert harness.check_preconditions(cfg) == []
+    with pytest.raises(harness.ConfigError, match="int64 point codes"):
+        harness.check_runnable(cfg)
+
+
 def test_unknown_keys_rejected():
     # the paper's constants are not keys either: every walk takes m
     # steps, alpha = rho/8, R = 9, mu = 1/4, and calibration's q_v cap
@@ -343,3 +353,17 @@ def test_s1_soundness_report_pinned():
     rep.pop("wall_clock")
     digest = hashlib.sha256(harness.render_json(rep).encode()).hexdigest()
     assert digest == "eecdcabee2feeb30208673b26dea37966e6d9e5278b9efc2bf03e2d2b24ec58d"
+
+
+def test_s1_alg2_report_pinned():
+    # a small S1 Algorithm-2 report, byte for byte apart from its wall
+    # clock: a change to the draws, the overlay or the verifier moves it.
+    # The queried point is wrong in every copy, so each trial ends in BOT
+    # at its first walk plane; test_honest_s1_correction_reads_its_budget
+    # covers the planes a correction accepts
+    cfg = harness.make_config(preset="S1", kind="alg2", trials=8, seed=717)
+    rep = harness.run_experiment(cfg)
+    rep.pop("wall_clock")
+    assert (rep["trials"], rep["aborts"]) == (8, 8)
+    digest = hashlib.sha256(harness.render_json(rep).encode()).hexdigest()
+    assert digest == "85f24e940096eb8c84ae5347f21352ebef64e8b04486e6c06ca5eff4daeea88c"

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rlcc import rm
-from rlcc.geometry import PlaneRep, plane_point_at, sample_point
+from rlcc.geometry import PlaneRep, plane_point_at, points_at, sample_point
 from rlcc.gf import Field
 
 # derandomized, so reruns draw the same examples
@@ -287,6 +288,8 @@ def test_lane_layout_packs_s1_horner_product_in_one_float():
     # lanes hold all three of b's digits in one float64
     assert rm._lane_layout(field(17, 3), 561) == (17, 3)
     assert rm._lane_layout(field(17, 3), 1024) == (18, 2)
+    # GF(31^3) at the same inner dimension needs 18-bit lanes: two groups
+    assert rm._lane_layout(field(31, 3), 561) == (18, 2)
     assert rm._lane_layout(field(2, 8), 32) == (7, 7)
 
 
@@ -327,6 +330,54 @@ def test_evaluate_many_matches_scalar(gf27, rng):
     fast = rm.evaluate_many(params, coeffs, coords)
     for i, pt in enumerate(pts):
         assert fast[i] == brute_evaluate(gf27, params.basis, coeffs, pt)
+
+
+# (p, m, dim, d): the S1 restriction (dim 3, d = 32) in GF(17^3), whose
+# Horner lanes share one float64, and in GF(31^3), where they form two
+# groups; a bivariate and a 4-variate code with several bands each
+HORNER_CASES = [(17, 3, 3, 32), (31, 3, 3, 32), (17, 3, 2, 100), (17, 3, 4, 10)]
+
+
+@pytest.mark.parametrize("case", HORNER_CASES)
+def test_evaluate_many_matches_monomial_sum_on_s1_planes(case):
+    # every one of the 561 lattice points of a plane, as restrict_to_plane
+    # evaluates them, against the direct sum over every monomial
+    p, m, dim, d = case
+    ctx = field(p, m)
+    params = rm.RmParams(ctx, dim, d)
+    r = random.Random(561 * dim + p)
+    jj, kk = rm._exponent_matrix(2, 32).T
+    for _ in range(3):
+        anchor, u, v = ([r.randrange(ctx.n) for _ in range(dim)] for _ in range(3))
+        coords = points_at(ctx, anchor, (u, v), (jj, kk))
+        # zero coordinates in every row and zero coefficients: random
+        # planes almost never have them
+        for row in coords:
+            row[r.sample(range(len(jj)), 56)] = 0
+        coeffs = [0 if r.random() < 0.2 else r.randrange(ctx.n) for _ in range(params.k)]
+        # the direct sum in slices of points keeps its k x points arrays small
+        want = np.concatenate(
+            [rm._monomial_sum(params, coeffs, coords[:, i : i + 64]) for i in range(0, len(jj), 64)]
+        )
+        assert rm.evaluate_many(params, coeffs, coords).tolist() == want.tolist()
+
+
+def test_s1_restriction_reuses_its_scratch():
+    # a warmed S1 restriction allocates less than one 561 x 561 int64
+    # table, the other coordinates' monomials at every lattice point
+    ctx = field(17, 3)
+    params = rm.RmParams(ctx, 3, 32)
+    r = random.Random(17)
+    coeffs = np.array([r.randrange(ctx.n) for _ in range(params.k)], dtype=np.int64)
+    rm.restrict_to_plane(params, coeffs, random_plane(ctx, r))
+    plane = random_plane(ctx, r)
+    tracemalloc.start()
+    try:
+        rm.restrict_to_plane(params, coeffs, plane)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 561 * 561 * 8
 
 
 def test_encode_injective_tiny(gf4):
