@@ -117,6 +117,7 @@ def cmd_encode(args) -> int:
 
 def cmd_correct(args) -> int:
     config = _config_from_args(args, "correct")
+    harness.check_runnable(config)
     layout = composed.ComposedLayout(config.rm, config.pcpp())
     if not 0 <= args.address < layout.length:
         raise harness.ConfigError(f"--address must lie in [0, {layout.length})")

@@ -605,9 +605,9 @@ GATED_KINDS = ("soundness", "mixing", "alg2")
 def check_runnable(config: ExperimentConfig):
     """ConfigError for a run that would fail or not finish on its field:
     completeness tabulates F^m, sampling and calibration walk the whole
-    n^2 plane grid, and the soundness and alg2 vector ops need the
-    field's log tables and int64 point codes.  Mixing and matrix runs
-    work at any field."""
+    n^2 plane grid, the soundness, alg2 and correct vector ops need the
+    field's log tables, and soundness and alg2 also int64 point codes.
+    Mixing and matrix runs work at any field."""
     n = config.ctx.n
     size, limit, what = {
         "completeness": (config.rm.length, ENUM_BUDGET, "points of F^m"),
@@ -615,6 +615,7 @@ def check_runnable(config: ExperimentConfig):
         "calibrate": (n * n, composed.MATERIALIZE_LIMIT, "plane grid points"),
         "soundness": (n, _TABLE_LIMIT, "log-table entries"),
         "alg2": (n, _TABLE_LIMIT, "log-table entries"),
+        "correct": (n, _TABLE_LIMIT, "log-table entries"),
     }.get(config.kind, (0, 0, ""))
     if size > limit:
         raise ConfigError(f"{config.kind} needs {size} {what}, above {limit}")

@@ -11,6 +11,9 @@ the degree lattice (e_a, e_b), a + b <= d, where the nodes e_0..e_d are
 the first d+1 field elements in code order, through one pair of Newton
 operators per (field, d): divided differences and the Newton-to-monomial
 map.
+
+Whole grids are evaluated in one way too: grid_values contracts every
+axis of the coefficient tensor with the Vandermonde matrix.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from math import comb, prod
 import numpy as np
 
 from .gf import _TABLE_LIMIT, Field
-from .geometry import PlaneRep, codes_of, lane_tables, points_at
+from .geometry import PlaneRep, lane_tables, points_at
 
 ENUM_BUDGET = 10**7
 
@@ -257,16 +260,11 @@ def evaluate_many(params: RmParams, coeffs, coords) -> np.ndarray:
     gathered straight into the packed digit lanes of _fmatmul_digits
     and multiplied by the band's rows.  A zero coordinate's positive
     powers hold a sentinel that every sum carries past the end of the
-    antilog table, which reads 0.  When there are too few other monomials for the digit
-    path, the (d+1) times larger Horner product loses to summing every
-    monomial directly, which is what runs then.  Cross-checked against a
-    brute-force evaluator in the tests.
+    antilog table, which reads 0.  Cross-checked against a brute-force
+    evaluator in the tests.
     """
     ctx, d, dim = params.ctx, params.d, params.dim
     coords = np.asarray(coords, dtype=np.int64)
-    # monomials of degree <= d in the other dim - 1 coordinates
-    if comb(d + dim - 1, d) < _DIGIT_INNER:
-        return _monomial_sum(params, coeffs, coords)
     rows, cols, rest, bands = _horner_layout(dim, d)
     m, q = ctx.m, ctx.n - 1
     width, lanes = _lane_layout(ctx, len(rest))
@@ -318,29 +316,12 @@ def eval_table(params: RmParams, coeffs):
     """Full evaluation table in canonical point order (guarded by budget)."""
     if params.length > ENUM_BUDGET:
         raise ValueError("evaluation table exceeds the enumeration budget")
-    n = params.ctx.n
-    grids = np.meshgrid(
-        *[np.arange(n, dtype=np.int64)] * params.dim, indexing="ij"
-    )
-    coords = np.stack([g.reshape(-1) for g in grids])
-    out = np.empty(params.length, dtype=np.int64)
-    out[codes_of(params.ctx, coords)] = evaluate_many(params, coeffs, coords)
-    return out
-
-
-def grid_table(params2d: RmParams, coeffs):
-    """Bivariate evaluation in plane-grid order: index j*n + k holds Q(j, k).
-
-    Note this differs from eval_table's point-code order, where the
-    first coordinate varies fastest.
-    """
-    n = params2d.ctx.n
-    idx = np.arange(n * n, dtype=np.int64)
-    return evaluate_many(params2d, coeffs, np.stack([idx // n, idx % n]))
+    # point codes run with the first coordinate fastest
+    return grid_values(params, coeffs).T.reshape(-1)
 
 
 # ---------------------------------------------------------------------------
-# Interpolation on the fixed (d+1)-node axis grid
+# Tensor contractions: interpolation on the (d+1)-node grid, whole grids
 
 
 @lru_cache(maxsize=None)
@@ -479,13 +460,35 @@ def _read_lanes(ctx: Field, width: int, lanes: int, products) -> np.ndarray:
     return conv[:m].sum(axis=0)
 
 
-def _tensor_apply(ctx: Field, op: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """op @ g @ op.T for every key g of a (d+1, d+1, keys) grid, as two
-    2-D products over all keys: op acts on the first axis, the first two
-    axes swap, and op acts on the first axis again."""
-    half = fmatmul(ctx, op, grid.reshape(len(op), -1)).reshape(grid.shape)
-    swapped = half.transpose(1, 0, 2).reshape(len(op), -1)
-    return fmatmul(ctx, op, swapped).reshape(grid.shape).transpose(1, 0, 2)
+def _contract(ctx: Field, op: np.ndarray, tensor: np.ndarray, axes: int) -> np.ndarray:
+    """op applied along each of the first `axes` axes of tensor, one 2-D
+    product per axis over all the other entries: op acts on the first
+    axis, which then moves behind the other contracted ones, so after
+    `axes` products every axis is back in place.  Later axes (keys) are
+    carried along as columns."""
+    for _ in range(axes):
+        out = fmatmul(ctx, op, tensor.reshape(len(tensor), -1))
+        tensor = np.moveaxis(out.reshape((len(op),) + tensor.shape[1:]), 0, axes - 1)
+    return tensor
+
+
+@lru_cache(maxsize=64)
+def _vandermonde(ctx: Field, d: int) -> np.ndarray:
+    """n x (d+1): x^e at [x, e] for every code x, with 0^0 = 1; the
+    sentinel 2n reads 0 past the end of the antilog table."""
+    powers = _log_powers(ctx, np.arange(ctx.n)[None], d, 2 * ctx.n)[0].T
+    return np.take(_antilogs(ctx), powers, mode="clip")
+
+
+def grid_values(params: RmParams, coeffs) -> np.ndarray:
+    """Values at every point of F^dim, as an n x ... x n tensor whose
+    axis i is coordinate i: the coefficients placed at their exponents
+    in a (d+1)^dim tensor, with every axis contracted by the Vandermonde
+    matrix."""
+    ctx, d, dim = params.ctx, params.d, params.dim
+    tensor = np.zeros((d + 1,) * dim, dtype=np.int64)
+    tensor[tuple(_exponent_matrix(dim, d).T)] = coeffs
+    return _contract(ctx, _vandermonde(ctx, d), tensor, dim)
 
 
 def interpolate_lattice(params2d: RmParams, values: np.ndarray) -> np.ndarray:
@@ -506,8 +509,8 @@ def interpolate_lattice(params2d: RmParams, values: np.ndarray) -> np.ndarray:
     # small ones, and T2 materialize took 0.74-1.03 s, not 0.59-0.62 s
     grid = np.zeros((d + 1, d + 1, values.size // len(a)), dtype=np.int64)
     grid[a, b] = values.reshape(-1, len(a)).T
-    grid[a, b] = _tensor_apply(ctx, diff, grid)[a, b]
-    return _tensor_apply(ctx, newton, grid)[a, b].T.reshape(values.shape)
+    grid[a, b] = _contract(ctx, diff, grid, 2)[a, b]
+    return _contract(ctx, newton, grid, 2)[a, b].T.reshape(values.shape)
 
 
 def restrict_to_plane(params: RmParams, coeffs, plane: PlaneRep):
@@ -534,9 +537,7 @@ def is_low_degree_on_plane(params2d: RmParams, values):
         raise ValueError("plane word must have n^2 symbols in grid order")
     a, b = _exponent_matrix(2, params2d.d).T
     tri = tuple(interpolate_lattice(params2d, values.reshape(n, n)[a, b]).tolist())
-    jj, kk = np.divmod(np.arange(n * n, dtype=np.int64), n)
-    expect = evaluate_many(params2d, tri, np.stack([jj, kk]))
-    ok = bool(np.array_equal(expect, values))
+    ok = bool(np.array_equal(grid_values(params2d, tri).reshape(-1), values))
     return (ok, tri if ok else None)
 
 
@@ -674,14 +675,11 @@ def min_nonzero_weight(params: RmParams) -> int:
     total = params.ctx.n**params.k
     if total > ENUM_BUDGET:
         raise ValueError("weight enumeration exceeds the budget")
-    n = params.ctx.n
-    grids = np.meshgrid(*[np.arange(n, dtype=np.int64)] * params.dim, indexing="ij")
-    coords = np.stack([g.reshape(-1) for g in grids])
     best = None
-    for coeffs in product(range(n), repeat=params.k):
+    for coeffs in product(range(params.ctx.n), repeat=params.k):
         if all(c == 0 for c in coeffs):
             continue
-        w = int(np.count_nonzero(evaluate_many(params, coeffs, coords)))
+        w = int(np.count_nonzero(grid_values(params, coeffs)))
         if best is None or w < best:
             best = w
     return best

@@ -213,6 +213,8 @@ CODE_OVERFLOW = ["p = 2", "m = 10", "d = 40", "trials = 3"]
         ),
         (["soundness-exp"], CODE_OVERFLOW, "int64 point codes"),
         (["alg2-exp"], CODE_OVERFLOW, "int64 point codes"),
+        # n = 1031^2 is above 2^20: no log tables
+        (["correct", "--address", "5"], ["p = 1031", "m = 2", "d = 3"], "log-table entries"),
     ],
 )
 def test_unrunnable_inputs_exit_two(argv, lines, message, tmp_path, capsys):

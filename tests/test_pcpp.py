@@ -24,7 +24,7 @@ def spans(proof):
 
 
 def make_member(params2d, coeffs, kind, selector=(0, 0)):
-    table = rm.grid_table(params2d, coeffs).tolist()
+    table = rm.grid_values(params2d, coeffs).reshape(-1).tolist()
     return rm.augment(params2d.ctx, table, kind, selector), table
 
 
@@ -57,7 +57,7 @@ def test_canonical_proof_zero_and_roundtrip(gf4, rng):
     for c in range(pcpp.repetitions):
         copy = proof[c * 3 : (c + 1) * 3]
         assert copy == coeffs
-        assert rm.grid_table(params2d, copy).tolist() == table
+        assert rm.grid_values(params2d, copy).reshape(-1).tolist() == table
 
 
 def test_canonical_proof_rejects_non_members(gf4):

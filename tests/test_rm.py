@@ -380,6 +380,52 @@ def test_s1_restriction_reuses_its_scratch():
     assert peak < 561 * 561 * 8
 
 
+# (p, m, dim, d): the grid contraction's inner dimension d + 1 on both
+# sides of _DIGIT_INNER, for dim 2 to 4
+GRID_CASES = [(2, 4, 2, 15), (17, 2, 2, 20), (3, 3, 3, 4), (2, 4, 4, 3)]
+
+
+@pytest.mark.parametrize("case", GRID_CASES)
+@pytest.mark.parametrize("fill", ["random", "zero", "constant"])
+def test_eval_table_matches_pointwise_evaluators(case, fill):
+    p, m, dim, d = case
+    ctx = field(p, m)
+    params = rm.RmParams(ctx, dim, d)
+    r = random.Random(p * 1000 + dim * 100 + d)
+    coeffs = {
+        "random": [r.randrange(ctx.n) for _ in range(params.k)],
+        "zero": [0] * params.k,
+        "constant": [ctx.n - 1] + [0] * (params.k - 1),
+    }[fill]
+    table = rm.eval_table(params, coeffs)
+    # coordinate i of point code c is digit i of c in base n
+    codes = np.arange(params.length, dtype=np.int64)
+    coords = np.stack([codes // ctx.n**i % ctx.n for i in range(dim)])
+    assert table.tolist() == rm.evaluate_many(params, coeffs, coords).tolist()
+    for c in [0, params.length - 1] + r.sample(range(params.length), 20):
+        point = coords[:, c].tolist()
+        assert table[c] == brute_evaluate(ctx, params.basis, coeffs, point)
+
+
+@pytest.mark.parametrize("case", [(3, 3, 3, 4), (2, 4, 4, 3)])
+def test_eval_table_peak_memory(case):
+    # a warmed table peaks below 32 tables' bytes; a direct sum over
+    # every monomial at every point took 90 and 169
+    p, m, dim, d = case
+    ctx = field(p, m)
+    params = rm.RmParams(ctx, dim, d)
+    r = random.Random(d)
+    coeffs = [r.randrange(ctx.n) for _ in range(params.k)]
+    rm.eval_table(params, coeffs)
+    tracemalloc.start()
+    try:
+        rm.eval_table(params, coeffs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * params.length * 8
+
+
 def test_encode_injective_tiny(gf4):
     params = rm.RmParams(gf4, 2, 1)
     seen = set()
@@ -486,7 +532,7 @@ def test_restriction_s1_key_planes(kind, seed):
 def test_low_degree_membership(gf8, rng):
     params2d = rm.RmParams(gf8, 2, 1)
     coeffs = tuple(rng.randrange(gf8.n) for _ in range(3))
-    table = rm.grid_table(params2d, coeffs).tolist()
+    table = rm.grid_values(params2d, coeffs).reshape(-1).tolist()
     ok, tri = rm.is_low_degree_on_plane(params2d, table)
     assert ok and tri == coeffs
     # all-zero accepts with zero coefficients
@@ -580,7 +626,7 @@ def test_wrong_point_value_forces_farness(gf4, rng):
     rho = params2d.rho
     for i in range(25):
         coeffs = tuple(rng.randrange(4) for _ in range(3))
-        table = rm.grid_table(params2d, coeffs).tolist()
+        table = rm.grid_values(params2d, coeffs).reshape(-1).tolist()
         jx, kx = rng.randrange(4), rng.randrange(4)
         pos = jx * 4 + kx
         word = list(table)
