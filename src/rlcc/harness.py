@@ -606,8 +606,9 @@ def check_runnable(config: ExperimentConfig):
     """ConfigError for a run that would fail or not finish on its field:
     completeness tabulates F^m, sampling and calibration walk the whole
     n^2 plane grid, the soundness, alg2 and correct vector ops need the
-    field's log tables, and soundness and alg2 also int64 point codes.
-    Mixing and matrix runs work at any field."""
+    field's log tables, soundness and alg2 also int64 point codes, and
+    alg2 and correct draw a message of k symbols, at most
+    MATERIALIZE_LIMIT.  Mixing and matrix runs work at any field."""
     n = config.ctx.n
     size, limit, what = {
         "completeness": (config.rm.length, ENUM_BUDGET, "points of F^m"),
@@ -623,6 +624,11 @@ def check_runnable(config: ExperimentConfig):
     if config.kind in ("soundness", "alg2") and points >= CODE_LIMIT:
         raise ConfigError(
             f"{config.kind} needs int64 point codes, and F^m has {points} points, not below 2^63"
+        )
+    k = config.rm.k
+    if config.kind in ("alg2", "correct") and k > composed.MATERIALIZE_LIMIT:
+        raise ConfigError(
+            f"{config.kind} draws a message of k = {k} symbols, above {composed.MATERIALIZE_LIMIT}"
         )
     if config.kind == "alg2":
         _alg2_noise_rate(config, composed.ComposedLayout(config.rm, config.pcpp()))

@@ -83,7 +83,8 @@ def encode(params: RmParams, message):
     return tuple(message)
 
 
-# from this degree on, the log-domain monomial sum beats the per-monomial loop
+# from this degree on, the log-domain sum over the live monomials beats
+# the per-monomial loop
 _BULK_DEGREE = 8
 
 
@@ -91,15 +92,33 @@ def evaluate(params: RmParams, coeffs, point) -> int:
     """Value of the polynomial at one point of F^dim.
 
     Low degrees, and fields too large for log tables, use the
-    per-monomial loop; from d = 8 on, _monomial_sum sums every monomial
-    at once in the log domain.  That sum views an int64 coefficient
-    array as it is, and converts a tuple or another dtype on every call,
-    so hot callers hold their coefficients as int64 arrays.
+    per-monomial loop.  From d = 8 on, the sum runs in the log domain
+    over the live monomials only, those with exponent 0 at every zero
+    coordinate (_live_monomials), so the origin reads the constant
+    coefficient.  Term i is antilog(log c_i + sum over the nonzero
+    coordinates x_c of (E_ic log x_c mod n-1)), gathered from the d+1
+    reduced powers of each coordinate, so the sum needs no modulo.  It
+    is read from _point_lanes, whose zero last entry is where the log of
+    a zero coefficient lands, and the terms' base-p digits add up in
+    lanes.  A coefficient tuple, or an array of another dtype, is
+    converted on every call, so hot callers hold int64 arrays.
     """
-    ctx = params.ctx
-    if params.d >= _BULK_DEGREE and ctx.n <= _TABLE_LIMIT:
-        column = np.asarray(point, dtype=np.int64).reshape(-1, 1)
-        return int(_monomial_sum(params, coeffs, column)[0])
+    ctx, d = params.ctx, params.d
+    if d >= _BULK_DEGREE and ctx.n <= _TABLE_LIMIT:
+        live, columns = _live_monomials(params.dim, d, tuple(x == 0 for x in point))
+        if not columns:
+            return int(coeffs[0])
+        log, lanes, width, weights = _point_lanes(ctx, params.dim, d)
+        cvec = np.asarray(coeffs, dtype=np.int64)
+        logs = log[cvec[live]]
+        steps = np.arange(d + 1)
+        for x, col in zip((x for x in point if x), columns):
+            logs += (steps * log[x] % (ctx.n - 1))[col]
+        sums = lanes.take(logs, axis=1, mode="clip").sum(axis=1).tolist()
+        mask, p = (1 << width) - 1, ctx.p
+        shifts = range(0, width * (63 // width), width)
+        digits = [s >> shift & mask for s in sums for shift in shifts]
+        return sum(w * (x % p) for w, x in zip(weights, digits))
     acc = 0
     for c, exps in zip(coeffs, params.basis):
         if c == 0:
@@ -119,43 +138,43 @@ def _exponent_matrix(dim: int, d: int):
     return np.array(monomial_basis(dim, d), dtype=np.int64)
 
 
-@lru_cache(maxsize=None)
-def _antilog_lanes(ctx: Field):
-    """The n-1 antilogs with their base-p digits packed into 21-bit lanes,
-    digit i at bit 21*i, and those bit shifts: an integer sum of entries
-    adds each digit in its own lane."""
-    exp_t, _, digits, _ = ctx.tables
-    shifts = 21 * np.arange(ctx.m, dtype=np.int64)
-    return (digits[exp_t[: ctx.n - 1]].astype(np.int64) << shifts).sum(axis=1), shifts
+@lru_cache(maxsize=256)
+def _live_monomials(dim: int, d: int, zero: tuple):
+    """(live, columns) at the points whose coordinate c is 0 exactly when
+    zero[c]: an index of the monomials with exponent 0 at every zero
+    coordinate, and each nonzero coordinate's exponents over them.  With
+    no zero coordinate every monomial is live, and the index is a slice,
+    so the columns are views of _exponent_matrix."""
+    E = _exponent_matrix(dim, d)
+    live = np.flatnonzero(~E[:, list(zero)].any(axis=1)) if any(zero) else slice(None)
+    return live, tuple(E[live, c] for c in range(dim) if not zero[c])
 
 
-def _monomial_sum(params: RmParams, coeffs, coords) -> np.ndarray:
-    """Log-domain evaluation term by term, over every monomial: term i
-    at point j is the antilog of (log c_i + E_i . log x_j) mod (n-1),
-    read from the n-1 entry table, and is dead (zeroed) when c_i = 0 or
-    when a coordinate with a positive exponent in E_i is zero.  The
-    terms are summed in 21-bit digit lanes with one reduction when
-    m <= 3, as each lane then adds fewer than 2^21 digits; otherwise
-    digit-wise by sum_elements."""
-    ctx = params.ctx
-    exp_t, log_t, _, weights = ctx.tables
-    E = _exponent_matrix(params.dim, params.d)
-    cvec = np.asarray(coeffs, dtype=np.int64)
-    expo = E @ log_t[coords]
-    expo += log_t[cvec][:, None]
-    expo %= ctx.n - 1
-    dead = cvec == 0
-    if not coords.all():
-        dead = dead[:, None] | ((E > 0) @ (coords == 0))
-    if ctx.m > 3 or len(E) * (ctx.p - 1) >= 1 << 21:
-        vals = exp_t[expo]
-        vals[dead] = 0
-        return ctx.sum_elements(vals, axis=0)
-    lanes, shifts = _antilog_lanes(ctx)
-    vals = lanes[expo]
-    vals[dead] = 0
-    lane_sums = vals.sum(axis=0)[:, None] >> shifts
-    return (lane_sums & 0x1FFFFF) % ctx.p @ weights
+@lru_cache(maxsize=64)
+def _point_lanes(ctx: Field, dim: int, d: int):
+    """(log, lanes, width, weights) for evaluate's sums of dim+1 logs.
+
+    The digit lanes are 21 bits wide, or wider when the k monomials'
+    base-p digits could reach 2^21 in one lane; per = 63 // width of
+    them share an int64.  lanes is groups x (dim+1)(n-1): entry e below
+    the last packs the digits of antilog(e), digit g * per + t at bit
+    width * t of group g, and the last entry is 0.  log has log(0) =
+    that last index, past every sum of dim+1 nonzero logs, so a sum
+    holding it reads 0 with mode="clip".  weights are the powers of p.
+    """
+    exp_t, log_t, digits, weights = ctx.tables
+    width = max(21, (comb(d + dim, dim) * (ctx.p - 1)).bit_length())
+    per = 63 // width
+    size = (dim + 1) * (ctx.n - 1)
+    codes = exp_t[np.arange(size - 1) % (ctx.n - 1)]
+    groups = np.split(digits.astype(np.int64), range(per, ctx.m, per), axis=1)
+    lanes = np.zeros((len(groups), size), dtype=np.int64)
+    for row, group in zip(lanes, groups):
+        shifts = width * np.arange(group.shape[1])
+        row[:-1] = (group << shifts).sum(axis=1)[codes]
+    log = log_t.copy()
+    log[0] = size - 1
+    return log, lanes, width, weights.tolist()
 
 
 # columns of a band of evaluate_many's Horner product: the rest monomials

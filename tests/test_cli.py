@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -215,12 +216,16 @@ CODE_OVERFLOW = ["p = 2", "m = 10", "d = 40", "trials = 3"]
         (["alg2-exp"], CODE_OVERFLOW, "int64 point codes"),
         # n = 1031^2 is above 2^20: no log tables
         (["correct", "--address", "5"], ["p = 1031", "m = 2", "d = 3"], "log-table entries"),
+        # k = 10,272,278,170: refused before the message is drawn
+        (["correct", "--address", "5"], CODE_OVERFLOW, "message of k = 10272278170"),
     ],
 )
 def test_unrunnable_inputs_exit_two(argv, lines, message, tmp_path, capsys):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("\n".join(lines + [f"sidecar = {tmp_path / 'cal.json'}"]) + "\n")
+    start = time.monotonic()
     assert main(argv + ["--config", str(cfg)]) == 2
+    assert time.monotonic() - start < 1
     err = capsys.readouterr().err
     assert "config error" in err and message in err
 

@@ -82,10 +82,12 @@ def test_evaluate_matches_bruteforce(gf27, rng):
 
 # (p, m, dim, d): T1, T2 and T3 sit below evaluate's d = 8 cutoff; above
 # it are the S1 bivariate code, the S1 trivariate code that gives the
-# oracle its point values, and GF(3^4), whose digits do not fit 21-bit lanes
+# oracle its point values, and fields whose m digit lanes of 21 bits need
+# more than one int64: GF(3^4) and GF(17^4) two, GF(2^10) four.  GF(257^2)
+# at d = 36 has k (p - 1) >= 2^21, so its lanes are wider
 EVAL_CASES = [
     (2, 2, 2, 1), (2, 3, 3, 1), (3, 3, 3, 4), (17, 3, 2, 32), (17, 3, 3, 32),
-    (3, 4, 2, 8),
+    (3, 4, 2, 8), (17, 4, 2, 32), (2, 10, 2, 8), (257, 2, 3, 36),
 ]
 
 
@@ -112,6 +114,61 @@ def test_evaluate_matches_bruteforce_across_cutoff(case, data):
         assert rm.evaluate(params, form, point) == want
     column = np.array(point, dtype=np.int64).reshape(-1, 1)
     assert rm.evaluate_many(params, coeffs, column)[0] == want
+
+
+@pytest.mark.parametrize("case", EVAL_CASES)
+def test_evaluate_at_every_zero_pattern(case):
+    # the origin, each coordinate zero alone, and no zero coordinate, with
+    # a fifth of the coefficients zero; then every coefficient n - 1 at
+    # the all-ones point, where each lane adds its largest digit k times
+    p, m, dim, d = case
+    ctx = field(p, m)
+    params = rm.RmParams(ctx, dim, d)
+    r = random.Random(p * 100 + dim * 10 + d)
+    coeffs = [0 if r.random() < 0.2 else r.randrange(ctx.n) for _ in range(params.k)]
+    points = [(0,) * dim]
+    for zero in list(range(dim)) + [None]:
+        for _ in range(2):
+            points.append(tuple(0 if c == zero else r.randrange(1, ctx.n) for c in range(dim)))
+    for point in points:
+        assert rm.evaluate(params, coeffs, point) == brute_evaluate(
+            ctx, params.basis, coeffs, point
+        )
+    full = [ctx.n - 1] * params.k
+    assert rm.evaluate(params, full, (1,) * dim) == brute_evaluate(
+        ctx, params.basis, full, (1,) * dim
+    )
+
+
+def test_point_tables_stay_small():
+    # evaluate's cached tables at S1, the bivariate verifier code and the
+    # trivariate oracle code together; with every coordinate nonzero the
+    # exponent columns are views of _exponent_matrix, not copies
+    ctx = field(17, 3)
+    total = 0
+    for dim in (2, 3):
+        log, lanes, _, _ = rm._point_lanes(ctx, dim, 32)
+        total += log.nbytes + lanes.nbytes
+        for zero in product([False, True], repeat=dim):
+            live, columns = rm._live_monomials(dim, 32, zero)
+            if not any(zero):
+                exponents = rm._exponent_matrix(dim, 32)
+                assert all(np.shares_memory(col, exponents) for col in columns)
+            else:
+                total += live.nbytes + sum(col.nbytes for col in columns)
+    assert total <= 512 * 1024
+    # and a warmed bivariate call allocates little
+    params = rm.RmParams(ctx, 2, 32)
+    r = random.Random(32)
+    coeffs = np.array([r.randrange(ctx.n) for _ in range(params.k)], dtype=np.int64)
+    rm.evaluate(params, coeffs, (3, 5))
+    tracemalloc.start()
+    try:
+        rm.evaluate(params, coeffs, (7, 11))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_evaluate_without_log_tables(rng):
@@ -341,7 +398,7 @@ HORNER_CASES = [(17, 3, 3, 32), (31, 3, 3, 32), (17, 3, 2, 100), (17, 3, 4, 10)]
 @pytest.mark.parametrize("case", HORNER_CASES)
 def test_evaluate_many_matches_monomial_sum_on_s1_planes(case):
     # every one of the 561 lattice points of a plane, as restrict_to_plane
-    # evaluates them, against the direct sum over every monomial
+    # evaluates them, against evaluate's log-domain sum at each point
     p, m, dim, d = case
     ctx = field(p, m)
     params = rm.RmParams(ctx, dim, d)
@@ -355,11 +412,9 @@ def test_evaluate_many_matches_monomial_sum_on_s1_planes(case):
         for row in coords:
             row[r.sample(range(len(jj)), 56)] = 0
         coeffs = [0 if r.random() < 0.2 else r.randrange(ctx.n) for _ in range(params.k)]
-        # the direct sum in slices of points keeps its k x points arrays small
-        want = np.concatenate(
-            [rm._monomial_sum(params, coeffs, coords[:, i : i + 64]) for i in range(0, len(jj), 64)]
-        )
-        assert rm.evaluate_many(params, coeffs, coords).tolist() == want.tolist()
+        cvec = np.array(coeffs, dtype=np.int64)
+        want = [rm.evaluate(params, cvec, point) for point in coords.T.tolist()]
+        assert rm.evaluate_many(params, coeffs, coords).tolist() == want
 
 
 def test_s1_restriction_reuses_its_scratch():
