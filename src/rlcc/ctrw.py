@@ -45,13 +45,7 @@ from .geometry import (
     scale_point,
 )
 from .prf import KeyedNoise, chain
-from .rm import (
-    ENUM_BUDGET,
-    RmParams,
-    dist_weighted,
-    enumerate_codewords,
-    is_low_degree_on_plane,
-)
+from .rm import ENUM_BUDGET, RmParams, is_low_degree_on_plane
 from .stats import (
     DensityBound,
     check_fields,
@@ -114,7 +108,8 @@ def walk_sample(params: RmParams, x, rng) -> WalkTranscript:
 
 
 def plane_codes(params: RmParams, plane: PlaneRep) -> np.ndarray:
-    """Point codes of all n^2 plane points in row-major grid order."""
+    """Point codes of all n^2 plane points in row-major grid order; a
+    scratch array, valid until the next plane_codes_at call."""
     js = np.arange(params.ctx.n, dtype=np.int64)
     return plane_codes_at(params.ctx, plane, js[:, None], js).reshape(-1)
 
@@ -205,34 +200,6 @@ class RobustVerdict:
     violated: bool
     witness: int | None
     distances: list
-
-
-def _exact_predicate_distance(params2d: RmParams, values, a_indices) -> Fraction:
-    best = None
-    for _, table in enumerate_codewords(params2d):
-        dist = dist_weighted(values, table, a_indices)
-        if best is None or dist < best:
-            best = dist
-    return best
-
-
-def violation_check_exact(params: RmParams, word, transcript, alpha) -> RobustVerdict:
-    """Brute-force verdict; needs the 2-D enumeration budget."""
-    params2d = params.bivariate()
-    if params.ctx.n ** params2d.k > ENUM_BUDGET:
-        raise ValueError("2-D enumeration budget exceeded; use the planted path")
-    word = np.asarray(word, dtype=np.int64)
-    n = params.ctx.n
-    bounds = []
-    witness = None
-    for i, plane in enumerate(transcript.planes):
-        values = word[plane_codes(params, plane)].tolist()
-        a_idx = [0] if i == 0 else [t * n for t in range(n)]
-        d = _exact_predicate_distance(params2d, values, a_idx)
-        bounds.append(PredicateBound(i, d, d, True))
-        if witness is None and d >= alpha:
-            witness = i
-    return RobustVerdict(witness is not None, witness, bounds)
 
 
 def _plane_density(params, corruption, plane, rng) -> DensityBound:

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gf import Field
+from .gf import Field, scratch
 
 Point = tuple
 
@@ -82,15 +82,6 @@ class PlaneRep:
         if is_colinear(ctx, dir1, dir2):
             raise ValueError("plane directions must be independent")
         return PlaneRep(tuple(anchor), tuple(dir1), tuple(dir2))
-
-
-def line_points(ctx: Field, anchor, direction):
-    """All n points of the line, position j = anchor + elem(j) * dir."""
-    if is_zero(direction):
-        raise ValueError("line direction must be nonzero")
-    return [
-        add_points(ctx, anchor, scale_point(ctx, j, direction)) for j in range(ctx.n)
-    ]
 
 
 def plane_point_at(ctx: Field, plane: PlaneRep, j: int, k: int):
@@ -160,10 +151,10 @@ def _lane_codes(ctx: Field, s) -> np.ndarray:
 
 def points_at(ctx: Field, anchor, dirs, params) -> np.ndarray:
     """Coordinates of anchor + sum of elem(t) * u over (u, t) in
-    zip(dirs, params), vectorized: the numpy form of line_points and
-    plane_point_at.  Anchor and direction coordinates and parameters
-    are codes or code arrays that broadcast together; the result is a
-    (len(anchor), *shape) code array.  Each coordinate is the lane sum
+    zip(dirs, params), vectorized: the numpy form of plane_point_at.
+    Anchor and direction coordinates and parameters are codes or code
+    arrays that broadcast together; the result is a (len(anchor),
+    *shape) code array.  Each coordinate is the lane sum
     of the anchor and at most two products, read from lane_tables and
     reduced to codes once."""
     if len(dirs) > 2:
@@ -193,20 +184,71 @@ def codes_of(ctx: Field, coords) -> np.ndarray:
 
 
 def plane_codes_at(ctx: Field, plane: PlaneRep, jj, kk) -> np.ndarray:
-    """Point codes of plane grid positions (jj, kk), vectorized."""
-    return codes_of(
-        ctx, points_at(ctx, plane.anchor, (plane.dir1, plane.dir2), (jj, kk))
-    )
+    """Point codes of plane grid positions (jj, kk), vectorized; jj and
+    kk are codes or code arrays that broadcast together.  The result is
+    a scratch array, valid until the next call.
 
-
-def plane_points(ctx: Field, plane: PlaneRep):
-    """All n^2 plane points in row-major (j, k) grid order."""
-    rows = [
-        add_points(ctx, plane.anchor, scale_point(ctx, j, plane.dir1))
-        for j in range(ctx.n)
-    ]
-    cols = [scale_point(ctx, k, plane.dir2) for k in range(ctx.n)]
-    return [add_points(ctx, r, c) for r in rows for c in cols]
+    Coordinate c's lanes take bit field c % per of int64 word c // per.
+    The anchor (times elem(1)) and each scalar product fold into one
+    packed constant; each direction u with an array parameter becomes a
+    table of the packed lanes of elem(t) * u over t, the first one plus
+    the constant.  A position costs a gather per table, then per
+    coordinate a shift, a mask and a reduce lookup."""
+    log, lanes, reduce, group = lane_tables(ctx)
+    _, log0, _, _ = ctx.tables  # log 0 = 0, not past every sum
+    n, dim = ctx.n, len(plane.anchor)
+    width = ((3 * (ctx.p - 1) + 1) ** ctx.m - 1).bit_length()
+    per = 63 // width
+    words = -(-dim // per)
+    const, params = np.zeros((words, 1), dtype=np.int64), []
+    for u, t in ((plane.anchor, 1), (plane.dir1, jj), (plane.dir2, kk)):
+        if np.ndim(t):
+            params.append((u, t))
+            continue
+        for c, e in enumerate(log[list(u)] + log[t]):
+            const[c // per] += int(lanes[min(e, len(lanes) - 1)]) << width * (c % per)
+    shape = np.broadcast_shapes(*(np.shape(t) for _, t in params))
+    acc = scratch("plane_words", (words, *shape), np.int64)
+    part = scratch("plane_part", shape, np.int64)
+    if not params:
+        acc[:] = const[:, 0]
+    for i, (u, t) in enumerate(params):
+        # by log t first, where coordinate c's lanes are a window of lanes
+        base = const if i == 0 else 0
+        by_log = scratch("plane_by_log", (words, n - 1), np.int64)
+        by_log[:] = base
+        wide = scratch("plane_wide", (n - 1,), np.int64)
+        for c, x in enumerate(u):
+            if x:
+                # widened by a copy: a casting ufunc allocates a buffer
+                np.copyto(wide, lanes[log0[x] : log0[x] + n - 1])
+                wide <<= width * (c % per)
+                by_log[c // per] += wide
+        table = scratch("plane_table", (words, n), np.int64)
+        np.take(by_log, log0, axis=1, mode="clip", out=table)
+        table[:, :1] = base  # elem(0) * u = 0
+        if np.shape(t) != shape:  # take copies this read-only view
+            t = np.broadcast_to(t, shape)
+        for w in range(words):
+            np.take(table[w], t, mode="clip", out=part if i else acc[w])
+            if i:
+                acc[w] += part
+    code = scratch("plane_codes", shape, np.int64)
+    digit = scratch("plane_digit", shape, reduce.dtype)
+    for c in reversed(range(dim)):
+        np.right_shift(acc[c // per], width * (c % per), out=part)
+        part &= (1 << width) - 1
+        if group == ctx.m:
+            np.take(reduce, part, mode="clip", out=digit)
+            np.copyto(part, digit)
+        else:
+            part[...] = _lane_codes(ctx, part)
+        if c == dim - 1:
+            code[...] = part
+        else:
+            code *= n
+            code += part
+    return code
 
 
 def sample_point(ctx: Field, rng):

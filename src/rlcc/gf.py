@@ -20,10 +20,31 @@ and as the reference the tables are cross-checked against.
 from __future__ import annotations
 
 from itertools import product
+from math import prod
 
 import numpy as np
 
 _TABLE_LIMIT = 1 << 20
+
+
+# the package's one workspace: arrays by role (distinct in every module),
+# kept across calls so that hot vector paths make no large temporaries
+# (fresh ones cost page faults: glibc unmaps large freed blocks).  One
+# above _SCRATCH_LIMIT elements is fresh and not kept.  Callers write a
+# scratch array fully before reading it, and one returned is valid until
+# the next call; no two calls overlap, as the package runs no threads.
+_SCRATCH: dict = {}
+_SCRATCH_LIMIT = 1 << 17
+
+
+def scratch(role: str, shape, dtype) -> np.ndarray:
+    size = prod(shape)
+    if size > _SCRATCH_LIMIT:
+        return np.empty(shape, dtype)
+    buf = _SCRATCH.get(role)
+    if buf is None or buf.dtype != dtype or buf.size < size:
+        buf = _SCRATCH[role] = np.empty(_SCRATCH_LIMIT, dtype)
+    return buf[:size].reshape(shape)
 
 
 def is_prime(x: int) -> bool:
@@ -347,21 +368,3 @@ def parse_descriptor(text: str) -> Field:
     irr = tuple(int(c) for c in tail.split(",")) if tail else None
     return Field(p, m, irr)
 
-
-# ---------------------------------------------------------------------------
-# F^m points as matrices over H
-
-
-def matrix_rep(ctx: Field, point):
-    """Represent a point of F^m as an m x m matrix over GF(p).
-
-    Row i is the coefficient vector of coordinate i, so the map is a
-    bijection between F^m and the full matrix space.
-    """
-    if len(point) != ctx.m:
-        raise ValueError("point must have m coordinates")
-    return tuple(ctx.coeffs_of(c) for c in point)
-
-
-def point_from_matrix(ctx: Field, rows):
-    return tuple(ctx.code_of(row) for row in rows)

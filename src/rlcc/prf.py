@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .gf import scratch
+
 _M64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -105,8 +107,12 @@ class KeyedNoise:
         return chain(self.prefix, addr) < self.threshold
 
     def hit_mask(self, addrs: np.ndarray) -> np.ndarray:
-        """Vectorized hit for one-limb addresses; agrees with ``hit``."""
-        return chain_vec(self.prefix, addrs) < self.threshold
+        """Vectorized hit for one-limb addresses; agrees with ``hit``.
+        The addresses are hashed in a scratch copy, never in place."""
+        x = scratch("hash", np.shape(addrs), np.uint64)
+        np.copyto(x, addrs, casting="unsafe")
+        tmp = scratch("hash_tmp", x.shape, np.uint64)
+        return chain_vec(self.prefix, x, tmp) < self.threshold
 
     def _passes(self, lo: int, hi: int):
         """hit(a) for a in [lo, hi), addresses of any width, one pass of

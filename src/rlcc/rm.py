@@ -22,11 +22,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import product
-from math import comb, prod
+from math import comb
 
 import numpy as np
 
-from .gf import _TABLE_LIMIT, Field
+from .gf import _TABLE_LIMIT, Field, scratch
 from .geometry import PlaneRep, lane_tables, points_at
 
 ENUM_BUDGET = 10**7
@@ -240,31 +240,11 @@ def _log_powers(ctx: Field, coords: np.ndarray, d: int, zero: int) -> np.ndarray
     even at 0).  A scratch array, valid until the next call."""
     _, log_t, _, _ = ctx.tables
     dim, points = coords.shape
-    out = _scratch("powers", (dim, d + 1, points), np.int64)
+    out = scratch("powers", (dim, d + 1, points), np.int64)
     np.multiply(log_t[coords][:, None, :], np.arange(d + 1)[:, None], out=out)
-    _mod(out, ctx.n - 1, _scratch("quotients", out.shape, np.int64))
+    _mod(out, ctx.n - 1, scratch("quotients", out.shape, np.int64))
     np.copyto(out[:, 1:], zero, where=(coords == 0)[:, None, :])
     return out
-
-
-# scratch arrays by role, kept across calls so that a restriction makes
-# no large temporaries (fresh ones cost page faults: glibc unmaps large
-# freed blocks).  A request above _SCRATCH_LIMIT elements gets a fresh
-# array that is not kept, so the kept ones stay bounded.  Each caller
-# fully writes a scratch array before reading it, and no two calls
-# overlap: the package runs no threads.
-_SCRATCH: dict = {}
-_SCRATCH_LIMIT = 1 << 17
-
-
-def _scratch(role: str, shape, dtype) -> np.ndarray:
-    size = prod(shape)
-    if size > _SCRATCH_LIMIT:
-        return np.empty(shape, dtype)
-    buf = _SCRATCH.get(role)
-    if buf is None or buf.dtype != dtype or buf.size < size:
-        buf = _SCRATCH[role] = np.empty(_SCRATCH_LIMIT, dtype)
-    return buf[:size].reshape(shape)
 
 
 def evaluate_many(params: RmParams, coeffs, coords) -> np.ndarray:
@@ -290,7 +270,7 @@ def evaluate_many(params: RmParams, coeffs, coords) -> np.ndarray:
     antilogs = _packed_antilogs(ctx, width, lanes)
     # the centred digits of the coefficient matrix, digit i of row e at
     # row e*m + i, so that the rows e < k are a prefix
-    da = _scratch("digits", (d + 1, m, len(rest)), np.float64)
+    da = scratch("digits", (d + 1, m, len(rest)), np.float64)
     da.fill(0)
     da[rows, :, cols] = _centred_digits(ctx)[:, np.asarray(coeffs, dtype=np.int64)].T
     da = da.reshape(-1, len(rest))
@@ -299,25 +279,25 @@ def evaluate_many(params: RmParams, coeffs, coords) -> np.ndarray:
     zero = dim * q
     points = coords.shape[1]
     powers = _log_powers(ctx, coords, d, zero)
-    acc = _scratch("acc", (len(antilogs), (d + 1) * m, points), np.float64)
+    acc = scratch("acc", (len(antilogs), (d + 1) * m, points), np.float64)
     for lo, hi, k in bands:
         # each rest monomial's log sum; mode="clip", as take buffers its
         # output in the default mode
-        logs = _scratch("logs", (hi - lo, points), np.int64)
+        logs = scratch("logs", (hi - lo, points), np.int64)
         np.take(powers[0], rest[lo:hi, 0], axis=0, out=logs, mode="clip")
         for i in range(1, dim - 1):
             if i > 1:
                 # keep the running sum below 2(n-1) - 1
                 np.subtract(logs, q, out=logs, where=logs >= q)
-            term = _scratch("term", logs.shape, np.int64)
+            term = scratch("term", logs.shape, np.int64)
             logs += np.take(powers[i], rest[lo:hi, i], axis=0, out=term, mode="clip")
-        vals = _scratch("vals", logs.shape, np.float64)
+        vals = scratch("vals", logs.shape, np.float64)
         for table, part in zip(antilogs, acc):
             np.take(table, logs, mode="clip", out=vals)
             if lo == 0:
                 np.matmul(da[:, :hi], vals, out=part)
             else:
-                band = _scratch("band", (k * m, points), np.float64)
+                band = scratch("band", (k * m, points), np.float64)
                 part[: k * m] += np.matmul(da[: k * m, lo:hi], vals, out=band)
     partial = _read_lanes(
         ctx, width, lanes,
@@ -326,7 +306,7 @@ def evaluate_many(params: RmParams, coeffs, coords) -> np.ndarray:
     # partial[e] * last^e, summed over e; log(0) is 2(n-1) - 1
     last = powers[-1]
     last += lane_tables(ctx)[0][partial]
-    vals = _scratch("codes", last.shape, np.int64)
+    vals = scratch("codes", last.shape, np.int64)
     np.take(_antilogs(ctx), last, mode="clip", out=vals)
     return ctx.sum_elements(vals, axis=0)
 
@@ -457,18 +437,18 @@ def _read_lanes(ctx: Field, width: int, lanes: int, products) -> np.ndarray:
     conv = None
     for g, prod in enumerate(products):
         if conv is None:
-            conv = _scratch("conv", (2 * m - 1,) + prod.shape[:-3] + prod.shape[-2:], np.int64)
+            conv = scratch("conv", (2 * m - 1,) + prod.shape[:-3] + prod.shape[-2:], np.int64)
             conv.fill(0)
-        packed = _scratch("packed", prod.shape, np.int64)
+        packed = scratch("packed", prod.shape, np.int64)
         np.add(prod, bias, out=packed, casting="unsafe")
-        lane = _scratch("lane", prod.shape, np.int64)
+        lane = scratch("lane", prod.shape, np.int64)
         for j in range(g * lanes, min(m, (g + 1) * lanes)):
             np.right_shift(packed, width * (j - g * lanes), out=lane)
             lane &= lane_mask
             lane -= half
             for i in range(m):
                 conv[i + j] += lane[..., i, :, :]
-    term = _scratch("fold", conv.shape[1:], np.int64)
+    term = scratch("fold", conv.shape[1:], np.int64)
     for lo in range(m):
         digit = conv[lo]
         for t, red in enumerate(ctx.reduction):

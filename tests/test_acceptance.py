@@ -18,13 +18,14 @@ import pytest
 from rlcc import composed, ctrw, harness, rm
 from rlcc.geometry import (
     is_zero,
-    line_points,
     point_code,
     sample_point,
 )
 from rlcc.gf import Field
 from rlcc.pcpp import BOT, PcppParams
 from rlcc.stats import freq_meets_floor, stderr
+
+from reference import line_points
 
 
 def report(num, ok, detail):

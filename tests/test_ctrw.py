@@ -9,14 +9,14 @@ from rlcc.geometry import (
     add_points,
     is_colinear,
     is_zero,
-    line_points,
     plane_codes_at,
-    plane_points,
     point_code,
     sample_point,
 )
 from rlcc.gf import Field
 from rlcc.stats import chi_square_pvalue
+
+from reference import line_points, plane_points, violation_check_exact
 
 
 def test_walk_transcript_shape(gf8, rng):
@@ -138,6 +138,24 @@ def test_point_corruption_density_zero_and_one(gf8):
         assert all((corr.read(2, c) != 2) == expect for c in range(len(codes)))
 
 
+def test_corrupt_mask_keeps_its_input_and_flags_targets(gf8):
+    params = rm.RmParams(gf8, 3, 1)
+    corr = ctrw.PointCorruption(params, seed=5, density=0.3)
+    # a target that the keyed noise alone leaves clean
+    target = next(
+        pt for pt in ((1, 2, c) for c in range(gf8.n))
+        if not corr.is_corrupt_code(point_code(gf8, pt))
+    )
+    corr.target_point(target)
+    codes = np.random.default_rng(5).integers(0, gf8.n**3, size=300)
+    codes[[17, 250]] = point_code(gf8, target)
+    before = codes.copy()
+    mask = corr.corrupt_mask(codes)
+    assert (codes == before).all()
+    assert mask[17] and mask[250]
+    assert mask.tolist() == [corr.is_corrupt_code(c) for c in codes.tolist()]
+
+
 def test_violation_check_exact_matches_planted(gf4):
     # both verdict paths agree on tiny parameters where both apply
     params = rm.RmParams(gf4, 2, 1)
@@ -154,7 +172,7 @@ def test_violation_check_exact_matches_planted(gf4):
             [corr.read(int(v), code) for code, v in enumerate(base)], dtype=np.int64
         )
         tr = ctrw.walk_sample(params, x, rng)
-        exact = ctrw.violation_check_exact(params, table, tr, alpha)
+        exact = violation_check_exact(params, table, tr, alpha)
         planted = ctrw.violation_check_planted(params, corr, tr, alpha, rng)
         # the planted path is conservative: it may miss violations the
         # exact path finds, but must never claim one that is not there
@@ -184,8 +202,8 @@ def test_linearity_reduction(gf4):
         )
         x = sample_point(gf4, rng)
         tr = ctrw.walk_sample(params, x, rng)
-        v1 = ctrw.violation_check_exact(params, word, tr, alpha)
-        v2 = ctrw.violation_check_exact(params, noise, tr, alpha)
+        v1 = violation_check_exact(params, word, tr, alpha)
+        v2 = violation_check_exact(params, noise, tr, alpha)
         assert v1.violated == v2.violated
         assert [b.lower for b in v1.distances] == [b.lower for b in v2.distances]
 

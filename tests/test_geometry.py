@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from functools import lru_cache
 from itertools import product
 
@@ -6,10 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rlcc import composed, geometry as geo, rm
+from rlcc import composed, ctrw, geometry as geo, rm
 from rlcc.pcpp import PcppParams
 from rlcc.stats import chi_square_pvalue
 from rlcc.gf import Field
+
+from reference import line_points, plane_points
 
 
 def t2_layout(ctx):
@@ -26,7 +29,7 @@ def brute_line_set(ctx, anchor, direction):
 
 
 def test_axis_line_order(gf4):
-    assert geo.line_points(gf4, (0, 0), (1, 0)) == [(0, 0), (1, 0), (2, 0), (3, 0)]
+    assert line_points(gf4, (0, 0), (1, 0)) == [(0, 0), (1, 0), (2, 0), (3, 0)]
 
 
 def test_line_position_zero_is_anchor(gf8, rng):
@@ -35,7 +38,7 @@ def test_line_position_zero_is_anchor(gf8, rng):
         direction = geo.sample_point(gf8, rng)
         if geo.is_zero(direction):
             continue
-        assert geo.line_points(gf8, anchor, direction)[0] == anchor
+        assert line_points(gf8, anchor, direction)[0] == anchor
 
 
 def test_all_gf4_squared_lines_distinct_and_complete():
@@ -46,7 +49,7 @@ def test_all_gf4_squared_lines_distinct_and_complete():
             if geo.is_zero(direction):
                 continue
             reps += 1
-            pts = geo.line_points(ctx, anchor, direction)
+            pts = line_points(ctx, anchor, direction)
             assert len(pts) == 4
             assert len(set(pts)) == 4
             assert set(pts) == brute_line_set(ctx, anchor, direction)
@@ -55,7 +58,7 @@ def test_all_gf4_squared_lines_distinct_and_complete():
 
 def test_zero_direction_rejected(gf4):
     with pytest.raises(ValueError):
-        geo.line_points(gf4, (0, 0), (0, 0))
+        line_points(gf4, (0, 0), (0, 0))
     with pytest.raises(ValueError):
         geo.PlaneRep.make(gf4, (0, 0), (1, 0), (2, 0))  # dependent directions
 
@@ -75,7 +78,7 @@ def test_plane_grid_gf4_cubed():
     ctx = Field(2, 2)  # points live in F^2 here; use a 3-dim field for e1,e2
     ctx3 = Field(2, 3)
     plane = geo.PlaneRep.make(ctx3, (0, 0, 0), (1, 0, 0), (0, 1, 0))
-    pts = geo.plane_points(ctx3, plane)
+    pts = plane_points(ctx3, plane)
     assert len(pts) == ctx3.n**2
     assert pts[0] == (0, 0, 0)
     assert all(p[2] == 0 for p in pts)
@@ -90,10 +93,10 @@ def test_plane_points_distinct_random(gf8, rng):
         if geo.is_zero(d1) or geo.is_zero(d2) or geo.is_colinear(gf8, d1, d2):
             continue
         plane = geo.PlaneRep.make(gf8, anchor, d1, d2)
-        pts = geo.plane_points(gf8, plane)
+        pts = plane_points(gf8, plane)
         assert len(set(pts)) == gf8.n**2
         # anchor line shows up as column k = 0
-        line = geo.line_points(gf8, plane.anchor, plane.dir1)
+        line = line_points(gf8, plane.anchor, plane.dir1)
         assert [pts[t * gf8.n] for t in range(gf8.n)] == line
 
 
@@ -108,7 +111,7 @@ def test_plane_matches_bruteforce_tiny():
         for t in range(4)
         for s in range(4)
     }
-    assert set(geo.plane_points(ctx, plane)) == expected
+    assert set(plane_points(ctx, plane)) == expected
 
 
 # one Field per (p, m): GF(17^4) takes about a second to tabulate
@@ -150,7 +153,7 @@ def test_points_at_matches_scalar_points(pm, seed):
     # S1's; the lines below check larger ones at chosen positions
     if ctx.n <= 17**3:
         coords = geo.points_at(ctx, plane.anchor, (d1,), (np.arange(ctx.n),))
-        pts = geo.line_points(ctx, plane.anchor, d1)
+        pts = line_points(ctx, plane.anchor, d1)
         assert [tuple(c) for c in coords.T.tolist()] == pts
         want = [geo.point_code(ctx, p) for p in pts]
         assert geo.codes_of(ctx, coords).tolist() == want or not has_codes
@@ -179,6 +182,77 @@ def test_points_at_matches_scalar_points(pm, seed):
         for j, k in product(range(3), repeat=2):
             pt = geo.plane_point_at(ctx, geo.PlaneRep(a, u, v), j, k)
             assert tuple(coords[:, key_idx, j, k].tolist()) == pt
+
+
+# (p, m, dim): one packed word of 3 fields at S1's GF(17^3); GF(31^3)
+# reduces its lanes in two groups; GF(3^5) (4 fields a word), GF(17^4)
+# (2 a word) and GF(2^10) (3 a word) span two words, the last two with
+# two reduce groups.  dim keeps n^dim below 2^63, so codes are exact
+PACKED_CASES = [(2, 3, 3), (17, 3, 3), (31, 3, 3), (3, 5, 5), (17, 4, 3), (2, 10, 6)]
+
+
+@pytest.mark.parametrize("case", PACKED_CASES)
+def test_plane_codes_at_matches_scalar_codes(case):
+    p, m, dim = case
+    ctx = _field(p, m)
+    r = random.Random(100 * p + 10 * m + dim)
+
+    def point():
+        return tuple(r.randrange(1, ctx.n) for _ in range(dim))
+
+    # a zero coordinate in the anchor and in each direction
+    anchor, d1, d2 = point(), point(), point()
+    plane = geo.PlaneRep(anchor[:1] + (0,) + anchor[2:], (0,) + d1[1:], d2[:-1] + (0,))
+
+    def scalar_codes(jj, kk):
+        jj, kk = np.broadcast_arrays(jj, kk)
+        return [
+            geo.point_code(ctx, geo.plane_point_at(ctx, plane, j, k))
+            for j, k in zip(jj.flat, kk.flat)
+        ]
+
+    # a whole grid in small fields, else a grid over sampled parameters
+    # with 0 and n - 1 among them
+    if ctx.n <= 27:
+        js = np.arange(ctx.n)
+    else:
+        js = np.array([0, ctx.n - 1] + r.sample(range(1, ctx.n - 1), 14))
+    grid = geo.plane_codes_at(ctx, plane, js[:, None], js)
+    assert grid.shape == (len(js), len(js))
+    grid = grid.copy()
+    # the anchor line, with scalar kk = 0, right after the grid call
+    line = geo.plane_codes_at(ctx, plane, js, 0)
+    assert line.tolist() == scalar_codes(js, 0)
+    assert grid.reshape(-1).tolist() == scalar_codes(js[:, None], js)
+    jj, kk = (np.array([r.randrange(ctx.n) for _ in range(40)]) for _ in range(2))
+    codes = geo.plane_codes_at(ctx, plane, jj, kk)
+    assert codes.tolist() == scalar_codes(jj, kk)
+
+
+def test_s1_plane_codes_reuse_their_scratch():
+    # a warmed S1 call over 20,000 sampled positions, and the density
+    # mask of its codes, each allocate less than 64 KB; with fresh
+    # 160 KB temporaries a soundness trial took about 890 page faults
+    ctx = _field(17, 3)
+    r = random.Random(20)
+    plane = geo.PlaneRep.make(
+        ctx, geo.sample_point(ctx, r), geo.sample_point(ctx, r), (1, 0, 1)
+    )
+    jj, kk = np.random.default_rng(20).integers(0, ctx.n, size=(2, 20_000))
+    corruption = ctrw.PointCorruption(rm.RmParams(ctx, 3, 32), seed=20, density=0.1)
+    codes = geo.plane_codes_at(ctx, plane, jj, kk).copy()
+    corruption.corrupt_mask(codes)
+    for step in (
+        lambda: geo.plane_codes_at(ctx, plane, jj, kk),
+        lambda: corruption.corrupt_mask(codes),
+    ):
+        tracemalloc.start()
+        try:
+            step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
 
 def test_points_at_takes_at_most_two_directions(gf8):

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from rlcc.geometry import points_at
-from rlcc.gf import Field, find_irreducible, is_irreducible, matrix_rep, parse_descriptor, point_from_matrix
+from rlcc.gf import Field, find_irreducible, is_irreducible, parse_descriptor
+
+from reference import matrix_rep, point_from_matrix
 
 
 def test_smallest_irreducibles():
