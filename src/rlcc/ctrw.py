@@ -211,8 +211,7 @@ def _plane_density(params, corruption, plane, rng) -> DensityBound:
         )
     samples = DEFAULT_PLANE_SAMPLES
     npr = np.random.Generator(np.random.PCG64(rng.randrange(2**63)))
-    jj = npr.integers(0, n, size=samples)
-    kk = npr.integers(0, n, size=samples)
+    jj, kk = npr.integers(0, n, size=(2, samples))
     codes = plane_codes_at(params.ctx, plane, jj, kk)
     return DensityBound.from_sample(int(corruption.corrupt_mask(codes).sum()), samples)
 

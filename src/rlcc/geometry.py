@@ -7,22 +7,20 @@ by the element-code order of their parameters: position j of a line is
 anchor + elem(j) * dir, and position (j, k) of a plane, row-major, is
 anchor + elem(j) * dir1 + elem(k) * dir2.  Every restriction index in
 the package uses this one grid order.  A plane's anchor line, its grid
-column k = 0, is the line anchor + elem(j) * dir1.
+column k = 0, is the line anchor + elem(j) * dir1.  The vectorized maps
+(points_at, plane_codes_at) add an anchor and two products in the
+lanes of gf.LaneLayout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .gf import Field, scratch
+from .gf import Field, LaneLayout, scratch
 
 Point = tuple
-
-# entries of one lane_tables reduce table (512 KB as int32)
-_REDUCE_LIMIT = 1 << 17
 
 
 def point_code(ctx: Field, point) -> int:
@@ -89,84 +87,25 @@ def plane_point_at(ctx: Field, plane: PlaneRep, j: int, k: int):
     return add_points(ctx, pt, scale_point(ctx, k, plane.dir2))
 
 
-@lru_cache(maxsize=None)
-def lane_tables(ctx: Field):
-    """Integer tables that add up to three field elements without carries.
-
-    A code's base-p digits are packed into mixed-radix lanes, digit i in
-    lane i, with radix R = 3(p-1)+1: the lanes of an anchor and of two
-    products then sum lane-wise, each lane below R.  Returns (log,
-    lanes, reduce, group):
-
-    - log: the log table with log(0) = 2(n-1)-1, past every sum of two
-      nonzero logs;
-    - lanes[e]: the lanes of antilog(e) for e < 2(n-1)-1, and 0 at the
-      last entry, so lanes[log[a]] packs a, and a sum of two logs read
-      with mode="clip" gives 0 when either factor is zero;
-    - reduce[s]: the code of a value s of `group` lanes, each lane taken
-      mod p.  The lanes split into equal groups of at most 2^17 reduce
-      entries, so the table stays small however large m is.
-
-    lanes is int32 when R^m fits, and R^m < 2^63 for every field with
-    cached tables.
-    """
-    exp_t, log_t, digits, _ = ctx.tables
-    n, m, p = ctx.n, ctx.m, ctx.p
-    radix = 3 * (p - 1) + 1
-    dtype = np.int32 if radix**m <= 1 << 31 else np.int64
-    zero = 2 * (n - 1) - 1
-    log = np.array(log_t, dtype=np.int32)
-    log[0] = zero
-    packed = np.zeros(n, dtype=dtype)
-    for i in range(m):
-        packed += digits[:, i] * dtype(radix**i)
-    lanes = np.zeros(zero + 1, dtype=dtype)
-    lanes[:zero] = packed[exp_t[:zero]]
-    group = 1
-    while group < m and radix ** (group + 1) <= _REDUCE_LIMIT:
-        group += 1
-    # the fewest groups, then lanes spread evenly over them
-    group = -(-m // -(-m // group))
-    # outer sums of length-R lane vectors: no temporary outgrows the table
-    lane = np.arange(radix, dtype=np.int32) % p
-    reduce = lane
-    for i in range(1, group):
-        reduce = (reduce + (lane * p**i)[:, None]).reshape(-1)
-    return log, lanes, reduce, group
-
-
-def _lane_codes(ctx: Field, s) -> np.ndarray:
-    """Codes of lane sums s: one reduce lookup per group of lanes, the
-    top group first."""
-    _, _, reduce, group = lane_tables(ctx)
-    lows = []
-    for _ in range(-(-ctx.m // group) - 1):
-        s, low = np.divmod(s, len(reduce))
-        lows.append(low)
-    code = reduce[s]
-    for low in reversed(lows):
-        code = code * ctx.p**group + reduce[low]
-    return code
-
-
 def points_at(ctx: Field, anchor, dirs, params) -> np.ndarray:
     """Coordinates of anchor + sum of elem(t) * u over (u, t) in
     zip(dirs, params), vectorized: the numpy form of plane_point_at.
     Anchor and direction coordinates and parameters are codes or code
     arrays that broadcast together; the result is a (len(anchor),
-    *shape) code array.  Each coordinate is the lane sum
-    of the anchor and at most two products, read from lane_tables and
-    reduced to codes once."""
+    *shape) code array.  Each coordinate is the lane sum of the anchor
+    and at most two products, in a LaneLayout for sums of three
+    elements, read back to codes once."""
     if len(dirs) > 2:
         raise ValueError("points_at adds at most two products to the anchor")
-    log, lanes, _, _ = lane_tables(ctx)
+    lanes = LaneLayout(ctx, 3 * (ctx.p - 1))
+    log, table = lanes.zero_ended(2)
     logs = [log[t] for t in params]
     coords = []
     for i, a in enumerate(anchor):
-        s = lanes[log[a]]
+        s = np.take(table, log[a], axis=1)
         for u, lt in zip(dirs, logs):
-            s = s + np.take(lanes, log[u[i]] + lt, mode="clip")
-        coords.append(_lane_codes(ctx, s))
+            s = s + np.take(table, log[u[i]] + lt, axis=1, mode="clip")
+        coords.append(lanes.codes(s))
     return np.stack(np.broadcast_arrays(*coords), dtype=np.int64)
 
 
@@ -188,25 +127,29 @@ def plane_codes_at(ctx: Field, plane: PlaneRep, jj, kk) -> np.ndarray:
     kk are codes or code arrays that broadcast together.  The result is
     a scratch array, valid until the next call.
 
-    Coordinate c's lanes take bit field c % per of int64 word c // per.
-    The anchor (times elem(1)) and each scalar product fold into one
-    packed constant; each direction u with an array parameter becomes a
-    table of the packed lanes of elem(t) * u over t, the first one plus
-    the constant.  A position costs a gather per table, then per
-    coordinate a shift, a mask and a reduce lookup."""
-    log, lanes, reduce, group = lane_tables(ctx)
-    _, log0, _, _ = ctx.tables  # log 0 = 0, not past every sum
+    Coordinate c's lanes take place c of points_at's LaneLayout (at S1
+    one int64 of three 17-bit fields).  The anchor (times elem(1)) and
+    each scalar product fold into one packed constant; each direction u
+    with an array parameter becomes a table of the packed lanes of
+    elem(t) * u over t, the first one plus the constant.  A position
+    costs a gather per table, then per coordinate a LaneLayout.codes
+    read (at S1 a shift, a mask and one lookup)."""
+    lanes = LaneLayout(ctx, 3 * (ctx.p - 1))
+    # one word holds a sum of three elements of every field with log
+    # tables; Field.tables' log (int64, as take wants its indices) is the
+    # zero-ended one for sums of two logs
+    lane_table = lanes.zero_ended(2)[1][0]
+    _, log, _, _ = ctx.tables
     n, dim = ctx.n, len(plane.anchor)
-    width = ((3 * (ctx.p - 1) + 1) ** ctx.m - 1).bit_length()
-    per = 63 // width
-    words = -(-dim // per)
+    places = [lanes.place(c) for c in range(dim)]
+    words = places[-1][0] + 1
     const, params = np.zeros((words, 1), dtype=np.int64), []
     for u, t in ((plane.anchor, 1), (plane.dir1, jj), (plane.dir2, kk)):
         if np.ndim(t):
             params.append((u, t))
             continue
-        for c, e in enumerate(log[list(u)] + log[t]):
-            const[c // per] += int(lanes[min(e, len(lanes) - 1)]) << width * (c % per)
+        for (w, shift), e in zip(places, log[list(u)] + log[t]):
+            const[w] += int(lane_table[min(e, len(lane_table) - 1)]) << shift
     shape = np.broadcast_shapes(*(np.shape(t) for _, t in params))
     acc = scratch("plane_words", (words, *shape), np.int64)
     part = scratch("plane_part", shape, np.int64)
@@ -218,14 +161,14 @@ def plane_codes_at(ctx: Field, plane: PlaneRep, jj, kk) -> np.ndarray:
         by_log = scratch("plane_by_log", (words, n - 1), np.int64)
         by_log[:] = base
         wide = scratch("plane_wide", (n - 1,), np.int64)
-        for c, x in enumerate(u):
+        for (w, shift), x in zip(places, u):
             if x:
                 # widened by a copy: a casting ufunc allocates a buffer
-                np.copyto(wide, lanes[log0[x] : log0[x] + n - 1])
-                wide <<= width * (c % per)
-                by_log[c // per] += wide
+                np.copyto(wide, lane_table[log[x] : log[x] + n - 1])
+                wide <<= shift
+                by_log[w] += wide
         table = scratch("plane_table", (words, n), np.int64)
-        np.take(by_log, log0, axis=1, mode="clip", out=table)
+        np.take(by_log, log, axis=1, mode="clip", out=table)
         table[:, :1] = base  # elem(0) * u = 0
         if np.shape(t) != shape:  # take copies this read-only view
             t = np.broadcast_to(t, shape)
@@ -234,15 +177,8 @@ def plane_codes_at(ctx: Field, plane: PlaneRep, jj, kk) -> np.ndarray:
             if i:
                 acc[w] += part
     code = scratch("plane_codes", shape, np.int64)
-    digit = scratch("plane_digit", shape, reduce.dtype)
     for c in reversed(range(dim)):
-        np.right_shift(acc[c // per], width * (c % per), out=part)
-        part &= (1 << width) - 1
-        if group == ctx.m:
-            np.take(reduce, part, mode="clip", out=digit)
-            np.copyto(part, digit)
-        else:
-            part[...] = _lane_codes(ctx, part)
+        lanes.codes(acc, c, out=part)
         if c == dim - 1:
             code[...] = part
         else:

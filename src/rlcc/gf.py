@@ -15,10 +15,16 @@ Multiplication and inversion go through log/antilog tables over a fixed
 primitive element whenever the field is small enough to cache them
 (n <= 2**20); schoolbook polynomial arithmetic is kept as the fallback
 and as the reference the tables are cross-checked against.
+
+Every vector path adds field elements as integers: LaneLayout packs
+their base-p digits in lanes wide enough for a known largest lane sum,
+and reads the sums back to codes, or to lane values for fmatmul's fold.
+It is the package's one such format.
 """
 
 from __future__ import annotations
 
+from functools import cached_property, lru_cache
 from itertools import product
 from math import prod
 
@@ -152,7 +158,6 @@ class Field:
         if self.n <= _TABLE_LIMIT:
             self._build_tables()
         self._np = None
-        self._packed = None
 
     # -- codecs -------------------------------------------------------------
 
@@ -288,9 +293,11 @@ class Field:
     def tables(self):
         """Numpy views used by the vectorized fast paths.
 
-        Returns (exp, log, digits, weights): antilog of length 2(n-1),
-        log with log[0] = 0 (callers must mask zeros), the n x m digit
-        matrix and the length-m vector of powers of p.
+        Returns (exp, log, digits, weights): the antilog of every sum of
+        two logs, over 2(n-1) entries with the last one 0, and the log,
+        which sends 0 to that entry, past every sum of two nonzero logs,
+        so that a product read with mode="clip" is 0 for a zero factor;
+        the n x m digit matrix and the length-m vector of powers of p.
         """
         if self._np is None:
             if self._log is None:
@@ -302,37 +309,19 @@ class Field:
             for i in range(m):
                 digits[:, i] = rem % p
                 rem //= p
-            self._np = (
-                np.array(self._exp, dtype=np.int64),
-                np.array(self._log, dtype=np.int64),
-                digits,
-                np.array(self._pw, dtype=np.int64),
-            )
+            exp = np.array(self._exp, dtype=np.int64)
+            exp[-1] = 0
+            log = np.array(self._log, dtype=np.int64)
+            log[0] = len(exp) - 1
+            self._np = (exp, log, digits, np.array(self._pw, dtype=np.int64))
         return self._np
 
     def sum_elements(self, arr: np.ndarray, axis: int) -> np.ndarray:
-        """Sum field elements (codes) along an axis of an int array.
-
-        Uses 21-bit packed digit lanes when m <= 3 and the lane sums
-        cannot overflow; otherwise falls back to per-digit sums.
-        """
-        _, _, digits, weights = self.tables
-        # the per-digit fallback appends a digit axis, so a negative axis
-        # must be resolved against the input's own dimensions
+        """Sum field elements (codes) along an axis of an int array, in
+        digit lanes wide enough for that many digits."""
         axis %= arr.ndim
-        count = arr.shape[axis]
-        if self.m <= 3 and count * (self.p - 1) < (1 << 21):
-            if self._packed is None:
-                lanes = np.zeros(self.n, dtype=np.int64)
-                for i in range(self.m):
-                    lanes += digits[:, i].astype(np.int64) << (21 * i)
-                self._packed = lanes
-            s = self._packed[arr].sum(axis=axis)
-            out = np.zeros(s.shape, dtype=np.int64)
-            for i in range(self.m):
-                out += (((s >> (21 * i)) & 0x1FFFFF) % self.p) * self._pw[i]
-            return out
-        return (digits[arr].sum(axis=axis) % self.p) @ weights
+        lanes = LaneLayout(self, arr.shape[axis] * (self.p - 1))
+        return lanes.codes(np.take(lanes.packed, arr, axis=1).sum(axis=axis + 1))
 
     def __repr__(self):
         return f"Field({self.p}^{self.m}, X-poly {list(self.irreducible)})"
@@ -358,6 +347,150 @@ def _prime_factors(x: int):
     if x > 1:
         out.add(x)
     return out
+
+
+# entries of one LaneLayout.reduce table (512 KB as int32)
+_REDUCE_LIMIT = 1 << 17
+
+
+# one layout per (field, top, signed, carrier), for the 64 last used
+@lru_cache(maxsize=64)
+class LaneLayout:
+    """The one digit-lane codec: codes' base-p digits in integer lanes
+    that add up without carries, and the read-back of the lane sums.
+
+    A lane sum lies in [0, top], or in [-top, top] for signed lanes,
+    whose digits are centred into [-floor(p/2), floor(p/2)]; its radix
+    R is top + 1, or 2 top + 1.  Unsigned lanes spread evenly over the
+    fewest fields of `group` lanes with R^group <= 2^17, so that one
+    `reduce` lookup reads a field; signed lanes, read back as lane
+    values, take a field each.  Fields are `width` bits wide, `per` to a
+    carrier word (63 bits of an int64, 53 of a float64's mantissa):
+    digit i is lane i % group of field f = i // group, in bit field
+    f % per of word f // per.  A code takes `words` words.
+    """
+
+    def __init__(self, ctx: Field, top: int, signed: bool = False, carrier=np.int64):
+        m, self.ctx, self.top, self.signed = ctx.m, ctx, top, signed
+        # a sum over no elements still takes a lane
+        radix = self.radix = max(2, 2 * top + 1 if signed else top + 1)
+        group = 1
+        while not signed and group < m and radix ** (group + 1) <= _REDUCE_LIMIT:
+            group += 1
+        self.fields = -(-m // group)
+        self.group = -(-m // self.fields)
+        self.width = (radix**self.group - 1).bit_length()
+        self.mask = (1 << self.width) - 1
+        self.per = (53 if carrier is np.float64 else 63) // self.width
+        assert self.per, "a lane sum does not fit the carrier word"
+        self.words = -(-self.fields // self.per)
+        used = min(self.fields, self.per) * self.width
+        self._dtype = np.int32 if carrier is np.int64 and used < 32 else carrier
+        # (word, shift, lane weight, code weight) of each digit
+        self._digits = [
+            (f // self.per, f % self.per * self.width, radix**t, ctx.p**i)
+            for i, (f, t) in enumerate(divmod(i, self.group) for i in range(m))
+        ]
+        self._ends = {}
+
+    def place(self, slot: int):
+        """(word, shift) of code `slot` of several packed side by side: as
+        many to a word as its fields allow, else `words` words each."""
+        slots = max(1, self.per // self.fields)
+        return slot // slots * self.words, slot % slots * self.fields * self.width
+
+    @cached_property
+    def digits(self) -> np.ndarray:
+        """m x n: row i holds digit i of every code, centred if signed."""
+        p, digits = self.ctx.p, self.ctx.tables[2].T
+        return np.where(digits > p // 2, digits - p, digits) if self.signed else digits
+
+    def _pack(self, codes: np.ndarray) -> np.ndarray:
+        out = np.zeros((self.words, len(codes)), dtype=self._dtype)
+        for row, (w, shift, lane, _) in zip(self.digits, self._digits):
+            out[w] += row[codes] * self._dtype(lane << shift)
+        return out
+
+    @cached_property
+    def packed(self) -> np.ndarray:
+        """words x n: the lanes of every code (int32 when they fit)."""
+        return self._pack(np.arange(self.ctx.n))
+
+    def zero_ended(self, s: int):
+        """(log, table) for sums of s >= 2 logs, as Field.tables' (exp,
+        log) for two: table (words x s(n-1)) holds the lanes of each such
+        sum's antilog and 0 at its last entry, where log sends 0."""
+        if s not in self._ends:
+            exp_t, log_t, _, _ = self.ctx.tables
+            # int32 beside an int32 table, so that small tables stay small
+            log = log_t.astype(np.int32 if self._dtype is np.int32 else np.int64)
+            log[0] = s * (self.ctx.n - 1) - 1
+            exp = exp_t[np.arange(log[0] + 1) % (self.ctx.n - 1)]
+            exp[-1] = 0
+            self._ends[s] = log, self._pack(exp)
+        return self._ends[s]
+
+    @cached_property
+    def reduce(self):
+        """Codes of field values, each lane taken mod p (R^group int32
+        entries, built by outer sums so no temporary outgrows the table),
+        or None past the table limit, where a lane is read mod p."""
+        if self.radix**self.group > _REDUCE_LIMIT:
+            return None
+        lane = np.arange(self.radix, dtype=np.int32) % self.ctx.p
+        table = lane
+        for t in range(1, self.group):
+            table = (table + (lane * self.ctx.p**t)[:, None]).reshape(-1)
+        return table
+
+    def codes(self, sums: np.ndarray, slot: int = 0, out=None) -> np.ndarray:
+        """Codes of the unsigned sums of code `slot` (place) in sums,
+        whose first axis runs over words, into out if given.  A field
+        costs a shift, a mask and a reduce lookup; the work arrays are
+        scratch arrays."""
+        word, shift = self.place(slot)
+        reduce, shape = self.reduce, sums.shape[1:]
+        out = np.empty(shape, dtype=np.int64) if out is None else out
+        field = scratch("lane_field", shape, np.int64)
+        digit = field if reduce is None else scratch("lane_digit", shape, np.int32)
+        for f in reversed(range(self.fields)):
+            at = shift + f % self.per * self.width
+            np.right_shift(sums[word + f // self.per], at, out=field)
+            field &= self.mask
+            if reduce is None:
+                field %= self.ctx.p
+            else:
+                np.take(reduce, field, mode="clip", out=digit)
+            if f < self.fields - 1:
+                out *= self.ctx.p**self.group
+                out += digit
+            else:
+                np.copyto(out, digit)
+        return out
+
+    def code(self, sums) -> int:
+        """The codes read of one unsigned sum of code 0, given as Python
+        ints, one per word: for one value they read faster than numpy."""
+        p, radix, mask = self.ctx.p, self.radix, self.mask
+        return sum(
+            (sums[w] >> shift & mask) // lane % radix % p * weight
+            for w, shift, lane, weight in self._digits
+        )
+
+    def lane_values(self, w: int, sums: np.ndarray):
+        """Yield (i, lane sums of digit i) for each digit in word w, from
+        signed sums of that word (float64 ones exact).  The values are a
+        scratch array, valid until the next step."""
+        lanes = [(i, shift) for i, (v, shift, _, _) in enumerate(self._digits) if v == w]
+        lane = scratch("lane_value", sums.shape, np.int64)
+        # a bias makes every lane nonnegative
+        word = scratch("lane_word", sums.shape, np.int64)
+        np.add(sums, sum(self.top << shift for _, shift in lanes), out=word, casting="unsafe")
+        for i, shift in lanes:
+            np.right_shift(word, shift, out=lane)
+            lane &= self.mask
+            lane -= self.top
+            yield i, lane
 
 
 def parse_descriptor(text: str) -> Field:

@@ -13,7 +13,9 @@ operators per (field, d): divided differences and the Newton-to-monomial
 map.
 
 Whole grids are evaluated in one way too: grid_values contracts every
-axis of the coefficient tensor with the Vandermonde matrix.
+axis of the coefficient tensor with the Vandermonde matrix.  Field sums
+and digit products go through gf.LaneLayout: integer lanes for
+evaluate, signed float64 lanes for fmatmul and evaluate_many.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from math import comb
 
 import numpy as np
 
-from .gf import _TABLE_LIMIT, Field, scratch
-from .geometry import PlaneRep, lane_tables, points_at
+from .gf import _TABLE_LIMIT, Field, LaneLayout, scratch
+from .geometry import PlaneRep, points_at
 
 ENUM_BUDGET = 10**7
 
@@ -97,28 +99,26 @@ def evaluate(params: RmParams, coeffs, point) -> int:
     coordinate (_live_monomials), so the origin reads the constant
     coefficient.  Term i is antilog(log c_i + sum over the nonzero
     coordinates x_c of (E_ic log x_c mod n-1)), gathered from the d+1
-    reduced powers of each coordinate, so the sum needs no modulo.  It
-    is read from _point_lanes, whose zero last entry is where the log of
-    a zero coefficient lands, and the terms' base-p digits add up in
-    lanes.  A coefficient tuple, or an array of another dtype, is
-    converted on every call, so hot callers hold int64 arrays.
+    reduced powers of each coordinate, so the sum needs no modulo.  The
+    terms' base-p digits add up in the lanes of a LaneLayout for k
+    digits, read from its zero-ended table, whose zero last entry is
+    where the log of a zero coefficient lands.  A coefficient tuple, or
+    an array of another dtype, is converted on every call, so hot
+    callers hold int64 arrays.
     """
     ctx, d = params.ctx, params.d
     if d >= _BULK_DEGREE and ctx.n <= _TABLE_LIMIT:
         live, columns = _live_monomials(params.dim, d, tuple(x == 0 for x in point))
         if not columns:
             return int(coeffs[0])
-        log, lanes, width, weights = _point_lanes(ctx, params.dim, d)
+        lanes = LaneLayout(ctx, params.k * (ctx.p - 1))
+        log, table = lanes.zero_ended(params.dim + 1)
         cvec = np.asarray(coeffs, dtype=np.int64)
         logs = log[cvec[live]]
         steps = np.arange(d + 1)
         for x, col in zip((x for x in point if x), columns):
             logs += (steps * log[x] % (ctx.n - 1))[col]
-        sums = lanes.take(logs, axis=1, mode="clip").sum(axis=1).tolist()
-        mask, p = (1 << width) - 1, ctx.p
-        shifts = range(0, width * (63 // width), width)
-        digits = [s >> shift & mask for s in sums for shift in shifts]
-        return sum(w * (x % p) for w, x in zip(weights, digits))
+        return lanes.code(table.take(logs, axis=1, mode="clip").sum(axis=1).tolist())
     acc = 0
     for c, exps in zip(coeffs, params.basis):
         if c == 0:
@@ -148,33 +148,6 @@ def _live_monomials(dim: int, d: int, zero: tuple):
     E = _exponent_matrix(dim, d)
     live = np.flatnonzero(~E[:, list(zero)].any(axis=1)) if any(zero) else slice(None)
     return live, tuple(E[live, c] for c in range(dim) if not zero[c])
-
-
-@lru_cache(maxsize=64)
-def _point_lanes(ctx: Field, dim: int, d: int):
-    """(log, lanes, width, weights) for evaluate's sums of dim+1 logs.
-
-    The digit lanes are 21 bits wide, or wider when the k monomials'
-    base-p digits could reach 2^21 in one lane; per = 63 // width of
-    them share an int64.  lanes is groups x (dim+1)(n-1): entry e below
-    the last packs the digits of antilog(e), digit g * per + t at bit
-    width * t of group g, and the last entry is 0.  log has log(0) =
-    that last index, past every sum of dim+1 nonzero logs, so a sum
-    holding it reads 0 with mode="clip".  weights are the powers of p.
-    """
-    exp_t, log_t, digits, weights = ctx.tables
-    width = max(21, (comb(d + dim, dim) * (ctx.p - 1)).bit_length())
-    per = 63 // width
-    size = (dim + 1) * (ctx.n - 1)
-    codes = exp_t[np.arange(size - 1) % (ctx.n - 1)]
-    groups = np.split(digits.astype(np.int64), range(per, ctx.m, per), axis=1)
-    lanes = np.zeros((len(groups), size), dtype=np.int64)
-    for row, group in zip(lanes, groups):
-        shifts = width * np.arange(group.shape[1])
-        row[:-1] = (group << shifts).sum(axis=1)[codes]
-    log = log_t.copy()
-    log[0] = size - 1
-    return log, lanes, width, weights.tolist()
 
 
 # columns of a band of evaluate_many's Horner product: the rest monomials
@@ -207,23 +180,6 @@ def _horner_layout(dim: int, d: int):
             bands.append((lo, hi, d + 1 - low))
             lo, low = hi, g + 1
     return rows, cols, np.array(rest, dtype=np.int64), tuple(bands)
-
-
-@lru_cache(maxsize=None)
-def _antilogs(ctx: Field) -> np.ndarray:
-    """The 2(n-1) antilog codes with the last entry 0, as in
-    geometry.lane_tables: a sum of two logs reads its product, and an
-    index from 2(n-1)-1 on reads 0 under mode="clip"."""
-    exp_t = ctx.tables[0].copy()
-    exp_t[-1] = 0
-    return exp_t
-
-
-@lru_cache(maxsize=64)
-def _packed_antilogs(ctx: Field, width: int, lanes: int) -> np.ndarray:
-    """groups x 2(n-1) float64: _packed_digits of _antilogs, so a sum
-    of logs reads its product's packed digits, and 0 past the end."""
-    return _packed_digits(ctx, width, lanes)[:, _antilogs(ctx)]
 
 
 def _mod(x: np.ndarray, q: int, work: np.ndarray):
@@ -266,13 +222,13 @@ def evaluate_many(params: RmParams, coeffs, coords) -> np.ndarray:
     coords = np.asarray(coords, dtype=np.int64)
     rows, cols, rest, bands = _horner_layout(dim, d)
     m, q = ctx.m, ctx.n - 1
-    width, lanes = _lane_layout(ctx, len(rest))
-    antilogs = _packed_antilogs(ctx, width, lanes)
+    lanes = LaneLayout(ctx, len(rest) * (ctx.p // 2) ** 2, True, np.float64)
+    antilogs = lanes.zero_ended(2)[1]
     # the centred digits of the coefficient matrix, digit i of row e at
     # row e*m + i, so that the rows e < k are a prefix
     da = scratch("digits", (d + 1, m, len(rest)), np.float64)
     da.fill(0)
-    da[rows, :, cols] = _centred_digits(ctx)[:, np.asarray(coeffs, dtype=np.int64)].T
+    da[rows, :, cols] = lanes.digits[:, np.asarray(coeffs, dtype=np.int64)].T
     da = da.reshape(-1, len(rest))
     # a sum holding a zero's power stays past 2(n-1) - 2 through the
     # dim - 3 reductions below, and so reads 0
@@ -299,15 +255,15 @@ def evaluate_many(params: RmParams, coeffs, coords) -> np.ndarray:
             else:
                 band = scratch("band", (k * m, points), np.float64)
                 part[: k * m] += np.matmul(da[: k * m, lo:hi], vals, out=band)
-    partial = _read_lanes(
-        ctx, width, lanes,
-        (part.reshape(d + 1, m, points).swapaxes(0, 1) for part in acc),
+    partial = _fold_lanes(
+        ctx, lanes, (part.reshape(d + 1, m, points).swapaxes(0, 1) for part in acc)
     )
     # partial[e] * last^e, summed over e; log(0) is 2(n-1) - 1
+    exp_t, log_t, _, _ = ctx.tables
     last = powers[-1]
-    last += lane_tables(ctx)[0][partial]
+    last += log_t[partial]
     vals = scratch("codes", last.shape, np.int64)
-    np.take(_antilogs(ctx), last, mode="clip", out=vals)
+    np.take(exp_t, last, mode="clip", out=vals)
     return ctx.sum_elements(vals, axis=0)
 
 
@@ -357,95 +313,52 @@ def fmatmul(ctx: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a = a[..., :, :, None]
     b = b[..., None, :, :]
     # the antilog table spans 2(n-1) entries, so summed logs need no modulo
-    prod = exp_t[log_t[a] + log_t[b]]
-    prod[(a == 0) | (b == 0)] = 0
+    prod = np.take(exp_t, log_t[a] + log_t[b], mode="clip")
     return ctx.sum_elements(prod, axis=-2)
-
-
-@lru_cache(maxsize=None)
-def _centred_digits(ctx: Field) -> np.ndarray:
-    """m x n float64: row i holds digit i of every code, centred into
-    [-floor(p/2), floor(p/2)] (the same residue mod p)."""
-    _, _, digits, _ = ctx.tables
-    return np.where(digits > ctx.p // 2, digits - ctx.p, digits).T.astype(np.float64)
-
-
-def _lane_layout(ctx: Field, inner: int):
-    """(width, lanes) for _fmatmul_digits: a sum of inner products of
-    two centred digits lies in [-bound, bound], bound = inner *
-    floor(p/2)^2, so it fits a width-bit two's-complement lane; lanes
-    of them share one float64 while they stay within its 53-bit
-    mantissa."""
-    m, p = ctx.m, ctx.p
-    bound = inner * (p // 2) ** 2
-    width = bound.bit_length() + 1
-    lanes = min(m, 53 // width)
-    # the reduction sums m lanes per power of X, then up to m of those
-    # times coefficients below p per output digit, in int64
-    assert lanes and m * bound * (1 + (m - 1) * (p - 1)) < 2**63, (
-        "digit products would not be exact"
-    )
-    return width, lanes
-
-
-@lru_cache(maxsize=64)
-def _packed_digits(ctx: Field, width: int, lanes: int) -> np.ndarray:
-    """groups x n float64: group g of code c holds its centred digits
-    g*lanes + t, t < lanes, as sum_t digit * 2^(width * t)."""
-    planes = _centred_digits(ctx)
-    scale = 2.0 ** (width * np.arange(lanes))
-    return np.stack(
-        [scale[: len(g)] @ g for g in np.split(planes, range(lanes, ctx.m, lanes))]
-    )
 
 
 def _fmatmul_digits(ctx: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """fmatmul through float64 products of the operands' centred base-p
-    digit matrices, read back by _read_lanes.
+    digit matrices, read back by _fold_lanes.
 
     a's m digit matrices are stacked row-wise and b's digits packed in
-    lanes (_lane_layout), so one product per lane group yields every
-    digit block (i, j); at S1 that is one product in all.
+    the float64 words of a signed LaneLayout (an entry of a digit block
+    lies within inner * floor(p/2)^2), so one product per word yields
+    every digit block (i, j); at S1 that is one product in all.
     """
     rows, inner = a.shape[-2:]
-    width, lanes = _lane_layout(ctx, inner)
+    lanes = LaneLayout(ctx, inner * (ctx.p // 2) ** 2, True, np.float64)
     # digit i of a stacked row-wise: block i of a product is a_i @ b's lanes
-    da = np.concatenate([plane[a] for plane in _centred_digits(ctx)], axis=-2)
+    da = np.concatenate([plane[a] for plane in lanes.digits], axis=-2, dtype=np.float64)
     lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
     shape = lead + (ctx.m, rows, b.shape[-1])
-    return _read_lanes(
-        ctx, width, lanes,
-        ((da @ packed[b]).reshape(shape) for packed in _packed_digits(ctx, width, lanes)),
+    return _fold_lanes(
+        ctx, lanes, ((da @ packed[b]).reshape(shape) for packed in lanes.packed)
     )
 
 
-def _read_lanes(ctx: Field, width: int, lanes: int, products) -> np.ndarray:
+def _fold_lanes(ctx: Field, lanes, products) -> np.ndarray:
     """Codes of F-matrix products from their digit products: one float64
-    array (..., m, rows, cols) per lane group g, whose entry (i, r, c)
-    holds in lane t the integer product of digit i of row r of a with
-    digit g * lanes + t of column c of b.
+    array (..., m, rows, cols) per word w of the signed layout lanes,
+    whose entry (i, r, c) holds in the lane of digit j the integer
+    product of digit i of row r of a with digit j of column c of b.
 
-    Exact: every partial sum is an integer below 2^53.  Each lane is
-    read back after a bias makes it nonnegative, the degree-(2m-2) digit
-    polynomial is folded by the irreducible, and each output digit is
+    Exact: every partial sum is an integer below 2^53.  The lanes, read
+    by LaneLayout.lane_values, add into the degree-(2m-2) digit
+    polynomial, the irreducible folds it, and each output digit is
     reduced mod p once.  The work arrays are scratch arrays.
     """
     _, _, _, weights = ctx.tables
     m, p = ctx.m, ctx.p
-    half, lane_mask = 1 << (width - 1), (1 << width) - 1
-    bias = sum(half << (width * t) for t in range(lanes))
+    # m lanes per power of X, then up to m of those times coefficients
+    # below p per output digit, in int64
+    assert m * lanes.top * (1 + (m - 1) * (p - 1)) < 2**63, "digit products would not be exact"
     conv = None
-    for g, prod in enumerate(products):
+    for w, prod in enumerate(products):
         if conv is None:
             conv = scratch("conv", (2 * m - 1,) + prod.shape[:-3] + prod.shape[-2:], np.int64)
             conv.fill(0)
-        packed = scratch("packed", prod.shape, np.int64)
-        np.add(prod, bias, out=packed, casting="unsafe")
-        lane = scratch("lane", prod.shape, np.int64)
-        for j in range(g * lanes, min(m, (g + 1) * lanes)):
-            np.right_shift(packed, width * (j - g * lanes), out=lane)
-            lane &= lane_mask
-            lane -= half
+        for j, lane in lanes.lane_values(w, prod):
             for i in range(m):
                 conv[i + j] += lane[..., i, :, :]
     term = scratch("fold", conv.shape[1:], np.int64)
@@ -476,7 +389,7 @@ def _vandermonde(ctx: Field, d: int) -> np.ndarray:
     """n x (d+1): x^e at [x, e] for every code x, with 0^0 = 1; the
     sentinel 2n reads 0 past the end of the antilog table."""
     powers = _log_powers(ctx, np.arange(ctx.n)[None], d, 2 * ctx.n)[0].T
-    return np.take(_antilogs(ctx), powers, mode="clip")
+    return np.take(ctx.tables[0], powers, mode="clip")
 
 
 def grid_values(params: RmParams, coeffs) -> np.ndarray:

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from rlcc import composed, ctrw, geometry as geo, rm
 from rlcc.pcpp import PcppParams
 from rlcc.stats import chi_square_pvalue
-from rlcc.gf import Field
+from rlcc.gf import Field, LaneLayout
 
 from reference import line_points, plane_points
 
@@ -184,11 +184,14 @@ def test_points_at_matches_scalar_points(pm, seed):
             assert tuple(coords[:, key_idx, j, k].tolist()) == pt
 
 
-# (p, m, dim): one packed word of 3 fields at S1's GF(17^3); GF(31^3)
-# reduces its lanes in two groups; GF(3^5) (4 fields a word), GF(17^4)
-# (2 a word) and GF(2^10) (3 a word) span two words, the last two with
-# two reduce groups.  dim keeps n^dim below 2^63, so codes are exact
-PACKED_CASES = [(2, 3, 3), (17, 3, 3), (31, 3, 3), (3, 5, 5), (17, 4, 3), (2, 10, 6)]
+# (p, m, dim): one word of three one-field coordinates at S1's GF(17^3);
+# GF(31^3) (two fields a coordinate, two coordinates a word), GF(3^5)
+# (one field, four a word), and GF(17^4), S2's GF(13^4) (two fields, two
+# coordinates a word) and GF(2^10) (two fields, three a word) span two
+# words.  dim keeps n^dim below 2^63, so codes are exact
+PACKED_CASES = [
+    (2, 3, 3), (17, 3, 3), (31, 3, 3), (3, 5, 5), (17, 4, 3), (2, 10, 6), (13, 4, 4),
+]
 
 
 @pytest.mark.parametrize("case", PACKED_CASES)
@@ -261,12 +264,13 @@ def test_points_at_takes_at_most_two_directions(gf8):
 
 
 def test_lane_tables_stay_small():
-    # the reduce table is split into lane groups of at most 2^17 entries,
-    # so no field of a sweep over m = 2..6 allocates a huge table
+    # points_at's lanes are split into fields of at most 2^17 reduce
+    # entries, so no field of a sweep over m = 2..6 allocates a huge table
     for ctx in (_field(17, 3), _field(17, 4), _field(2, 12)):
-        log, lanes, reduce, _ = geo.lane_tables(ctx)
-        assert len(reduce) <= 1 << 17
-        assert log.nbytes + lanes.nbytes + reduce.nbytes <= 1 << 20
+        lanes = LaneLayout(ctx, 3 * (ctx.p - 1))
+        log, table = lanes.zero_ended(2)
+        assert len(lanes.reduce) <= 1 << 17
+        assert log.nbytes + table.nbytes + lanes.reduce.nbytes <= 1 << 20
 
 
 def test_sample_h_direction_support(gf4, rng):

@@ -140,8 +140,17 @@ def test_sum_elements_matches_scalar():
         for i in range(30):
             acc = f.add(acc, int(arr[i, j]))
         assert out[j] == acc
-    # a negative axis sums the same axis in the packed-lane path (m = 3)
-    # and in the per-digit fallback (m = 4), which appends a digit axis
+    # worst magnitude: every summand n - 1, so every lane sum is its top,
+    # at the most summands whose lanes fit 17 bits and one reduce table,
+    # and one more, whose 18-bit lanes are read mod p; adding c copies of
+    # an element is multiplying it by the subfield scalar c mod p
+    for f in (Field(17, 3), Field(13, 4), Field(2, 10)):
+        boundary = ((1 << 17) - 1) // (f.p - 1)
+        for count in (boundary, boundary + 1):
+            arr = np.full((count, 2), f.n - 1, dtype=np.int64)
+            want = f.mul(count % f.p, f.n - 1)
+            assert f.sum_elements(arr, axis=0).tolist() == [want, want]
+    # a negative axis sums the same axis at m = 3 and m = 4
     for f in (Field(3, 3), Field(2, 4)):
         arr = np.array(
             [[[rng.randrange(f.n) for _ in range(4)] for _ in range(3)] for _ in range(2)],

@@ -1,6 +1,7 @@
 """Every name a package module imports is used in that module, every
-function, class and method it defines is referenced somewhere, and
-every parameter with a default is passed by some call."""
+function, class, method and module-level constant it defines is
+referenced somewhere, and every parameter with a default is passed by
+some call."""
 
 import ast
 import re
@@ -48,14 +49,16 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-def referenced_names(source: str):
-    """Every identifier a source reads: names, attributes, imported names,
-    and identifiers inside string constants (the benchmark's tracer names
-    its targets in strings such as "composed.correct_rm")."""
+def referenced_names(source: str, bare: bool = True):
+    """Every identifier a source reads: names not assigned to (when bare),
+    attributes, imported names, and identifiers inside string constants
+    (the benchmark's tracer names its targets in strings such as
+    "composed.correct_rm")."""
     names = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name):
-            names.add(node.id)
+            if bare and not isinstance(node.ctx, ast.Store):
+                names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
         elif isinstance(node, ast.alias):
@@ -67,13 +70,27 @@ def referenced_names(source: str):
 
 def unused_definitions(modules: dict, reference_sources):
     """"module:name" of each module-level function or class, and each
-    non-dunder method, whose name no reference source reads."""
-    refs = set()
+    non-dunder method, whose name no reference source reads; and of each
+    module-level constant (a name assigned there, __all__ excepted) that
+    its own module does not read and no source reads as an attribute,
+    an import or a string, so that a constant left unread is found even
+    where another module reads a namesake."""
+    refs, qualified = set(), set()
     for source in reference_sources:
         refs |= referenced_names(source)
+        qualified |= referenced_names(source, bare=False)
     unused = []
     for module, source in modules.items():
+        own = referenced_names(source) | qualified
         for node in ast.parse(source).body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                unused += [
+                    f"{module}:{t.id}"
+                    for t in targets
+                    if isinstance(t, ast.Name) and t.id != "__all__" and t.id not in own
+                ]
+                continue
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
             defs = [(node.name, node.name)]
@@ -99,10 +116,23 @@ def test_checker_flags_unused_definitions():
         "def _helper(): ...\n"
         "def caller():\n"
         "    return _helper()\n"
+        "__all__ = ['caller']\n"
+        "_LIMIT = 3\n"
+        "_DEAD_LIMIT = 4\n"
+        "_NAMESAKE = 5\n"
+        "READ_ELSEWHERE: int = 6\n"
+        "def bounded(x):\n"
+        "    return min(x, _LIMIT)\n"
     )
-    user = "from mod import caller\nUsed().live()\nTARGETS = ('mod.traced',)\n"
-    assert unused_definitions({"mod": module}, [module, user]) == [
+    other = "_NAMESAKE = 7\nprint(_NAMESAKE)\n"
+    user = (
+        "from mod import caller, bounded\nUsed().live()\nTARGETS = ('mod.traced',)\n"
+        "print(mod.READ_ELSEWHERE)\n"
+    )
+    assert unused_definitions({"mod": module, "other": other}, [module, other, user]) == [
         "mod:Used.dead_method",
+        "mod:_DEAD_LIMIT",
+        "mod:_NAMESAKE",
         "mod:dead_function",
     ]
 

@@ -226,3 +226,33 @@ def test_correct_proof_symbol_aborts_on_far_word(gf4):
         for i in range(60)
     )
     assert bots >= 55
+
+
+def test_correct_proof_symbol_tie_is_not_a_majority(gf4):
+    # the queried coefficient holds one wrong value, smaller than the
+    # true one, in 4 of the other 8 copies: a tie, which the vote breaks
+    # toward the smaller value, so only the strict-majority gate keeps
+    # that value from being returned when the verifier accepts
+    params2d = rm.RmParams(gf4, 2, 1)
+    pcpp = PcppParams(1)
+    coeffs = (2, 3, 1)
+    member, _ = make_member(params2d, coeffs, rm.POINT_KIND)
+    proof = list(canonical_proof(params2d, pcpp, member))
+    wrong = 1
+    for c in (1, 3, 5, 7):
+        proof[c * 3 + 1] = wrong
+    outputs, accepted = [], 0
+    for i in range(60):
+        outputs.append(
+            correct_proof_symbol(
+                params2d, pcpp, member.read, spans(proof), 0 * 3 + 1,
+                rm.POINT_KIND, random.Random(i),
+            )
+        )
+        # correct_proof_symbol draws nothing before its verifier call
+        accepted += verify_proximity(
+            params2d, pcpp, member.read, spans(proof), rm.POINT_KIND,
+            random.Random(i),
+        )
+    assert wrong not in outputs
+    assert accepted > 0

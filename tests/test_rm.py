@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from rlcc import rm
 from rlcc.geometry import PlaneRep, plane_point_at, points_at, sample_point
-from rlcc.gf import Field
+from rlcc.gf import Field, LaneLayout
 
 # derandomized, so reruns draw the same examples
 CROSS_CHECK = settings(derandomize=True, max_examples=20, deadline=None)
@@ -82,12 +82,13 @@ def test_evaluate_matches_bruteforce(gf27, rng):
 
 # (p, m, dim, d): T1, T2 and T3 sit below evaluate's d = 8 cutoff; above
 # it are the S1 bivariate code, the S1 trivariate code that gives the
-# oracle its point values, and fields whose m digit lanes of 21 bits need
-# more than one int64: GF(3^4) and GF(17^4) two, GF(2^10) four.  GF(257^2)
-# at d = 36 has k (p - 1) >= 2^21, so its lanes are wider
+# oracle its point values (three lanes of 14 and 17 bits in one int64),
+# GF(3^4) (two fields of two lanes), GF(17^4) and S2's GF(13^4) (four
+# one-lane fields) and GF(2^10) (four fields in two words).  GF(257^2)
+# at d = 36 has k (p - 1) >= 2^21, so its lanes are 22 bits wide
 EVAL_CASES = [
     (2, 2, 2, 1), (2, 3, 3, 1), (3, 3, 3, 4), (17, 3, 2, 32), (17, 3, 3, 32),
-    (3, 4, 2, 8), (17, 4, 2, 32), (2, 10, 2, 8), (257, 2, 3, 36),
+    (3, 4, 2, 8), (17, 4, 2, 32), (2, 10, 2, 8), (257, 2, 3, 36), (13, 4, 2, 32),
 ]
 
 
@@ -147,8 +148,9 @@ def test_point_tables_stay_small():
     ctx = field(17, 3)
     total = 0
     for dim in (2, 3):
-        log, lanes, _, _ = rm._point_lanes(ctx, dim, 32)
-        total += log.nbytes + lanes.nbytes
+        k = rm.RmParams(ctx, dim, 32).k
+        log, table = LaneLayout(ctx, k * (ctx.p - 1)).zero_ended(dim + 1)
+        total += log.nbytes + table.nbytes
         for zero in product([False, True], repeat=dim):
             live, columns = rm._live_monomials(dim, 32, zero)
             if not any(zero):
@@ -269,19 +271,27 @@ def test_fmatmul_matches_scalar_product_across_cutoff(pm, inner, rows, cols, bat
 
 
 # fmatmul's digit path: S1's GF(17^3), p = 2 (where centred digits are
-# 0 and 1 only) with few and many digits, and small odd p
-DIGIT_FIELDS = [(17, 3), (2, 3), (3, 4), (5, 2), (2, 8)]
+# 0 and 1 only) with few and many digits, small odd p, and S2's GF(13^4)
+DIGIT_FIELDS = [(17, 3), (2, 3), (3, 4), (5, 2), (2, 8), (13, 4)]
 # inner dimensions tested stop here: GF(5^2) packs both digits up to 2^23
 DIGIT_INNER_CAP = 1 << 16
 
 
+def float_layout(ctx, inner):
+    """(field width, digits per float64) of b's lanes in fmatmul's digit
+    path at this inner dimension."""
+    lanes = LaneLayout(ctx, inner * (ctx.p // 2) ** 2, True, np.float64)
+    return lanes.width, min(ctx.m, lanes.per)
+
+
+@lru_cache(maxsize=None)
 def digit_inners(ctx):
     """The digit path's least inner dimension, and the last one with as
     many of b's digits per float64 as at 16 and the first with fewer
     (or the cap)."""
-    lanes = rm._lane_layout(ctx, rm._DIGIT_INNER)[1]
+    lanes = float_layout(ctx, rm._DIGIT_INNER)[1]
     last = rm._DIGIT_INNER
-    while last < DIGIT_INNER_CAP and rm._lane_layout(ctx, last + 1)[1] == lanes:
+    while last < DIGIT_INNER_CAP and float_layout(ctx, last + 1)[1] == lanes:
         last += 1
     return [rm._DIGIT_INNER, last, last + 1]
 
@@ -343,11 +353,11 @@ def test_lane_layout_packs_s1_horner_product_in_one_float():
     # S1's Horner product: inner 561 = (d+2 choose 2) at d = 32; its
     # centred digit products stay within 561 * 8^2 = 35,904, so 17-bit
     # lanes hold all three of b's digits in one float64
-    assert rm._lane_layout(field(17, 3), 561) == (17, 3)
-    assert rm._lane_layout(field(17, 3), 1024) == (18, 2)
+    assert float_layout(field(17, 3), 561) == (17, 3)
+    assert float_layout(field(17, 3), 1024) == (18, 2)
     # GF(31^3) at the same inner dimension needs 18-bit lanes: two groups
-    assert rm._lane_layout(field(31, 3), 561) == (18, 2)
-    assert rm._lane_layout(field(2, 8), 32) == (7, 7)
+    assert float_layout(field(31, 3), 561) == (18, 2)
+    assert float_layout(field(2, 8), 32) == (7, 7)
 
 
 # (p, m) fields for evaluate_many; degrees reach the digit-plane fmatmul
