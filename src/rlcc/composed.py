@@ -50,7 +50,6 @@ from .pcpp import (
     BOT,
     PcppParams,
     QueryCounter,
-    build_proof,
     correct_proof_symbol,
     query_budget,
     verify_proximity,
@@ -59,21 +58,22 @@ from .prf import KeyedNoise, chain
 from .rm import (
     LINE_KIND,
     POINT_KIND,
+    PlaneRestrictor,
     RmParams,
     eval_table,
     evaluate,
     interpolate_lattice,
-    restrict_to_plane,
 )
 from .ctrw import walk_sample
 
 MATERIALIZE_LIMIT = 50_000_000
 # LRU bounds of the lazy oracle's memos.  A correction rereads only the
 # m + 2 or fewer proof blocks it touches, and independent corrections at
-# S1 share almost none, so 256 blocks (about 5 MB at S1, 20 kB a block)
-# lose no hit that 4096 would keep
+# S1 share almost none, so 32 blocks (about 0.6 MB at S1, 20 kB a block)
+# lose no hit that 256 would keep: 600 s1-alg2-walk trials hit the same
+# 25,986 times with 16, 32 or 256, and 256 held 4.4 MB more at the end
 POINT_MEMO = 1 << 16
-PROOF_MEMO = 256
+PROOF_MEMO = 32
 
 RM_REGION = "rm"
 # a proof region is named by the kind of the plane language its blocks
@@ -256,15 +256,15 @@ def _point_value(layout: ComposedLayout, coeffs, pcode: int) -> int:
     return int(evaluate(layout.rm, coeffs, point_from_code(layout.ctx, pcode)))
 
 
-def _proof_block(layout: ComposedLayout, coeffs, region: str, key_idx: int):
+def _proof_block(layout: ComposedLayout, restrictor, region: str, key_idx: int):
+    """build_proof of the key plane's restriction, R copies of the
+    triangle, tiled as int32."""
     plane, _ = layout.key_plane(region, key_idx)
     if plane is None:
         block = np.zeros(layout.proof_len, dtype=np.int32)
     else:
-        tri = restrict_to_plane(layout.rm, coeffs, plane)
-        block = np.array(
-            build_proof(layout.rm.bivariate(), layout.pcpp, tri), dtype=np.int32
-        )
+        tri = restrictor.restrict(plane).astype(np.int32)
+        block = np.tile(tri, layout.pcpp.repetitions)
     # read_span hands out views of the memoized block
     block.flags.writeable = False
     return block
@@ -273,10 +273,12 @@ def _proof_block(layout: ComposedLayout, coeffs, region: str, key_idx: int):
 class CanonicalOracle:
     """Lazy honest codeword of a message: reads compute symbols on demand.
 
-    The message is held once, as an int64 coefficient array.  Point
-    values and proof blocks are kept in bounded LRU memos; both are pure
-    functions of their key, so an evicted entry recomputes to the same
-    value.  The point memo holds every point of the T1-T3 codes.
+    The message is held as an int64 coefficient array, and copied once
+    more by the rm.PlaneRestrictor that builds its proof blocks, which
+    also keeps the message's slices.  Point values and proof blocks are
+    kept in bounded LRU memos; both are pure functions of their key, so
+    an evicted entry recomputes to the same value.  The point memo holds
+    every point of the T1-T3 codes.
     """
 
     def __init__(self, layout: ComposedLayout, message):
@@ -290,8 +292,9 @@ class CanonicalOracle:
         self._points = lru_cache(maxsize=POINT_MEMO)(
             partial(_point_value, layout, coeffs)
         )
+        # the restrictor's slices fill on first use, not here
         self._proofs = lru_cache(maxsize=PROOF_MEMO)(
-            partial(_proof_block, layout, coeffs)
+            partial(_proof_block, layout, PlaneRestrictor(layout.rm, coeffs))
         )
 
     def point_value(self, pcode: int) -> int:

@@ -6,16 +6,22 @@ on exponent tuples (degree first, then plain tuple comparison), and the
 message-to-coefficient map is the identity.  Distances are exact
 rationals throughout; thresholds like rho/8 are compared exactly.
 
-A bivariate restriction is interpolated in one way: from its values at
+A bivariate polynomial is interpolated in one way: from its values at
 the degree lattice (e_a, e_b), a + b <= d, where the nodes e_0..e_d are
 the first d+1 field elements in code order, through one pair of Newton
 operators per (field, d): divided differences and the Newton-to-monomial
 map.
 
 Whole grids are evaluated in one way too: grid_values contracts every
-axis of the coefficient tensor with the Vandermonde matrix.  Field sums
-and digit products go through gf.LaneLayout: integer lanes for
-evaluate, signed float64 lanes for fmatmul and evaluate_many.
+axis of the coefficient tensor with the Vandermonde matrix.  A
+polynomial is restricted to a plane in one way, by partial evaluation
+(PlaneRestrictor; restrict_to_plane for one plane): its slices in two
+pivot coordinates are evaluated on the lattice once per message and
+pivot pair, a plane sums them times powers of the other coordinates'
+affine forms, and a bivariate affine change of variables takes the
+interpolated result to the plane's own parameters.  Field sums and
+digit products go through gf.LaneLayout: integer lanes for evaluate
+and the restriction's sums, signed float64 lanes for fmatmul.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import product
+from itertools import combinations, product
 from math import comb
 
 import numpy as np
@@ -150,38 +156,6 @@ def _live_monomials(dim: int, d: int, zero: tuple):
     return live, tuple(E[live, c] for c in range(dim) if not zero[c])
 
 
-# columns of a band of evaluate_many's Horner product: the rest monomials
-# of consecutive degrees, gathered and multiplied in one piece
-_BAND_COLUMNS = 64
-
-
-@lru_cache(maxsize=64)
-def _horner_layout(dim: int, d: int):
-    """Where each graded-lex coefficient sits in the (d+1) x rest matrix
-    of evaluate_many (rows = last-coordinate exponents, columns = index
-    of the other coordinates' monomial), those monomials' exponents,
-    and the bands of that matrix's nonzero part.
-
-    The rest monomials are in graded order, so row e is zero past the
-    monomials of degree <= d - e.  A band (lo, hi, k) is the column
-    range of consecutive degrees, at least _BAND_COLUMNS wide where the
-    degrees allow; only rows e < k reach it, k = d + 1 - its lowest
-    degree."""
-    rest = monomial_basis(dim - 1, d)
-    col = {t: i for i, t in enumerate(rest)}
-    basis = monomial_basis(dim, d)
-    rows = np.array([t[-1] for t in basis], dtype=np.int64)
-    cols = np.array([col[t[:-1]] for t in basis], dtype=np.int64)
-    bands, lo, low = [], 0, 0
-    for g in range(d + 1):
-        # columns of degree <= g
-        hi = comb(g + dim - 1, dim - 1)
-        if hi - lo >= _BAND_COLUMNS or g == d:
-            bands.append((lo, hi, d + 1 - low))
-            lo, low = hi, g + 1
-    return rows, cols, np.array(rest, dtype=np.int64), tuple(bands)
-
-
 def _mod(x: np.ndarray, q: int, work: np.ndarray):
     """x %= q in place, through a work array of x's shape: numpy's floor
     division by a constant is several times faster than its remainder."""
@@ -201,70 +175,6 @@ def _log_powers(ctx: Field, coords: np.ndarray, d: int, zero: int) -> np.ndarray
     _mod(out, ctx.n - 1, scratch("quotients", out.shape, np.int64))
     np.copyto(out[:, 1:], zero, where=(coords == 0)[:, None, :])
     return out
-
-
-def evaluate_many(params: RmParams, coeffs, coords) -> np.ndarray:
-    """Evaluate at many points at once; coords is a dim x NP code array.
-
-    Horner form on the last coordinate: the (d+1) x rest coefficient
-    matrix (row = last-coordinate exponent) times the table of the other
-    coordinates' monomials at every point, then the sum of those rows
-    times the powers of the last coordinate.  The table is never formed
-    as codes: per coordinate, a (d+1) x NP table of log powers; per
-    band of the matrix's nonzero triangle, each monomial's log sum,
-    gathered straight into the packed digit lanes of _fmatmul_digits
-    and multiplied by the band's rows.  A zero coordinate's positive
-    powers hold a sentinel that every sum carries past the end of the
-    antilog table, which reads 0.  Cross-checked against a brute-force
-    evaluator in the tests.
-    """
-    ctx, d, dim = params.ctx, params.d, params.dim
-    coords = np.asarray(coords, dtype=np.int64)
-    rows, cols, rest, bands = _horner_layout(dim, d)
-    m, q = ctx.m, ctx.n - 1
-    lanes = LaneLayout(ctx, len(rest) * (ctx.p // 2) ** 2, True, np.float64)
-    antilogs = lanes.zero_ended(2)[1]
-    # the centred digits of the coefficient matrix, digit i of row e at
-    # row e*m + i, so that the rows e < k are a prefix
-    da = scratch("digits", (d + 1, m, len(rest)), np.float64)
-    da.fill(0)
-    da[rows, :, cols] = lanes.digits[:, np.asarray(coeffs, dtype=np.int64)].T
-    da = da.reshape(-1, len(rest))
-    # a sum holding a zero's power stays past 2(n-1) - 2 through the
-    # dim - 3 reductions below, and so reads 0
-    zero = dim * q
-    points = coords.shape[1]
-    powers = _log_powers(ctx, coords, d, zero)
-    acc = scratch("acc", (len(antilogs), (d + 1) * m, points), np.float64)
-    for lo, hi, k in bands:
-        # each rest monomial's log sum; mode="clip", as take buffers its
-        # output in the default mode
-        logs = scratch("logs", (hi - lo, points), np.int64)
-        np.take(powers[0], rest[lo:hi, 0], axis=0, out=logs, mode="clip")
-        for i in range(1, dim - 1):
-            if i > 1:
-                # keep the running sum below 2(n-1) - 1
-                np.subtract(logs, q, out=logs, where=logs >= q)
-            term = scratch("term", logs.shape, np.int64)
-            logs += np.take(powers[i], rest[lo:hi, i], axis=0, out=term, mode="clip")
-        vals = scratch("vals", logs.shape, np.float64)
-        for table, part in zip(antilogs, acc):
-            np.take(table, logs, mode="clip", out=vals)
-            if lo == 0:
-                np.matmul(da[:, :hi], vals, out=part)
-            else:
-                band = scratch("band", (k * m, points), np.float64)
-                part[: k * m] += np.matmul(da[: k * m, lo:hi], vals, out=band)
-    partial = _fold_lanes(
-        ctx, lanes, (part.reshape(d + 1, m, points).swapaxes(0, 1) for part in acc)
-    )
-    # partial[e] * last^e, summed over e; log(0) is 2(n-1) - 1
-    exp_t, log_t, _, _ = ctx.tables
-    last = powers[-1]
-    last += log_t[partial]
-    vals = scratch("codes", last.shape, np.int64)
-    np.take(exp_t, last, mode="clip", out=vals)
-    return ctx.sum_elements(vals, axis=0)
 
 
 def eval_table(params: RmParams, coeffs):
@@ -425,18 +335,6 @@ def interpolate_lattice(params2d: RmParams, values: np.ndarray) -> np.ndarray:
     return _contract(ctx, newton, grid, 2)[a, b].T.reshape(values.shape)
 
 
-def restrict_to_plane(params: RmParams, coeffs, plane: PlaneRep):
-    """Bivariate triangle vector of the restriction to a rank-2 plane.
-
-    Evaluates at the k_2 = (d+2 choose 2) plane points (e_a, e_b) with
-    a + b <= d and interpolates on that lattice.
-    """
-    jj, kk = _exponent_matrix(2, params.d).T
-    coords = points_at(params.ctx, plane.anchor, (plane.dir1, plane.dir2), (jj, kk))
-    vals = evaluate_many(params, coeffs, coords)
-    return tuple(interpolate_lattice(params.bivariate(), vals).tolist())
-
-
 def is_low_degree_on_plane(params2d: RmParams, values):
     """Membership of an n^2 plane word in the bivariate code.
 
@@ -451,6 +349,177 @@ def is_low_degree_on_plane(params2d: RmParams, values):
     tri = tuple(interpolate_lattice(params2d, values.reshape(n, n)[a, b]).tolist())
     ok = bool(np.array_equal(grid_values(params2d, tri).reshape(-1), values))
     return (ok, tri if ok else None)
+
+
+# ---------------------------------------------------------------------------
+# Restriction to a plane: per-message lattice slices, then a bivariate
+# change of variables
+
+
+def _pivots(ctx: Field, u, v):
+    """(p1, p2, minor): the first coordinate pair p1 < p2 whose direction
+    minor u_p1 v_p2 - v_p1 u_p2 is invertible.  ValueError if there is
+    none, as when u and v do not span a plane."""
+    for p1, p2 in combinations(range(len(u)), 2):
+        minor = ctx.sub(ctx.mul(u[p1], v[p2]), ctx.mul(v[p1], u[p2]))
+        if minor:
+            return p1, p2, minor
+    raise ValueError("plane directions do not span a plane")
+
+
+@lru_cache(maxsize=64)
+def _binomials(ctx: Field, d: int):
+    """(binom, gaps) for exponents up to d: C(i, f) mod p at [f, i], which
+    is 0 where f > i, and i - f clipped to 0."""
+    size = d + 1
+    binom = np.array([[comb(i, f) % ctx.p for i in range(size)] for f in range(size)])
+    f, i = np.indices((size, size))
+    return binom, np.maximum(i - f, 0)
+
+
+def _times(ctx: Field, x, y) -> np.ndarray:
+    """Elementwise products of code arrays that broadcast together."""
+    exp_t, log_t, _, _ = ctx.tables
+    return np.take(exp_t, log_t[x] + log_t[y], mode="clip")
+
+
+def _substitution(ctx: Field, d: int, c: int, r: int = 1) -> np.ndarray:
+    """The map of coefficient vectors (exponents up to d) from f(x) to
+    f(r x + c): C(i, f) c^(i-f) r^f at [f, i], upper triangular."""
+    binom, gaps = _binomials(ctx, d)
+    powers = _vandermonde(ctx, d)
+    return _times(ctx, powers[r][:, None], _times(ctx, binom, powers[c][gaps]))
+
+
+# slices per Vandermonde contraction.  The work arrays of a contraction
+# stay resident in gf.scratch, so wider blocks cost memory for good: 24
+# at S1 (the most within the scratch limit) raised s1-alg2-walk's peak
+# RSS by about 2.5 MB against 4
+_SLICE_BLOCK = 4
+
+
+class PlaneRestrictor:
+    """Restrictions of one polynomial P to planes.
+
+    On the plane a + s u + t v, pick the first pivots q1 < q2 whose
+    direction minor is invertible (_pivots).  Every other coordinate is
+    then affine in the pivots, y_c = gamma_c + alpha_c y_q1 + beta_c y_q2,
+    so P on the plane is R(y_q1, y_q2) = sum over the exponents e of the
+    other coordinates of C_e(y_q1, y_q2) * prod_c l_c^(e_c), where the
+    slice C_e gathers P's monomials with those exponents and l_c is
+    coordinate c's affine form.
+
+    The slices depend on the message and the pivots only: their values
+    on the degree lattice (e_a, e_b) are cached per pivot pair, the
+    first time a plane needs them, as Vandermonde contractions of
+    _SLICE_BLOCK slices at a time.
+    A plane then costs, per lattice point, one sum over the slices
+    (33 terms at S1, where P has 6,545 monomials) in the log domain, read
+    in the digit lanes of a LaneLayout; interpolate_lattice gives R's
+    triangle, and a bivariate change of variables (_substitution) turns
+    it into Q(s, t) = R(a_q1 + u_q1 s + v_q1 t, a_q2 + u_q2 s + v_q2 t).
+    """
+
+    def __init__(self, params: RmParams, coeffs):
+        self.params = params
+        # a copy: the cached slices must not follow a caller's array
+        self.coeffs = np.array(coeffs, dtype=np.int64)
+        if self.coeffs.shape != (params.k,):
+            raise ValueError(f"coefficient vector must have length {params.k}")
+        self._cache = {}
+
+    def _slices(self, q1: int, q2: int):
+        """(logs, others, lanes, table) of pivots (q1, q2): the zero-ended
+        logs of every slice's values on the lattice (slices x k_2), the
+        other coordinates' exponents of each slice ((dim - 2) x slices),
+        and the LaneLayout and zero-ended table that add up their terms.
+        A term is the product of dim - 1 factors (at least two are
+        taken), so a zero factor's log lands past every sum of nonzero
+        ones."""
+        if (q1, q2) not in self._cache:
+            ctx, dim, d = self.params.ctx, self.params.dim, self.params.d
+            basis = _exponent_matrix(dim, d)
+            rest = [c for c in range(dim) if c not in (q1, q2)]
+            radix = (d + 1) ** np.arange(len(rest))
+            keys, slot = np.unique(basis[:, rest] @ radix, return_inverse=True)
+            a, b = _exponent_matrix(2, d).T
+            values = np.empty((len(keys), len(a)), dtype=np.int64)
+            vander = _vandermonde(ctx, d)[: d + 1]
+            # the monomials by slice, and where each block of slices starts
+            order = np.argsort(slot, kind="stable")
+            blocks = range(0, len(keys) + _SLICE_BLOCK, _SLICE_BLOCK)
+            starts = np.searchsorted(slot, blocks, sorter=order)
+            for lo, first, last in zip(blocks, starts, starts[1:]):
+                hi = min(lo + _SLICE_BLOCK, len(keys))
+                mine = order[first:last]
+                tensor = np.zeros((d + 1, d + 1, hi - lo), dtype=np.int64)
+                tensor[basis[mine, q1], basis[mine, q2], slot[mine] - lo] = self.coeffs[mine]
+                values[lo:hi] = _contract(ctx, vander, tensor, 2)[a, b].T
+            lanes = LaneLayout(ctx, len(keys) * (ctx.p - 1))
+            log, table = lanes.zero_ended(max(2, dim - 1))
+            self._cache[q1, q2] = (log[values], keys // radix[:, None] % (d + 1), lanes, table)
+        return self._cache[q1, q2]
+
+    def restrict(self, plane: PlaneRep) -> np.ndarray:
+        """The int64 graded-lex triangle of the restriction to a plane."""
+        ctx, dim, d = self.params.ctx, self.params.dim, self.params.d
+        anchor, u, v = plane.anchor, plane.dir1, plane.dir2
+        q1, q2, minor = _pivots(ctx, u, v)
+        inv = ctx.inv(minor)
+        rest = [c for c in range(dim) if c not in (q1, q2)]
+        alpha = [ctx.mul(inv, ctx.sub(ctx.mul(u[c], v[q2]), ctx.mul(v[c], u[q2]))) for c in rest]
+        beta = [ctx.mul(inv, ctx.sub(ctx.mul(u[q1], v[c]), ctx.mul(v[q1], u[c]))) for c in rest]
+        gamma = [
+            ctx.sub(anchor[c], ctx.add(ctx.mul(al, anchor[q1]), ctx.mul(be, anchor[q2])))
+            for c, al, be in zip(rest, alpha, beta)
+        ]
+        logs, others, lanes, table = self._slices(q1, q2)
+        a, b = _exponent_matrix(2, d).T
+        # each l_c at the lattice, and its powers' logs; a power of 0
+        # takes the zero-ended table's log of 0
+        coords = (
+            points_at(ctx, gamma, (alpha, beta), (a, b)) if rest
+            else np.empty((0, len(a)), dtype=np.int64)
+        )
+        powers = _log_powers(ctx, coords, d, len(table[0]) - 1)
+        total = scratch("slice_logs", logs.shape, np.int64)
+        np.copyto(total, logs)
+        term = scratch("slice_term", logs.shape, np.int64)
+        for power, col in zip(powers, others):
+            total += np.take(power, col, axis=0, out=term, mode="clip")
+        terms = scratch("slice_lanes", (len(table),) + logs.shape, table.dtype)
+        np.take(table, total, axis=1, out=terms, mode="clip")
+        tri = interpolate_lattice(self.params.bivariate(), lanes.codes(terms.sum(axis=1)))
+        grid = np.zeros((d + 1, d + 1), dtype=np.int64)
+        grid[a, b] = tri
+        # R(a_p1 + u_p1 s + v_p1 t, a_p2 + u_p2 s + v_p2 t) with u_p1 != 0,
+        # taking the pivots in the other order (R transposed) if need be
+        p1, p2 = q1, q2
+        if u[q1] == 0:
+            grid, p1, p2 = grid.T, q2, q1
+        lam = ctx.mul(v[p1], ctx.inv(u[p1]))
+        mu = ctx.sub(v[p2], ctx.mul(u[p2], lam))
+        # x -> u_p1 x + a_p1 and y -> y + a_p2, one axis each
+        grid = fmatmul(ctx, _substitution(ctx, d, anchor[p1], u[p1]), grid)
+        grid = fmatmul(ctx, grid, _substitution(ctx, d, anchor[p2]).T)
+        # then y -> mu t + u_p2 x and x -> s + lam t, which keep the total
+        # degree D: on the (y exponent, D) and (x exponent, D) grids each
+        # is a univariate substitution applied to every column
+        degree = a + b
+        graded = np.zeros_like(grid)
+        graded[b, degree] = grid[a, b]
+        grid[a, b] = fmatmul(ctx, _substitution(ctx, d, u[p2], mu), graded)[b, degree]
+        graded[a, degree] = grid[a, b]
+        return fmatmul(ctx, _substitution(ctx, d, lam), graded)[a, degree]
+
+
+def restrict_to_plane(params: RmParams, coeffs, plane: PlaneRep):
+    """Bivariate triangle vector (graded-lex, a tuple) of the restriction
+    of a polynomial to a plane, whose directions must span one
+    (ValueError otherwise).  A one-off PlaneRestrictor: callers that
+    restrict one polynomial to many planes keep their own, which keeps
+    the slices."""
+    return tuple(PlaneRestrictor(params, coeffs).restrict(plane).tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,18 @@ operation at a time, map points to matrices over H and decide walk
 predicates by brute force, so they only suit tiny fields.
 """
 
+import numpy as np
+
 from rlcc.ctrw import PredicateBound, RobustVerdict
-from rlcc.geometry import add_points, is_zero, point_code, scale_point
-from rlcc.rm import ENUM_BUDGET, dist_weighted, enumerate_codewords
+from rlcc.geometry import add_points, is_zero, plane_point_at, point_code, scale_point
+from rlcc.rm import (
+    ENUM_BUDGET,
+    dist_weighted,
+    enumerate_codewords,
+    evaluate,
+    interpolate_lattice,
+    monomial_basis,
+)
 
 
 def line_points(ctx, anchor, direction):
@@ -71,3 +80,16 @@ def violation_check_exact(params, word, transcript, alpha):
         if witness is None and d >= alpha:
             witness = i
     return RobustVerdict(witness is not None, witness, bounds)
+
+
+def restriction(params, coeffs, plane):
+    """Triangle (a tuple) of a polynomial's restriction to a plane: scalar
+    rm.evaluate at the k_2 plane points (e_a, e_b), a + b <= d, then
+    interpolate_lattice on that lattice."""
+    ctx = params.ctx
+    coeffs = np.array(coeffs, dtype=np.int64)
+    values = [
+        evaluate(params, coeffs, plane_point_at(ctx, plane, a, b))
+        for a, b in monomial_basis(2, params.d)
+    ]
+    return tuple(interpolate_lattice(params.bivariate(), np.array(values)).tolist())

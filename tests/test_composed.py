@@ -19,7 +19,7 @@ from rlcc.geometry import (
     spans_plane,
 )
 from rlcc.gf import Field
-from rlcc.pcpp import BOT, PcppParams, QueryCounter
+from rlcc.pcpp import BOT, PcppParams, QueryCounter, build_proof
 
 
 @pytest.fixture(scope="module")
@@ -304,6 +304,28 @@ def test_materialized_word_matches_lazy_oracle_everywhere(p, m, d, message):
     word = composed.materialize(layout, message)
     oracle = composed.CanonicalOracle(layout, message)
     assert word.tolist() == [oracle.read(addr) for addr in range(layout.length)]
+
+
+@pytest.mark.parametrize("region", [composed.POINT_REGION, composed.LINE_REGION])
+def test_s1_proof_block_is_build_proof_of_the_restriction(region):
+    # the oracle tiles the int32 triangle of its own restrictor;
+    # build_proof of the one-off restriction is the definition
+    layout = composed.ComposedLayout(harness.make_config(preset="S1").rm, PcppParams(4))
+    r = random.Random(22)
+    message = [r.randrange(layout.ctx.n) for _ in range(layout.rm.k)]
+    oracle = composed.CanonicalOracle(layout, message)
+    count = layout.point_keys if region == composed.POINT_REGION else layout.line_keys
+    checked = 0
+    while checked < 3:
+        key = r.randrange(count)
+        plane, _ = layout.key_plane(region, key)
+        if plane is None:
+            continue
+        tri = rm.restrict_to_plane(layout.rm, message, plane)
+        block = oracle.proof_block(region, key)
+        assert block.dtype == np.int32 and not block.flags.writeable
+        assert block.tolist() == list(build_proof(layout.rm.bivariate(), layout.pcpp, tri))
+        checked += 1
 
 
 def test_overlay_empty_is_identity(t1, rng):

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference
 from rlcc import rm
-from rlcc.geometry import PlaneRep, plane_point_at, points_at, sample_point
+from rlcc.geometry import PlaneRep, plane_point_at, sample_point, spans_plane
 from rlcc.gf import Field, LaneLayout
 
 # derandomized, so reruns draw the same examples
@@ -113,8 +114,6 @@ def test_evaluate_matches_bruteforce_across_cutoff(case, data):
     block.flags.writeable = False
     for form in (tuple(coeffs), np.array(coeffs, dtype=np.int64), block[params.k :]):
         assert rm.evaluate(params, form, point) == want
-    column = np.array(point, dtype=np.int64).reshape(-1, 1)
-    assert rm.evaluate_many(params, coeffs, column)[0] == want
 
 
 @pytest.mark.parametrize("case", EVAL_CASES)
@@ -221,8 +220,9 @@ def test_batched_interpolate_matches_per_grid_and_bruteforce(case, batch, r):
     for row, tri in zip(values, got):
         assert np.array_equal(tri, rm.interpolate_lattice(params2d, row))
         # the lattice point (e_a, e_b) is the grid position (a, b)
-        assert np.array_equal(rm.evaluate_many(params2d, tri, lattice), row)
-        want = [brute_evaluate(ctx, params2d.basis, tri.tolist(), pt) for pt in lattice.T]
+        points = lattice.T.tolist()
+        assert [rm.evaluate(params2d, tri, pt) for pt in points] == row.tolist()
+        want = [brute_evaluate(ctx, params2d.basis, tri.tolist(), pt) for pt in points]
         assert row.tolist() == want
 
 
@@ -349,100 +349,141 @@ def test_fmatmul_digit_path_exact_at_worst_magnitude(pm, data):
     assert_fmatmul_matches_scalar(ctx, a, b, data.draw(st.booleans()), data.draw(st.booleans()))
 
 
-def test_lane_layout_packs_s1_horner_product_in_one_float():
-    # S1's Horner product: inner 561 = (d+2 choose 2) at d = 32; its
-    # centred digit products stay within 561 * 8^2 = 35,904, so 17-bit
-    # lanes hold all three of b's digits in one float64
-    assert float_layout(field(17, 3), 561) == (17, 3)
-    assert float_layout(field(17, 3), 1024) == (18, 2)
-    # GF(31^3) at the same inner dimension needs 18-bit lanes: two groups
-    assert float_layout(field(31, 3), 561) == (18, 2)
-    assert float_layout(field(2, 8), 32) == (7, 7)
+# (p, m) fields for the restriction cross-check; at the high degree the
+# slices' contractions and the substitutions reach fmatmul's digit path
+# (16 or more nodes) where the field allows
+RESTRICT_FIELDS = [(2, 3), (3, 2), (5, 2), (2, 4), (17, 3)]
 
 
-# (p, m) fields for evaluate_many; degrees reach the digit-plane fmatmul
-# (16 or more monomials in the other coordinates) where the field allows
-EVAL_MANY_FIELDS = [(2, 3), (3, 2), (5, 2), (2, 4), (17, 3)]
+def draw_plane(ctx, dim, r):
+    """A plane whose coordinates are often 0 or in H, so that pivots,
+    transposition and zero affine forms all come up."""
+    def coord():
+        return r.choice([0, r.randrange(ctx.p), r.randrange(ctx.n)])
+
+    while True:
+        anchor, u, v = ([coord() for _ in range(dim)] for _ in range(3))
+        if spans_plane(ctx, u, v):
+            return PlaneRep.make(ctx, anchor, u, v)
 
 
-@pytest.mark.parametrize("pm", EVAL_MANY_FIELDS)
+def draw_coeffs(params, r, zero_rate):
+    return [0 if r.random() < zero_rate else r.randrange(params.ctx.n) for _ in range(params.k)]
+
+
+@pytest.mark.parametrize("pm", RESTRICT_FIELDS)
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("high", [False, True])
 @CROSS_CHECK
 @given(data=st.data())
-def test_evaluate_many_matches_bruteforce(pm, dim, high, data):
+def test_restriction_matches_reference(pm, dim, high, data):
     ctx = field(*pm)
     top = min(ctx.n - 1, 16 if dim == 2 else 6)
     d = top if high else data.draw(st.integers(0, min(top, 3)))
     params = rm.RmParams(ctx, dim, d)
-    coeffs = data.draw(
-        st.lists(st.integers(0, ctx.n - 1), min_size=params.k, max_size=params.k)
+    r = random.Random(data.draw(st.integers(0, 2**32)))
+    coeffs = draw_coeffs(params, r, data.draw(st.sampled_from([0.0, 0.5, 0.9])))
+    plane = draw_plane(ctx, dim, r)
+    assert rm.restrict_to_plane(params, coeffs, plane) == reference.restriction(
+        params, coeffs, plane
     )
-    coord = st.one_of(st.just(0), st.integers(0, ctx.n - 1))
-    points = data.draw(
-        st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=6)
-    )
-    got = rm.evaluate_many(params, coeffs, np.array(points, dtype=np.int64).T)
-    assert got.tolist() == [
-        brute_evaluate(ctx, params.basis, coeffs, pt) for pt in points
+
+
+# (p, m, dim, d): the S1 restriction in GF(17^3) and GF(31^3), a
+# bivariate code at d = 100, a 4-variate one, GF(4) at d = n - 1 (every
+# element a node) and S2's GF(13^4) at dim 4
+RESTRICT_CASES = [
+    (17, 3, 3, 32), (31, 3, 3, 32), (17, 3, 2, 100), (17, 3, 4, 10),
+    (2, 2, 3, 3), (13, 4, 4, 16),
+]
+
+
+def edge_planes(ctx, dim, r):
+    """(name, plane) pairs that random planes almost never give."""
+    def elem():
+        return r.randrange(ctx.n)
+
+    def vec():
+        return [elem() for _ in range(dim)]
+
+    unit = [[int(i == j) for i in range(dim)] for j in range(dim)]
+    planes = [
+        ("random", vec(), vec(), vec()),
+        # anchor 0: every other coordinate's affine form is 0 at the
+        # lattice origin, and on a coordinate plane 0 everywhere
+        ("zero anchor", [0] * dim, vec(), vec()),
+        ("coordinate plane", [0] * (dim - 1) + [elem()], unit[0], unit[1]),
+        # dir1 is 0 at the first pivot: R is transposed
+        ("u_p1 = 0", vec(), [0, 1] + vec()[2:], [1, 0] + vec()[2:]),
+        # a line key: dir1 normalized, with coordinates outside H
+        ("line key", vec(), [1] + [r.randrange(ctx.p, ctx.n) for _ in range(dim - 1)], vec()),
     ]
+    if dim > 2:
+        # the first minor (0, 1) is singular, so the pivots are (0, 2)
+        u = [1, 1] + [elem() for _ in range(dim - 2)]
+        v = [2 % ctx.p, 2 % ctx.p] + [elem() for _ in range(dim - 2)]
+        v[2] = ctx.add(ctx.mul(2 % ctx.p, u[2]), 1)
+        planes.append(("singular first minor", vec(), u, v))
+    return [(name, PlaneRep.make(ctx, a, u, v)) for name, a, u, v in planes]
 
 
-def test_evaluate_many_matches_scalar(gf27, rng):
-    params = rm.RmParams(gf27, 3, 4)
-    coeffs = tuple(rng.randrange(gf27.n) for _ in range(params.k))
-    pts = [sample_point(gf27, rng) for _ in range(200)]
-    pts.append((0, 0, 0))
-    coords = np.array(pts, dtype=np.int64).T
-    fast = rm.evaluate_many(params, coeffs, coords)
-    for i, pt in enumerate(pts):
-        assert fast[i] == brute_evaluate(gf27, params.basis, coeffs, pt)
-
-
-# (p, m, dim, d): the S1 restriction (dim 3, d = 32) in GF(17^3), whose
-# Horner lanes share one float64, and in GF(31^3), where they form two
-# groups; a bivariate and a 4-variate code with several bands each
-HORNER_CASES = [(17, 3, 3, 32), (31, 3, 3, 32), (17, 3, 2, 100), (17, 3, 4, 10)]
-
-
-@pytest.mark.parametrize("case", HORNER_CASES)
-def test_evaluate_many_matches_monomial_sum_on_s1_planes(case):
-    # every one of the 561 lattice points of a plane, as restrict_to_plane
-    # evaluates them, against evaluate's log-domain sum at each point
+@pytest.mark.parametrize("case", RESTRICT_CASES)
+def test_restriction_matches_reference_on_edge_planes(case):
     p, m, dim, d = case
     ctx = field(p, m)
     params = rm.RmParams(ctx, dim, d)
     r = random.Random(561 * dim + p)
-    jj, kk = rm._exponent_matrix(2, 32).T
-    for _ in range(3):
-        anchor, u, v = ([r.randrange(ctx.n) for _ in range(dim)] for _ in range(3))
-        coords = points_at(ctx, anchor, (u, v), (jj, kk))
-        # zero coordinates in every row and zero coefficients: random
-        # planes almost never have them
-        for row in coords:
-            row[r.sample(range(len(jj)), 56)] = 0
-        coeffs = [0 if r.random() < 0.2 else r.randrange(ctx.n) for _ in range(params.k)]
-        cvec = np.array(coeffs, dtype=np.int64)
-        want = [rm.evaluate(params, cvec, point) for point in coords.T.tolist()]
-        assert rm.evaluate_many(params, coeffs, coords).tolist() == want
+    exps = np.array(params.basis)
+    dense = draw_coeffs(params, r, 0.2)
+    # whole slices zero (odd exponents of the last coordinate), and
+    # slices that all vanish on the lattice row y_0 = e_0 = 0
+    patterns = [
+        ("dense", dense),
+        ("odd slices zero", np.where(exps[:, -1] % 2 == 1, 0, dense)),
+        ("y_0 divides", np.where(exps[:, 0] == 0, 0, dense)),
+    ]
+    restrictor = rm.PlaneRestrictor(params, dense)
+    for i, (name, plane) in enumerate(edge_planes(ctx, dim, r)):
+        want = reference.restriction(params, dense, plane)
+        assert tuple(restrictor.restrict(plane).tolist()) == want, name
+        pattern, coeffs = patterns[i % len(patterns)]
+        assert rm.restrict_to_plane(params, coeffs, plane) == reference.restriction(
+            params, coeffs, plane
+        ), (name, pattern)
+
+
+def test_restriction_rejects_directions_that_span_no_plane(gf27):
+    # no direction minor is invertible, so there are no pivots
+    params = rm.RmParams(gf27, 3, 4)
+    coeffs = [1] * params.k
+    u = (1, 2, 3)
+    for v in (tuple(gf27.mul(5, x) for x in u), (0, 0, 0)):
+        with pytest.raises(ValueError, match="span a plane"):
+            rm.restrict_to_plane(params, coeffs, PlaneRep((1, 1, 1), u, v))
 
 
 def test_s1_restriction_reuses_its_scratch():
-    # a warmed S1 restriction allocates less than one 561 x 561 int64
-    # table, the other coordinates' monomials at every lattice point
+    # a restriction allocates less than one 561 x 561 int64 table, the
+    # other coordinates' monomials at every lattice point: the first one
+    # of a fresh message, which builds its slices, as well as a warmed one
     ctx = field(17, 3)
     params = rm.RmParams(ctx, 3, 32)
     r = random.Random(17)
-    coeffs = np.array([r.randrange(ctx.n) for _ in range(params.k)], dtype=np.int64)
-    rm.restrict_to_plane(params, coeffs, random_plane(ctx, r))
-    plane = random_plane(ctx, r)
-    tracemalloc.start()
-    try:
-        rm.restrict_to_plane(params, coeffs, plane)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 561 * 561 * 8
+
+    def message():
+        return np.array([r.randrange(ctx.n) for _ in range(params.k)], dtype=np.int64)
+
+    rm.restrict_to_plane(params, message(), random_plane(ctx, r))
+    restrictor = rm.PlaneRestrictor(params, message())
+    for step in ("cold", "warm"):
+        plane = random_plane(ctx, r)
+        tracemalloc.start()
+        try:
+            restrictor.restrict(plane)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 561 * 561 * 8, step
 
 
 # (p, m, dim, d): the grid contraction's inner dimension d + 1 on both
@@ -464,12 +505,10 @@ def test_eval_table_matches_pointwise_evaluators(case, fill):
     }[fill]
     table = rm.eval_table(params, coeffs)
     # coordinate i of point code c is digit i of c in base n
-    codes = np.arange(params.length, dtype=np.int64)
-    coords = np.stack([codes // ctx.n**i % ctx.n for i in range(dim)])
-    assert table.tolist() == rm.evaluate_many(params, coeffs, coords).tolist()
-    for c in [0, params.length - 1] + r.sample(range(params.length), 20):
-        point = coords[:, c].tolist()
+    for c in [0, params.length - 1] + r.sample(range(params.length), 40):
+        point = [c // ctx.n**i % ctx.n for i in range(dim)]
         assert table[c] == brute_evaluate(ctx, params.basis, coeffs, point)
+        assert table[c] == rm.evaluate(params, coeffs, point)
 
 
 @pytest.mark.parametrize("case", [(3, 3, 3, 4), (2, 4, 4, 3)])
