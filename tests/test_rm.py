@@ -376,7 +376,10 @@ def draw_coeffs(params, r, zero_rate):
 @pytest.mark.parametrize("high", [False, True])
 @CROSS_CHECK
 @given(data=st.data())
-def test_restriction_matches_reference(pm, dim, high, data):
+def test_evaluate_many_matches_bruteforce(pm, dim, high, data):
+    # P at many points of a plane, read through its restriction
+    # Q(s, t) = P(a + s u + t v), against a direct monomial sum; and the
+    # restriction against the scalar reference on the degree lattice
     ctx = field(*pm)
     top = min(ctx.n - 1, 16 if dim == 2 else 6)
     d = top if high else data.draw(st.integers(0, min(top, 3)))
@@ -384,9 +387,14 @@ def test_restriction_matches_reference(pm, dim, high, data):
     r = random.Random(data.draw(st.integers(0, 2**32)))
     coeffs = draw_coeffs(params, r, data.draw(st.sampled_from([0.0, 0.5, 0.9])))
     plane = draw_plane(ctx, dim, r)
-    assert rm.restrict_to_plane(params, coeffs, plane) == reference.restriction(
-        params, coeffs, plane
-    )
+    got = rm.restrict_to_plane(params, coeffs, plane)
+    assert got == reference.restriction(params, coeffs, plane)
+    coord = st.one_of(st.just(0), st.integers(0, ctx.n - 1))
+    points = data.draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=6))
+    basis2 = params.bivariate().basis
+    for s, t in points:
+        want = brute_evaluate(ctx, params.basis, coeffs, plane_point_at(ctx, plane, s, t))
+        assert brute_evaluate(ctx, basis2, got, (s, t)) == want
 
 
 # (p, m, dim, d): the S1 restriction in GF(17^3) and GF(31^3), a
