@@ -71,8 +71,10 @@ MATERIALIZE_LIMIT = 50_000_000
 # m + 2 or fewer proof blocks it touches, and independent corrections at
 # S1 share almost none, so 32 blocks (about 0.6 MB at S1, 20 kB a block)
 # lose no hit that 256 would keep: 600 s1-alg2-walk trials hit the same
-# 25,986 times with 16, 32 or 256, and 256 held 4.4 MB more at the end
-POINT_MEMO = 1 << 16
+# 25,986 times with 16, 32 or 256, and 256 held 4.4 MB more at the end.
+# 2^15 points hold all of T3's 19,683; at S1 points rarely repeat, and
+# 1,500 s1-alg2-walk trials hit 2,927 times with 2^15 or 2^16 alike
+POINT_MEMO = 1 << 15
 PROOF_MEMO = 32
 
 RM_REGION = "rm"

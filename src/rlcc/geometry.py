@@ -139,7 +139,7 @@ def plane_codes_at(ctx: Field, plane: PlaneRep, jj, kk) -> np.ndarray:
     # tables; Field.tables' log (int64, as take wants its indices) is the
     # zero-ended one for sums of two logs
     lane_table = lanes.zero_ended(2)[1][0]
-    _, log, _, _ = ctx.tables
+    _, log, _ = ctx.tables
     n, dim = ctx.n, len(plane.anchor)
     places = [lanes.place(c) for c in range(dim)]
     words = places[-1][0] + 1

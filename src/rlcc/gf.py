@@ -17,8 +17,8 @@ primitive element whenever the field is small enough to cache them
 and as the reference the tables are cross-checked against.
 
 Every vector path adds field elements as integers: LaneLayout packs
-their base-p digits in lanes wide enough for a known largest lane sum,
-and reads the sums back to codes, or to lane values for fmatmul's fold.
+their base-p digits in unsigned lanes wide enough for a known largest
+lane sum, in int64 or float64 words, and reads the sums back to codes.
 It is the package's one such format.
 """
 
@@ -180,13 +180,6 @@ class Field:
         return code
 
     @property
-    def reduction(self):
-        """X^(m+j) mod f for j in [0, m-1), as coefficient tuples low
-        degree first: folds a degree-(2m-2) digit product back to m
-        digits."""
-        return tuple(self._red)
-
-    @property
     def descriptor(self) -> str:
         return f"{self.p}^{self.m}/" + ",".join(str(c) for c in self.irreducible)
 
@@ -293,11 +286,11 @@ class Field:
     def tables(self):
         """Numpy views used by the vectorized fast paths.
 
-        Returns (exp, log, digits, weights): the antilog of every sum of
-        two logs, over 2(n-1) entries with the last one 0, and the log,
-        which sends 0 to that entry, past every sum of two nonzero logs,
-        so that a product read with mode="clip" is 0 for a zero factor;
-        the n x m digit matrix and the length-m vector of powers of p.
+        Returns (exp, log, digits): the antilog of every sum of two logs,
+        over 2(n-1) entries with the last one 0, and the log, which sends
+        0 to that entry, past every sum of two nonzero logs, so that a
+        product read with mode="clip" is 0 for a zero factor; and the
+        n x m matrix of every code's base-p digits.
         """
         if self._np is None:
             if self._log is None:
@@ -313,7 +306,7 @@ class Field:
             exp[-1] = 0
             log = np.array(self._log, dtype=np.int64)
             log[0] = len(exp) - 1
-            self._np = (exp, log, digits, np.array(self._pw, dtype=np.int64))
+            self._np = (exp, log, digits)
         return self._np
 
     def sum_elements(self, arr: np.ndarray, axis: int) -> np.ndarray:
@@ -353,29 +346,27 @@ def _prime_factors(x: int):
 _REDUCE_LIMIT = 1 << 17
 
 
-# one layout per (field, top, signed, carrier), for the 64 last used
+# one layout per (field, top, carrier), for the 64 last used
 @lru_cache(maxsize=64)
 class LaneLayout:
     """The one digit-lane codec: codes' base-p digits in integer lanes
     that add up without carries, and the read-back of the lane sums.
 
-    A lane sum lies in [0, top], or in [-top, top] for signed lanes,
-    whose digits are centred into [-floor(p/2), floor(p/2)]; its radix
-    R is top + 1, or 2 top + 1.  Unsigned lanes spread evenly over the
-    fewest fields of `group` lanes with R^group <= 2^17, so that one
-    `reduce` lookup reads a field; signed lanes, read back as lane
-    values, take a field each.  Fields are `width` bits wide, `per` to a
-    carrier word (63 bits of an int64, 53 of a float64's mantissa):
-    digit i is lane i % group of field f = i // group, in bit field
-    f % per of word f // per.  A code takes `words` words.
+    A lane sum lies in [0, top], so its radix R is top + 1.  Lanes
+    spread evenly over the fewest fields of `group` lanes with
+    R^group <= 2^17, so that one `reduce` lookup reads a field.  Fields
+    are `width` bits wide, `per` to a carrier word (63 bits of an int64,
+    53 of a float64's mantissa): digit i is lane i % group of field
+    f = i // group, in bit field f % per of word f // per.  A code takes
+    `words` words.
     """
 
-    def __init__(self, ctx: Field, top: int, signed: bool = False, carrier=np.int64):
-        m, self.ctx, self.top, self.signed = ctx.m, ctx, top, signed
+    def __init__(self, ctx: Field, top: int, carrier=np.int64):
+        m, self.ctx = ctx.m, ctx
         # a sum over no elements still takes a lane
-        radix = self.radix = max(2, 2 * top + 1 if signed else top + 1)
+        radix = self.radix = max(2, top + 1)
         group = 1
-        while not signed and group < m and radix ** (group + 1) <= _REDUCE_LIMIT:
+        while group < m and radix ** (group + 1) <= _REDUCE_LIMIT:
             group += 1
         self.fields = -(-m // group)
         self.group = -(-m // self.fields)
@@ -399,15 +390,9 @@ class LaneLayout:
         slots = max(1, self.per // self.fields)
         return slot // slots * self.words, slot % slots * self.fields * self.width
 
-    @cached_property
-    def digits(self) -> np.ndarray:
-        """m x n: row i holds digit i of every code, centred if signed."""
-        p, digits = self.ctx.p, self.ctx.tables[2].T
-        return np.where(digits > p // 2, digits - p, digits) if self.signed else digits
-
     def _pack(self, codes: np.ndarray) -> np.ndarray:
         out = np.zeros((self.words, len(codes)), dtype=self._dtype)
-        for row, (w, shift, lane, _) in zip(self.digits, self._digits):
+        for row, (w, shift, lane, _) in zip(self.ctx.tables[2].T, self._digits):
             out[w] += row[codes] * self._dtype(lane << shift)
         return out
 
@@ -421,7 +406,7 @@ class LaneLayout:
         log) for two: table (words x s(n-1)) holds the lanes of each such
         sum's antilog and 0 at its last entry, where log sends 0."""
         if s not in self._ends:
-            exp_t, log_t, _, _ = self.ctx.tables
+            exp_t, log_t, _ = self.ctx.tables
             # int32 beside an int32 table, so that small tables stay small
             log = log_t.astype(np.int32 if self._dtype is np.int32 else np.int64)
             log[0] = s * (self.ctx.n - 1) - 1
@@ -444,10 +429,9 @@ class LaneLayout:
         return table
 
     def codes(self, sums: np.ndarray, slot: int = 0, out=None) -> np.ndarray:
-        """Codes of the unsigned sums of code `slot` (place) in sums,
-        whose first axis runs over words, into out if given.  A field
-        costs a shift, a mask and a reduce lookup; the work arrays are
-        scratch arrays."""
+        """Codes of the sums of code `slot` (place) in sums, whose first
+        axis runs over words, into out if given.  A field costs a shift,
+        a mask and a reduce lookup; the work arrays are scratch arrays."""
         word, shift = self.place(slot)
         reduce, shape = self.reduce, sums.shape[1:]
         out = np.empty(shape, dtype=np.int64) if out is None else out
@@ -469,28 +453,13 @@ class LaneLayout:
         return out
 
     def code(self, sums) -> int:
-        """The codes read of one unsigned sum of code 0, given as Python
-        ints, one per word: for one value they read faster than numpy."""
+        """The code read of one sum of code 0, given as Python ints, one
+        per word: for one value they read faster than numpy."""
         p, radix, mask = self.ctx.p, self.radix, self.mask
         return sum(
             (sums[w] >> shift & mask) // lane % radix % p * weight
             for w, shift, lane, weight in self._digits
         )
-
-    def lane_values(self, w: int, sums: np.ndarray):
-        """Yield (i, lane sums of digit i) for each digit in word w, from
-        signed sums of that word (float64 ones exact).  The values are a
-        scratch array, valid until the next step."""
-        lanes = [(i, shift) for i, (v, shift, _, _) in enumerate(self._digits) if v == w]
-        lane = scratch("lane_value", sums.shape, np.int64)
-        # a bias makes every lane nonnegative
-        word = scratch("lane_word", sums.shape, np.int64)
-        np.add(sums, sum(self.top << shift for _, shift in lanes), out=word, casting="unsafe")
-        for i, shift in lanes:
-            np.right_shift(word, shift, out=lane)
-            lane &= self.mask
-            lane -= self.top
-            yield i, lane
 
 
 def parse_descriptor(text: str) -> Field:

@@ -21,7 +21,8 @@ pivot pair, a plane sums them times powers of the other coordinates'
 affine forms, and a bivariate affine change of variables takes the
 interpolated result to the plane's own parameters.  Field sums and
 digit products go through gf.LaneLayout: integer lanes for evaluate
-and the restriction's sums, signed float64 lanes for fmatmul.
+and the restriction's sums, float64 lanes for fmatmul, which pairs
+a's base-p digits with those of X^i b.
 """
 
 from __future__ import annotations
@@ -156,23 +157,20 @@ def _live_monomials(dim: int, d: int, zero: tuple):
     return live, tuple(E[live, c] for c in range(dim) if not zero[c])
 
 
-def _mod(x: np.ndarray, q: int, work: np.ndarray):
-    """x %= q in place, through a work array of x's shape: numpy's floor
-    division by a constant is several times faster than its remainder."""
-    np.floor_divide(x, q, out=work)
-    work *= q
-    x -= work
-
-
 def _log_powers(ctx: Field, coords: np.ndarray, d: int, zero: int) -> np.ndarray:
     """dim x (d+1) x NP: e * log x mod (n-1) at [c, e] for each
     coordinate x = coords[c], and `zero` where x is 0 and e > 0 (x^0 = 1
     even at 0).  A scratch array, valid until the next call."""
-    _, log_t, _, _ = ctx.tables
+    _, log_t, _ = ctx.tables
     dim, points = coords.shape
     out = scratch("powers", (dim, d + 1, points), np.int64)
     np.multiply(log_t[coords][:, None, :], np.arange(d + 1)[:, None], out=out)
-    _mod(out, ctx.n - 1, scratch("quotients", out.shape, np.int64))
+    # out %= n - 1: numpy's floor division by a constant is several
+    # times faster than its remainder
+    work = scratch("quotients", out.shape, np.int64)
+    np.floor_divide(out, ctx.n - 1, out=work)
+    work *= ctx.n - 1
+    out -= work
     np.copyto(out[:, 1:], zero, where=(coords == 0)[:, None, :])
     return out
 
@@ -209,8 +207,16 @@ def _newton_operators(ctx: Field, d: int):
     return diff, newton
 
 
-# from this inner dimension on, fmatmul multiplies base-p digit planes
-# through BLAS; below it the log-domain broadcast is faster
+# from this inner dimension on, fmatmul multiplies base-p digits through
+# BLAS; below it the log-domain broadcast is faster.  Square products,
+# log/digit path in µs (best of 31 x 50 calls, one BLAS thread, 2-vCPU
+# VM), at inner 2, 5, 9, 15, 16 and 33:
+#   GF(8)     17/27  18/28  35/30  39/36  40/36  367/61
+#   GF(27)    17/40  24/48  32/59  53/58  60/70  514/102
+#   GF(125)   17/34  17/34  22/43  69/46  50/49  382/74
+#   GF(17^3)  16/49  38/67  46/68  66/72  69/81  497/113
+# The paths are about even at 15-16 and the log path wins below, so the
+# cutoff stays; T2's products (inner <= 2) take the log path
 _DIGIT_INNER = 16
 
 
@@ -219,7 +225,7 @@ def fmatmul(ctx: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     broadcasts over leading batch axes."""
     if a.shape[-1] >= _DIGIT_INNER:
         return _fmatmul_digits(ctx, a, b)
-    exp_t, log_t, _, _ = ctx.tables
+    exp_t, log_t, _ = ctx.tables
     a = a[..., :, :, None]
     b = b[..., None, :, :]
     # the antilog table spans 2(n-1) entries, so summed logs need no modulo
@@ -228,58 +234,22 @@ def fmatmul(ctx: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _fmatmul_digits(ctx: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """fmatmul through float64 products of the operands' centred base-p
-    digit matrices, read back by _fold_lanes.
-
-    a's m digit matrices are stacked row-wise and b's digits packed in
-    the float64 words of a signed LaneLayout (an entry of a digit block
-    lies within inner * floor(p/2)^2), so one product per word yields
-    every digit block (i, j); at S1 that is one product in all.
+    """fmatmul through float64 products over base-p digits: with
+    a = sum_i a_i X^i for digit matrices a_i over GF(p), a b is
+    sum_i a_i (X^i b), and a matrix over GF(p) acts on each digit of
+    X^i b alone.  So a's m digit matrices sit side by side along the
+    inner axis, the m products X^i b stack along it, and one product
+    per word of an unsigned float64 LaneLayout (a lane sums m * inner
+    digit products below p^2) adds every digit's lane; at S1 that is
+    one product in all.  Exact: every partial sum is an integer below
+    2^53.
     """
-    rows, inner = a.shape[-2:]
-    lanes = LaneLayout(ctx, inner * (ctx.p // 2) ** 2, True, np.float64)
-    # digit i of a stacked row-wise: block i of a product is a_i @ b's lanes
-    da = np.concatenate([plane[a] for plane in lanes.digits], axis=-2, dtype=np.float64)
-    lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-    shape = lead + (ctx.m, rows, b.shape[-1])
-    return _fold_lanes(
-        ctx, lanes, ((da @ packed[b]).reshape(shape) for packed in lanes.packed)
-    )
-
-
-def _fold_lanes(ctx: Field, lanes, products) -> np.ndarray:
-    """Codes of F-matrix products from their digit products: one float64
-    array (..., m, rows, cols) per word w of the signed layout lanes,
-    whose entry (i, r, c) holds in the lane of digit j the integer
-    product of digit i of row r of a with digit j of column c of b.
-
-    Exact: every partial sum is an integer below 2^53.  The lanes, read
-    by LaneLayout.lane_values, add into the degree-(2m-2) digit
-    polynomial, the irreducible folds it, and each output digit is
-    reduced mod p once.  The work arrays are scratch arrays.
-    """
-    _, _, _, weights = ctx.tables
-    m, p = ctx.m, ctx.p
-    # m lanes per power of X, then up to m of those times coefficients
-    # below p per output digit, in int64
-    assert m * lanes.top * (1 + (m - 1) * (p - 1)) < 2**63, "digit products would not be exact"
-    conv = None
-    for w, prod in enumerate(products):
-        if conv is None:
-            conv = scratch("conv", (2 * m - 1,) + prod.shape[:-3] + prod.shape[-2:], np.int64)
-            conv.fill(0)
-        for j, lane in lanes.lane_values(w, prod):
-            for i in range(m):
-                conv[i + j] += lane[..., i, :, :]
-    term = scratch("fold", conv.shape[1:], np.int64)
-    for lo in range(m):
-        digit = conv[lo]
-        for t, red in enumerate(ctx.reduction):
-            if red[lo]:
-                digit += np.multiply(conv[m + t], red[lo], out=term)
-        _mod(digit, p, term)
-        digit *= weights[lo]
-    return conv[:m].sum(axis=0)
+    m, inner = ctx.m, a.shape[-1]
+    lanes = LaneLayout(ctx, m * inner * (ctx.p - 1) ** 2, np.float64)
+    da = np.concatenate([row[a] for row in ctx.tables[2].T], axis=-1, dtype=np.float64)
+    # X^i has code p^i
+    xb = np.concatenate([b] + [_times(ctx, ctx.p**i, b) for i in range(1, m)], axis=-2)
+    return lanes.codes(np.stack([da @ packed[xb] for packed in lanes.packed]).astype(np.int64))
 
 
 def _contract(ctx: Field, op: np.ndarray, tensor: np.ndarray, axes: int) -> np.ndarray:
@@ -379,7 +349,7 @@ def _binomials(ctx: Field, d: int):
 
 def _times(ctx: Field, x, y) -> np.ndarray:
     """Elementwise products of code arrays that broadcast together."""
-    exp_t, log_t, _, _ = ctx.tables
+    exp_t, log_t, _ = ctx.tables
     return np.take(exp_t, log_t[x] + log_t[y], mode="clip")
 
 

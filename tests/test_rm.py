@@ -256,7 +256,8 @@ def test_fmatmul_matches_scalar_product_across_cutoff(pm, inner, rows, cols, bat
     ctx = field(*pm)
 
     def draw(shape):
-        # about 30% zeros, which the log-domain path masks
+        # about 30% zeros, which both paths read through the log table's
+        # zero sentinel (the digit path when it multiplies b by X^i)
         flat = [r.randrange(ctx.n) if r.random() < 0.7 else 0 for _ in range(np.prod(shape))]
         return np.array(flat, dtype=np.int64).reshape(shape)
 
@@ -270,18 +271,19 @@ def test_fmatmul_matches_scalar_product_across_cutoff(pm, inner, rows, cols, bat
         assert gw.tolist() == brute_matmul(ctx, aw.tolist(), bw.tolist())
 
 
-# fmatmul's digit path: S1's GF(17^3), p = 2 (where centred digits are
-# 0 and 1 only) with few and many digits, small odd p, and S2's GF(13^4)
+# fmatmul's digit path: S1's GF(17^3), p = 2 (digits 0 and 1 only) with
+# few and many digits, small odd p, and S2's GF(13^4)
 DIGIT_FIELDS = [(17, 3), (2, 3), (3, 4), (5, 2), (2, 8), (13, 4)]
-# inner dimensions tested stop here: GF(5^2) packs both digits up to 2^23
+# inner dimensions tested stop here: GF(5^2) packs both digits up to 2^21
 DIGIT_INNER_CAP = 1 << 16
 
 
 def float_layout(ctx, inner):
-    """(field width, digits per float64) of b's lanes in fmatmul's digit
-    path at this inner dimension."""
-    lanes = LaneLayout(ctx, inner * (ctx.p // 2) ** 2, True, np.float64)
-    return lanes.width, min(ctx.m, lanes.per)
+    """(field width, digits per float64) of the stacked X^i b's lanes in
+    fmatmul's digit path at this inner dimension: a lane sums m * inner
+    products of two digits below p."""
+    lanes = LaneLayout(ctx, ctx.m * inner * (ctx.p - 1) ** 2, np.float64)
+    return lanes.width, min(ctx.m, lanes.per * lanes.group)
 
 
 @lru_cache(maxsize=None)
@@ -328,25 +330,51 @@ def test_fmatmul_digit_path_matches_scalar_product(pm, data):
     assert_fmatmul_matches_scalar(ctx, a, b, data.draw(st.booleans()), data.draw(st.booleans()))
 
 
+@lru_cache(maxsize=None)
+def heaviest_times_powers(ctx):
+    """The code b that maximises, over digits j, sum_i digit_j(X^i b)
+    for i < m: one lane of the stacked X^i b's sums that for a whole
+    column of b."""
+    exp_t, log_t, digits = ctx.tables
+    log_b = log_t[np.arange(ctx.n)]
+    lanes = sum(digits[np.take(exp_t, log_b + log_t[ctx.p**i], mode="clip")] for i in range(ctx.m))
+    return int(lanes.max(axis=1).argmax())
+
+
 @pytest.mark.parametrize("pm", DIGIT_FIELDS)
 @settings(derandomize=True, max_examples=8, deadline=None)
 @given(data=st.data())
 def test_fmatmul_digit_path_exact_at_worst_magnitude(pm, data):
-    # every centred digit of every operand is +-floor(p/2), one sign
-    # pattern per row of a and column of b, so every digit block's
-    # entries reach the +-inner * floor(p/2)^2 that sizes the lanes
+    # every digit of a is p - 1, and each column of b repeats n - 1 (every
+    # digit p - 1) or the code whose X^i multiples sum the most into one
+    # digit, so the lanes reach the largest sums any operands give
     ctx = field(*pm)
-    half = ctx.p // 2
     inner = data.draw(st.sampled_from(digit_inners(ctx)))
-    # digit h centres to +h and p - h to -h; at p = 2 only +1 exists
-    digit = st.sampled_from(sorted({half, ctx.p - half}))
-
-    def code():
-        return sum(data.draw(digit) * ctx.p**i for i in range(ctx.m))
-
-    a = np.repeat(np.array([[code()], [code()]]), inner, axis=1)
-    b = np.repeat(np.array([[code(), code()]]), inner, axis=0)
+    code = st.sampled_from([ctx.n - 1, heaviest_times_powers(ctx)])
+    a = np.full((2, inner), ctx.n - 1)
+    b = np.repeat(np.array([[data.draw(code), data.draw(code)]]), inner, axis=0)
     assert_fmatmul_matches_scalar(ctx, a, b, data.draw(st.booleans()), data.draw(st.booleans()))
+
+
+def test_s1_digit_product_is_one_float64_word(monkeypatch):
+    # S1's products have inner d + 1 = 33: a lane sums 3 * 33 * 16^2 =
+    # 25,344 below 2^15, so three 15-bit lanes fill one float64 word and a
+    # product is one BLAS call; S2's GF(13^4) at inner 33 sums
+    # 4 * 33 * 12^2 = 19,008, and four 15-bit fields exceed 53 bits
+    assert float_layout(field(17, 3), 33) == (15, 3)
+    assert float_layout(field(13, 4), 33) == (15, 3)
+    made = []
+
+    def record(*args):
+        made.append(LaneLayout(*args))
+        return made[-1]
+
+    monkeypatch.setattr(rm, "LaneLayout", record)
+    for pm, words in [((17, 3), 1), ((13, 4), 2)]:
+        ctx = field(*pm)
+        a = np.arange(33 * 33).reshape(33, 33) % ctx.n
+        rm.fmatmul(ctx, a, a)
+        assert (made[-1].words, made[-1].fields, made[-1].width) == (words, ctx.m, 15)
 
 
 # (p, m) fields for the restriction cross-check; at the high degree the
