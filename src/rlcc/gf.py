@@ -428,28 +428,46 @@ class LaneLayout:
             table = (table + (lane * self.ctx.p**t)[:, None]).reshape(-1)
         return table
 
-    def codes(self, sums: np.ndarray, slot: int = 0, out=None) -> np.ndarray:
-        """Codes of the sums of code `slot` (place) in sums, whose first
-        axis runs over words, into out if given.  A field costs a shift,
-        a mask and a reduce lookup; the work arrays are scratch arrays."""
-        word, shift = self.place(slot)
-        reduce, shape = self.reduce, sums.shape[1:]
-        out = np.empty(shape, dtype=np.int64) if out is None else out
+    @cached_property
+    def _weighted(self):
+        """Per field f, its code weight p^(group f) and the reduce table
+        times that weight (int32: codes are below n <= 2^20; field 0's is
+        reduce itself), or None past the table limit."""
+        weights = [self.ctx.p ** (self.group * f) for f in range(self.fields)]
+        if self.reduce is None:
+            return [(w, None) for w in weights]
+        return [(w, self.reduce * w if f else self.reduce) for f, w in enumerate(weights)]
+
+    def codes(self, sums, slot: int = 0, out=None) -> np.ndarray:
+        """Codes of the sums of code `slot` (place) in sums, an integer
+        array or a sequence of arrays, indexed by word first, into out if
+        given.  A field costs one pass: a shift, a mask and a lookup in
+        its weighted reduce table (past the table limit, the lane mod p
+        times its weight), added up in int32.  The work arrays are
+        scratch arrays."""
+        word, shift = self.place(slot) if slot else (0, 0)
+        shape = np.shape(sums[word])
         field = scratch("lane_field", shape, np.int64)
-        digit = field if reduce is None else scratch("lane_digit", shape, np.int32)
-        for f in reversed(range(self.fields)):
+        # int32 rows: the total and, from two fields on, a later field's part
+        work = scratch("lane_digits", (min(2, self.fields), *shape), np.int32)
+        total, digit = work[0], work[-1]
+        for f, (weight, table) in enumerate(self._weighted):
             at = shift + f % self.per * self.width
-            np.right_shift(sums[word + f // self.per], at, out=field)
-            field &= self.mask
-            if reduce is None:
+            lanes = sums[word + f // self.per]
+            if at:
+                lanes = np.right_shift(lanes, at, out=field)
+            np.bitwise_and(lanes, self.mask, out=field)
+            value = digit if f else total
+            if table is None:
                 field %= self.ctx.p
+                np.multiply(field, weight, out=value, casting="unsafe")
             else:
-                np.take(reduce, field, mode="clip", out=digit)
-            if f < self.fields - 1:
-                out *= self.ctx.p**self.group
-                out += digit
-            else:
-                np.copyto(out, digit)
+                table.take(field, mode="clip", out=value)
+            if f:
+                total += digit
+        if out is None:
+            return total.astype(np.int64)
+        np.copyto(out, total)
         return out
 
     def code(self, sums) -> int:

@@ -22,7 +22,9 @@ affine forms, and a bivariate affine change of variables takes the
 interpolated result to the plane's own parameters.  Field sums and
 digit products go through gf.LaneLayout: integer lanes for evaluate
 and the restriction's sums, float64 lanes for fmatmul, which pairs
-a's base-p digits with those of X^i b.
+a's base-p digits with the lanes of X^i b, both gathered from tables
+built once per field and inner dimension (_digit_tables).  Every lane
+sum is read back by LaneLayout.codes, one pass per field.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from math import comb
 import numpy as np
 
 from .gf import _TABLE_LIMIT, Field, LaneLayout, scratch
-from .geometry import PlaneRep, points_at
+from .geometry import PlaneRep
 
 ENUM_BUDGET = 10**7
 
@@ -157,22 +159,13 @@ def _live_monomials(dim: int, d: int, zero: tuple):
     return live, tuple(E[live, c] for c in range(dim) if not zero[c])
 
 
-def _log_powers(ctx: Field, coords: np.ndarray, d: int, zero: int) -> np.ndarray:
-    """dim x (d+1) x NP: e * log x mod (n-1) at [c, e] for each
-    coordinate x = coords[c], and `zero` where x is 0 and e > 0 (x^0 = 1
-    even at 0).  A scratch array, valid until the next call."""
-    _, log_t, _ = ctx.tables
-    dim, points = coords.shape
-    out = scratch("powers", (dim, d + 1, points), np.int64)
-    np.multiply(log_t[coords][:, None, :], np.arange(d + 1)[:, None], out=out)
-    # out %= n - 1: numpy's floor division by a constant is several
-    # times faster than its remainder
-    work = scratch("quotients", out.shape, np.int64)
-    np.floor_divide(out, ctx.n - 1, out=work)
-    work *= ctx.n - 1
-    out -= work
-    np.copyto(out[:, 1:], zero, where=(coords == 0)[:, None, :])
-    return out
+@lru_cache(maxsize=64)
+def _log_powers(ctx: Field, d: int, zero: int) -> np.ndarray:
+    """(d+1) x n int32: e * log x mod (n-1) at [e, x] for every code x,
+    and `zero` at x = 0 < e (x^0 = 1 even at 0)."""
+    out = np.arange(d + 1)[:, None] * ctx.tables[1] % (ctx.n - 1)
+    out[1:, 0] = zero
+    return out.astype(np.int32)
 
 
 def eval_table(params: RmParams, coeffs):
@@ -208,16 +201,17 @@ def _newton_operators(ctx: Field, d: int):
 
 
 # from this inner dimension on, fmatmul multiplies base-p digits through
-# BLAS; below it the log-domain broadcast is faster.  Square products,
-# log/digit path in µs (best of 31 x 50 calls, one BLAS thread, 2-vCPU
-# VM), at inner 2, 5, 9, 15, 16 and 33:
-#   GF(8)     17/27  18/28  35/30  39/36  40/36  367/61
-#   GF(27)    17/40  24/48  32/59  53/58  60/70  514/102
-#   GF(125)   17/34  17/34  22/43  69/46  50/49  382/74
-#   GF(17^3)  16/49  38/67  46/68  66/72  69/81  497/113
-# The paths are about even at 15-16 and the log path wins below, so the
-# cutoff stays; T2's products (inner <= 2) take the log path
-_DIGIT_INNER = 16
+# BLAS; below it the log-domain broadcast.  Square products, log/digit
+# path in µs (median of three runs of best of 31 x 50 calls, one BLAS
+# thread, 2-vCPU VM), at inner 2, 5, 9, 15, 16 and 33:
+#   GF(8)     14/11  16/11  20/12  34/14  38/14  326/33
+#   GF(27)    14/11  26/14  27/26  39/18  45/29  402/37
+#   GF(125)   15/14  15/14  20/18  38/21  43/21  344/37
+#   GF(17^3)  22/16  19/17  24/20  37/21  42/21  366/58
+# With its tables built once, the digit path wins from 5 on (and on
+# 5 x 2,000 and 9 x 2,000 outputs, 2-8x); T2's products (inner <= 2)
+# keep the log path, and 3-4 are not measured
+_DIGIT_INNER = 5
 
 
 def fmatmul(ctx: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -233,23 +227,46 @@ def fmatmul(ctx: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return ctx.sum_elements(prod, axis=-2)
 
 
+@lru_cache(maxsize=16)
+def _digit_tables(ctx: Field, inner: int):
+    """(lanes, digits, times) of fmatmul's digit path at this inner
+    dimension: its unsigned float64 LaneLayout (a lane sums m * inner
+    products of two digits below p), every code's m base-p digits, and
+    per word the packed lanes of X^i c for every code c and i < m.  A
+    code's m float64 entries are one void item of digits and of each
+    word of times, so that one take gathers them all, and a float64
+    view lays them side by side."""
+    exp_t, log_t, digits = ctx.tables
+    lanes = LaneLayout(ctx, ctx.m * inner * (ctx.p - 1) ** 2, np.float64)
+    # X^i has code p^i
+    times = np.take(exp_t, log_t[:, None] + log_t[ctx.p ** np.arange(ctx.m)], mode="clip")
+    item = np.dtype((np.void, 8 * ctx.m))
+    return (
+        lanes,
+        digits.astype(np.float64).view(item)[:, 0],
+        [np.ascontiguousarray(word).view(item)[:, 0] for word in lanes.packed[:, times]],
+    )
+
+
 def _fmatmul_digits(ctx: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """fmatmul through float64 products over base-p digits: with
     a = sum_i a_i X^i for digit matrices a_i over GF(p), a b is
     sum_i a_i (X^i b), and a matrix over GF(p) acts on each digit of
-    X^i b alone.  So a's m digit matrices sit side by side along the
-    inner axis, the m products X^i b stack along it, and one product
-    per word of an unsigned float64 LaneLayout (a lane sums m * inner
-    digit products below p^2) adds every digit's lane; at S1 that is
-    one product in all.  Exact: every partial sum is an integer below
-    2^53.
+    X^i b alone.  So entry (j, i) of the inner axis pairs digit i of
+    a's column j with the lanes of X^i b's row j, both gathered from
+    _digit_tables, and one product per word of the unsigned float64
+    LaneLayout adds every digit's lane; at S1 that is one product in
+    all.  Exact: every partial sum is an integer below 2^53.
     """
-    m, inner = ctx.m, a.shape[-1]
-    lanes = LaneLayout(ctx, m * inner * (ctx.p - 1) ** 2, np.float64)
-    da = np.concatenate([row[a] for row in ctx.tables[2].T], axis=-1, dtype=np.float64)
-    # X^i has code p^i
-    xb = np.concatenate([b] + [_times(ctx, ctx.p**i, b) for i in range(1, m)], axis=-2)
-    return lanes.codes(np.stack([da @ packed[xb] for packed in lanes.packed]).astype(np.int64))
+    lanes, digits, times = _digit_tables(ctx, a.shape[-1])
+    da = digits.take(a).view(np.float64)
+    # gathered by b's columns: each word's lanes are a transposed,
+    # contiguous operand
+    bt = b.swapaxes(-1, -2)
+    return lanes.codes([
+        np.matmul(da, word.take(bt).view(np.float64).swapaxes(-1, -2)).astype(np.int64)
+        for word in times
+    ])
 
 
 def _contract(ctx: Field, op: np.ndarray, tensor: np.ndarray, axes: int) -> np.ndarray:
@@ -265,11 +282,13 @@ def _contract(ctx: Field, op: np.ndarray, tensor: np.ndarray, axes: int) -> np.n
 
 
 @lru_cache(maxsize=64)
-def _vandermonde(ctx: Field, d: int) -> np.ndarray:
-    """n x (d+1): x^e at [x, e] for every code x, with 0^0 = 1; the
-    sentinel 2n reads 0 past the end of the antilog table."""
-    powers = _log_powers(ctx, np.arange(ctx.n)[None], d, 2 * ctx.n)[0].T
-    return np.take(ctx.tables[0], powers, mode="clip")
+def _vandermonde(ctx: Field, d: int, size: int) -> np.ndarray:
+    """size x (d+1): x^e at [x, e] for the codes x < size, with 0^0 = 1;
+    the log of 0 is the antilog table's last entry, 0.  Whole grids take
+    every code; the restriction's slices only the d+1 nodes, so that a
+    walk keeps no n-row table."""
+    exp_t = ctx.tables[0]
+    return np.take(exp_t, _log_powers(ctx, d, len(exp_t) - 1)[:, :size].T, mode="clip")
 
 
 def grid_values(params: RmParams, coeffs) -> np.ndarray:
@@ -280,7 +299,7 @@ def grid_values(params: RmParams, coeffs) -> np.ndarray:
     ctx, d, dim = params.ctx, params.d, params.dim
     tensor = np.zeros((d + 1,) * dim, dtype=np.int64)
     tensor[tuple(_exponent_matrix(dim, d).T)] = coeffs
-    return _contract(ctx, _vandermonde(ctx, d), tensor, dim)
+    return _contract(ctx, _vandermonde(ctx, d, ctx.n), tensor, dim)
 
 
 def interpolate_lattice(params2d: RmParams, values: np.ndarray) -> np.ndarray:
@@ -297,6 +316,12 @@ def interpolate_lattice(params2d: RmParams, values: np.ndarray) -> np.ndarray:
     ctx, d = params2d.ctx, params2d.d
     diff, newton = _newton_operators(ctx, d)
     a, b = _exponent_matrix(2, d).T
+    if values.ndim == 1:
+        # one lattice: each operator acts on both axes of a 2-D grid
+        grid = np.zeros((d + 1, d + 1), dtype=np.int64)
+        grid[a, b] = values
+        grid[a, b] = fmatmul(ctx, fmatmul(ctx, diff, grid), diff.T)[a, b]
+        return fmatmul(ctx, fmatmul(ctx, newton, grid), newton.T)[a, b]
     # keys on the last axis: a leading one makes each product a batch of
     # small ones, and T2 materialize took 0.74-1.03 s, not 0.59-0.62 s
     grid = np.zeros((d + 1, d + 1, values.size // len(a)), dtype=np.int64)
@@ -339,26 +364,33 @@ def _pivots(ctx: Field, u, v):
 
 @lru_cache(maxsize=64)
 def _binomials(ctx: Field, d: int):
-    """(binom, gaps) for exponents up to d: C(i, f) mod p at [f, i], which
-    is 0 where f > i, and i - f clipped to 0."""
+    """(logs, gaps, antilogs) for exponents up to d: the antilogs of
+    sums of up to three logs, whose last entry is 0; log C(i, f) mod p
+    at [f, i], or that entry's index where it is 0 (f > i, or p divides
+    it), past every sum of nonzero logs; and i - f clipped to 0."""
+    exp_t, log_t, _ = ctx.tables
+    antilogs = exp_t[np.arange(3 * (ctx.n - 1)) % (ctx.n - 1)]
+    antilogs[-1] = 0
     size = d + 1
     binom = np.array([[comb(i, f) % ctx.p for i in range(size)] for f in range(size)])
+    logs = np.where(binom > 0, log_t[binom], len(antilogs) - 1)
     f, i = np.indices((size, size))
-    return binom, np.maximum(i - f, 0)
-
-
-def _times(ctx: Field, x, y) -> np.ndarray:
-    """Elementwise products of code arrays that broadcast together."""
-    exp_t, log_t, _ = ctx.tables
-    return np.take(exp_t, log_t[x] + log_t[y], mode="clip")
+    return logs, np.maximum(i - f, 0), antilogs
 
 
 def _substitution(ctx: Field, d: int, c: int, r: int = 1) -> np.ndarray:
     """The map of coefficient vectors (exponents up to d) from f(x) to
-    f(r x + c): C(i, f) c^(i-f) r^f at [f, i], upper triangular."""
-    binom, gaps = _binomials(ctx, d)
-    powers = _vandermonde(ctx, d)
-    return _times(ctx, powers[r][:, None], _times(ctx, binom, powers[c][gaps]))
+    f(r x + c): C(i, f) c^(i-f) r^f at [f, i], upper triangular, read
+    in one gather from the sum of the three factors' logs (two when
+    r = 1)."""
+    logs, gaps, antilogs = _binomials(ctx, d)
+    log_t, steps = ctx.tables[1], np.arange(d + 1)
+    # the logs of c^e; 0^e = 0 for e > 0
+    powers = steps * log_t[c] % (ctx.n - 1) if c else np.where(steps, len(antilogs) - 1, 0)
+    total = logs + powers[gaps]
+    if r != 1:
+        total += (steps * log_t[r] % (ctx.n - 1))[:, None]
+    return antilogs.take(total, mode="clip")
 
 
 # slices per Vandermonde contraction.  The work arrays of a contraction
@@ -385,9 +417,12 @@ class PlaneRestrictor:
     _SLICE_BLOCK slices at a time.
     A plane then costs, per lattice point, one sum over the slices
     (33 terms at S1, where P has 6,545 monomials) in the log domain, read
-    in the digit lanes of a LaneLayout; interpolate_lattice gives R's
-    triangle, and a bivariate change of variables (_substitution) turns
-    it into Q(s, t) = R(a_q1 + u_q1 s + v_q1 t, a_q2 + u_q2 s + v_q2 t).
+    in the digit lanes of a LaneLayout.  Each l_c is added in lanes from
+    the products of alpha_c and beta_c with the d+1 nodes, and its powers'
+    logs are gathered from a cached table (_log_powers).
+    interpolate_lattice gives R's triangle, and a bivariate change of
+    variables (_substitution) turns it into
+    Q(s, t) = R(a_q1 + u_q1 s + v_q1 t, a_q2 + u_q2 s + v_q2 t).
     """
 
     def __init__(self, params: RmParams, coeffs):
@@ -414,7 +449,7 @@ class PlaneRestrictor:
             keys, slot = np.unique(basis[:, rest] @ radix, return_inverse=True)
             a, b = _exponent_matrix(2, d).T
             values = np.empty((len(keys), len(a)), dtype=np.int64)
-            vander = _vandermonde(ctx, d)[: d + 1]
+            vander = _vandermonde(ctx, d, d + 1)
             # the monomials by slice, and where each block of slices starts
             order = np.argsort(slot, kind="stable")
             blocks = range(0, len(keys) + _SLICE_BLOCK, _SLICE_BLOCK)
@@ -445,21 +480,34 @@ class PlaneRestrictor:
         ]
         logs, others, lanes, table = self._slices(q1, q2)
         a, b = _exponent_matrix(2, d).T
-        # each l_c at the lattice, and its powers' logs; a power of 0
-        # takes the zero-ended table's log of 0
-        coords = (
-            points_at(ctx, gamma, (alpha, beta), (a, b)) if rest
-            else np.empty((0, len(a)), dtype=np.int64)
-        )
-        powers = _log_powers(ctx, coords, d, len(table[0]) - 1)
-        total = scratch("slice_logs", logs.shape, np.int64)
-        np.copyto(total, logs)
-        term = scratch("slice_term", logs.shape, np.int64)
-        for power, col in zip(powers, others):
-            total += np.take(power, col, axis=0, out=term, mode="clip")
+        total = logs
+        if rest:
+            # each l_c at the lattice: gamma_c and the products of alpha_c
+            # and beta_c with the nodes e_0..e_d, added in lanes
+            exp_t, log_t, _ = ctx.tables
+            form = LaneLayout(ctx, 3 * (ctx.p - 1))
+            nodes = log_t[: d + 1]
+            pa, pb = (
+                form.packed.take(exp_t.take(log_t[w][:, None] + nodes, mode="clip"), axis=1)
+                for w in (alpha, beta)
+            )
+            sums = pa.take(a, axis=-1) + pb.take(b, axis=-1) + form.packed[:, gamma, None]
+            coords = form.codes(sums)
+            # the logs of their powers, gathered by exponent; a power of 0
+            # takes the zero-ended table's log of 0
+            powers = _log_powers(ctx, d, len(table[0]) - 1)
+            at = scratch("slice_powers", (d + 1, len(a)), np.int32)
+            term = scratch("slice_term", logs.shape, np.int32)
+            work = scratch("slice_logs", logs.shape, np.int64)
+            for x, col in zip(coords, others):
+                np.take(powers, x, axis=1, out=at).take(col, axis=0, out=term)
+                total = np.add(total, term, out=work)
         terms = scratch("slice_lanes", (len(table),) + logs.shape, table.dtype)
         np.take(table, total, axis=1, out=terms, mode="clip")
-        tri = interpolate_lattice(self.params.bivariate(), lanes.codes(terms.sum(axis=1)))
+        # a lane sums at most one digit per slice, so no word outgrows
+        # the table's dtype
+        sums = terms.sum(axis=1, dtype=table.dtype)
+        tri = interpolate_lattice(self.params.bivariate(), lanes.codes(sums))
         grid = np.zeros((d + 1, d + 1), dtype=np.int64)
         grid[a, b] = tri
         # R(a_p1 + u_p1 s + v_p1 t, a_p2 + u_p2 s + v_p2 t) with u_p1 != 0,

@@ -289,8 +289,8 @@ def float_layout(ctx, inner):
 @lru_cache(maxsize=None)
 def digit_inners(ctx):
     """The digit path's least inner dimension, and the last one with as
-    many of b's digits per float64 as at 16 and the first with fewer
-    (or the cap)."""
+    many of b's digits per float64 as at that one and the first with
+    fewer (or the cap)."""
     lanes = float_layout(ctx, rm._DIGIT_INNER)[1]
     last = rm._DIGIT_INNER
     while last < DIGIT_INNER_CAP and float_layout(ctx, last + 1)[1] == lanes:
@@ -370,11 +370,69 @@ def test_s1_digit_product_is_one_float64_word(monkeypatch):
         return made[-1]
 
     monkeypatch.setattr(rm, "LaneLayout", record)
+    # the digit path builds its layout once per field and inner dimension
+    rm._digit_tables.cache_clear()
     for pm, words in [((17, 3), 1), ((13, 4), 2)]:
         ctx = field(*pm)
         a = np.arange(33 * 33).reshape(33, 33) % ctx.n
         rm.fmatmul(ctx, a, a)
         assert (made[-1].words, made[-1].fields, made[-1].width) == (words, ctx.m, 15)
+
+
+def test_fmatmul_results_outlive_the_next_product():
+    # PlaneRestrictor.restrict keeps a product while it computes the
+    # next one, so a product must not be a view of shared scratch
+    ctx = field(17, 3)
+    gen = np.random.default_rng(24)
+    a, b, c = (gen.integers(0, ctx.n, (33, 33)) for _ in range(3))
+    first = rm.fmatmul(ctx, a, b)
+    kept = first.copy()
+    second = rm.fmatmul(ctx, c, a)
+    assert np.array_equal(first, kept)
+    assert first.tolist() == brute_matmul(ctx, a.tolist(), b.tolist())
+    assert second.tolist() == brute_matmul(ctx, c.tolist(), a.tolist())
+
+
+def test_lane_codes_read_random_lane_sums():
+    # LaneLayout.codes, LaneLayout.code and the digit formula agree on
+    # random lane sums of fmatmul's float64 layouts, at the least inner
+    # dimension of the digit path, at S1's and at the cap; some of these
+    # read grouped lanes (p = 2) and some lanes past the reduce table
+    grouped = unreduced = 0
+    for pm in DIGIT_FIELDS:
+        ctx = field(*pm)
+        for inner in (rm._DIGIT_INNER, 33, DIGIT_INNER_CAP):
+            lanes = LaneLayout(ctx, ctx.m * inner * (ctx.p - 1) ** 2, np.float64)
+            grouped += lanes.group > 1
+            unreduced += lanes.reduce is None
+            gen = np.random.default_rng(inner * ctx.n)
+            sums = gen.integers(0, lanes.radix, (ctx.m, 200))
+            words = np.zeros((lanes.words, 200), dtype=np.int64)
+            for i, lane in enumerate(sums):
+                f, t = divmod(i, lanes.group)
+                words[f // lanes.per] += lane * lanes.radix**t << f % lanes.per * lanes.width
+            want = (sums % ctx.p * ctx.p ** np.arange(ctx.m)[:, None]).sum(axis=0)
+            assert lanes.codes(words).tolist() == want.tolist()
+            assert [lanes.code(w.tolist()) for w in words.T] == want.tolist()
+    assert grouped and unreduced
+
+
+def test_batched_fmatmul_takes_the_digit_path(monkeypatch):
+    # a leading batch axis on either operand goes through the same digit
+    # tables as a 2-D product
+    ctx = field(17, 3)
+    calls = []
+    tables = rm._digit_tables
+    monkeypatch.setattr(rm, "_digit_tables", lambda *args: calls.append(args) or tables(*args))
+    gen = np.random.default_rng(25)
+    a, b = gen.integers(0, ctx.n, (2, 3, 33)), gen.integers(0, ctx.n, (33, 4))
+    for x, y in [(a, b), (a[0], np.stack([b, b[::-1]])), (a, np.stack([b, b[::-1]]))]:
+        got = rm.fmatmul(ctx, x, y)
+        assert got.shape == (2, 3, 4)
+        for w in range(2):
+            xw, yw = (x[w] if x.ndim == 3 else x), (y[w] if y.ndim == 3 else y)
+            assert got[w].tolist() == brute_matmul(ctx, xw.tolist(), yw.tolist())
+    assert calls == [(ctx, 33)] * 3
 
 
 # (p, m) fields for the restriction cross-check; at the high degree the
