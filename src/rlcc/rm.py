@@ -38,7 +38,7 @@ from math import comb
 import numpy as np
 
 from .gf import _TABLE_LIMIT, Field, LaneLayout, scratch
-from .geometry import PlaneRep
+from .geometry import PlaneRep, points_at
 
 ENUM_BUDGET = 10**7
 
@@ -275,9 +275,12 @@ def _contract(ctx: Field, op: np.ndarray, tensor: np.ndarray, axes: int) -> np.n
     axis, which then moves behind the other contracted ones, so after
     `axes` products every axis is back in place.  Later axes (keys) are
     carried along as columns."""
+    # a transpose: np.moveaxis costs about 4 µs a call, an S1 33 x 33
+    # product about 32
+    order = (*range(1, axes), 0, *range(axes, tensor.ndim))
     for _ in range(axes):
         out = fmatmul(ctx, op, tensor.reshape(len(tensor), -1))
-        tensor = np.moveaxis(out.reshape((len(op),) + tensor.shape[1:]), 0, axes - 1)
+        tensor = out.reshape((len(op),) + tensor.shape[1:]).transpose(order)
     return tensor
 
 
@@ -316,12 +319,6 @@ def interpolate_lattice(params2d: RmParams, values: np.ndarray) -> np.ndarray:
     ctx, d = params2d.ctx, params2d.d
     diff, newton = _newton_operators(ctx, d)
     a, b = _exponent_matrix(2, d).T
-    if values.ndim == 1:
-        # one lattice: each operator acts on both axes of a 2-D grid
-        grid = np.zeros((d + 1, d + 1), dtype=np.int64)
-        grid[a, b] = values
-        grid[a, b] = fmatmul(ctx, fmatmul(ctx, diff, grid), diff.T)[a, b]
-        return fmatmul(ctx, fmatmul(ctx, newton, grid), newton.T)[a, b]
     # keys on the last axis: a leading one makes each product a batch of
     # small ones, and T2 materialize took 0.74-1.03 s, not 0.59-0.62 s
     grid = np.zeros((d + 1, d + 1, values.size // len(a)), dtype=np.int64)
@@ -385,11 +382,14 @@ def _substitution(ctx: Field, d: int, c: int, r: int = 1) -> np.ndarray:
     r = 1)."""
     logs, gaps, antilogs = _binomials(ctx, d)
     log_t, steps = ctx.tables[1], np.arange(d + 1)
-    # the logs of c^e; 0^e = 0 for e > 0
-    powers = steps * log_t[c] % (ctx.n - 1) if c else np.where(steps, len(antilogs) - 1, 0)
-    total = logs + powers[gaps]
+
+    def power_logs(x: int) -> np.ndarray:
+        # the logs of x^e; 0^e = 0 for e > 0
+        return steps * log_t[x] % (ctx.n - 1) if x else np.where(steps, len(antilogs) - 1, 0)
+
+    total = logs + power_logs(c)[gaps]
     if r != 1:
-        total += (steps * log_t[r] % (ctx.n - 1))[:, None]
+        total += power_logs(r)[:, None]
     return antilogs.take(total, mode="clip")
 
 
@@ -417,9 +417,8 @@ class PlaneRestrictor:
     _SLICE_BLOCK slices at a time.
     A plane then costs, per lattice point, one sum over the slices
     (33 terms at S1, where P has 6,545 monomials) in the log domain, read
-    in the digit lanes of a LaneLayout.  Each l_c is added in lanes from
-    the products of alpha_c and beta_c with the d+1 nodes, and its powers'
-    logs are gathered from a cached table (_log_powers).
+    in the digit lanes of a LaneLayout.  Each l_c comes from points_at,
+    and its powers' logs are gathered from a cached table (_log_powers).
     interpolate_lattice gives R's triangle, and a bivariate change of
     variables (_substitution) turns it into
     Q(s, t) = R(a_q1 + u_q1 s + v_q1 t, a_q2 + u_q2 s + v_q2 t).
@@ -482,17 +481,8 @@ class PlaneRestrictor:
         a, b = _exponent_matrix(2, d).T
         total = logs
         if rest:
-            # each l_c at the lattice: gamma_c and the products of alpha_c
-            # and beta_c with the nodes e_0..e_d, added in lanes
-            exp_t, log_t, _ = ctx.tables
-            form = LaneLayout(ctx, 3 * (ctx.p - 1))
-            nodes = log_t[: d + 1]
-            pa, pb = (
-                form.packed.take(exp_t.take(log_t[w][:, None] + nodes, mode="clip"), axis=1)
-                for w in (alpha, beta)
-            )
-            sums = pa.take(a, axis=-1) + pb.take(b, axis=-1) + form.packed[:, gamma, None]
-            coords = form.codes(sums)
+            # each l_c at the lattice
+            coords = points_at(ctx, gamma, (alpha, beta), (a, b))
             # the logs of their powers, gathered by exponent; a power of 0
             # takes the zero-ended table's log of 0
             powers = _log_powers(ctx, d, len(table[0]) - 1)

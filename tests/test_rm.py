@@ -239,6 +239,23 @@ def test_inverse_vandermonde_inverts_vandermonde(p, m, d):
     assert brute_matmul(ctx, minv, vander) == identity
 
 
+@pytest.mark.parametrize("p, m, d", [(2, 3, 3), (3, 2, 4), (17, 3, 32)])
+def test_substitution_maps_f_to_f_at_an_affine_point(p, m, d):
+    # the coefficient map of f(x) -> f(r x + c), at r = 0 and c = 0 too,
+    # checked by evaluating both sides at zero and at sampled codes
+    ctx = field(p, m)
+    rng = random.Random(d)
+    basis = [(e,) for e in range(d + 1)]
+    f = [rng.randrange(ctx.n) for _ in basis]
+    xs = [0, 1] + [rng.randrange(ctx.n) for _ in range(6)]
+    for r, c in ((0, 0), (0, ctx.n - 1), (1, 0), (1, 2), (ctx.n - 1, 0), (2, ctx.n - 2)):
+        sub = rm._substitution(ctx, d, c, r).tolist()
+        g = [row[0] for row in brute_matmul(ctx, sub, [[x] for x in f])]
+        for x in xs:
+            at = ctx.add(ctx.mul(r, x), c)
+            assert brute_evaluate(ctx, basis, g, (x,)) == brute_evaluate(ctx, basis, f, (at,))
+
+
 # inner dimensions on both sides of fmatmul's digit-plane cutoff
 FMATMUL_INNER = [1, 2, rm._DIGIT_INNER - 1, rm._DIGIT_INNER, 40]
 
