@@ -14,12 +14,17 @@ embedded H is exactly ``code < p``.
 Multiplication and inversion go through log/antilog tables over a fixed
 primitive element whenever the field is small enough to cache them
 (n <= 2**20); schoolbook polynomial arithmetic is kept as the fallback
-and as the reference the tables are cross-checked against.
+and as the reference the tables are cross-checked against.  Past that
+limit, addition and subtraction go digit by digit.
 
-Every vector path adds field elements as integers: LaneLayout packs
-their base-p digits in unsigned lanes wide enough for a known largest
-lane sum, in int64 or float64 words, and reads the sums back to codes.
-It is the package's one such format.
+Every sum of field elements with log tables, of arrays or of single
+codes, adds them as integers: LaneLayout packs their base-p digits in
+unsigned lanes wide enough for a known largest lane sum, in int64 or
+float64 words, and reads the sums back to codes.  It is the package's
+one such format.  For one element at a time, Field.scalar_tables holds
+every code's lanes as Python ints and reads a sum back by one lookup per
+field, so Field.add and geometry's point arithmetic cost a few
+subscripts.
 """
 
 from __future__ import annotations
@@ -186,19 +191,27 @@ class Field:
     # -- arithmetic -----------------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        p = self.p
-        out, x, y = 0, a, b
-        for w in self._pw:
-            out += ((x + y) % p) * w
-            x //= p
-            y //= p
-        return out
+        tables = self.scalar_tables
+        if tables is None:
+            return self._add_digits(a, b, 1)
+        _, _, put, _, read = tables
+        return read[put[a] + put[b]]
 
     def sub(self, a: int, b: int) -> int:
+        tables = self.scalar_tables
+        if tables is None:
+            return self._add_digits(a, b, -1)
+        if not b:
+            return a
+        # -b = antilog(log b + log(-1)), and -1 is the code p - 1
+        log, _, put, prod, read = tables
+        return read[put[a] + prod[log[b] + log[self.p - 1]]]
+
+    def _add_digits(self, a: int, b: int, sign: int) -> int:
         p = self.p
         out, x, y = 0, a, b
         for w in self._pw:
-            out += ((x - y) % p) * w
+            out += ((x + sign * y) % p) * w
             x //= p
             y //= p
         return out
@@ -308,6 +321,20 @@ class Field:
             log[0] = len(exp) - 1
             self._np = (exp, log, digits)
         return self._np
+
+    @cached_property
+    def scalar_tables(self):
+        """The tables of arithmetic on one element at a time, or None
+        without log tables: (log, exp, put, prod, read).  log and exp are
+        the log and antilog lists (log[0] is not a log: check for zero
+        first); put, prod and read are LaneLayout.scalar for sums of three
+        elements, so that a + t*u + s*v, per coordinate of a point, is
+        read[put[a] + prod[log t + log u] + prod[log s + log v]] over the
+        nonzero products."""
+        if self._log is None:
+            return None
+        lanes = LaneLayout(self, 3 * (self.p - 1))
+        return (self._log, self._exp, *lanes.scalar)
 
     def sum_elements(self, arr: np.ndarray, axis: int) -> np.ndarray:
         """Sum field elements (codes) along an axis of an int array, in
@@ -470,6 +497,21 @@ class LaneLayout:
         np.copyto(out, total)
         return out
 
+    @cached_property
+    def scalar(self):
+        """(put, prod, read) for codes one at a time, as Python ints, on a
+        one-word layout with a reduce table (every layout for sums of three
+        elements of a field with log tables): put[c] is the lanes of code
+        c, prod[e] those of the antilog of e, a sum of two logs of nonzero
+        elements, and read[s] the code of a lane sum s.  read is the
+        reduce table itself for one field, else a _FieldSum.  A table
+        longer than n is a memoryview of the numpy one, not a list: a list
+        costs about 36 bytes an entry."""
+        assert self.words == 1 and self.reduce is not None
+        tables = [memoryview(table) for _, table in self._weighted]
+        read = tables[0] if self.fields == 1 else _FieldSum(tables, self.width, self.mask)
+        return self.packed[0].tolist(), memoryview(self.zero_ended(2)[1][0]), read
+
     def code(self, sums) -> int:
         """The code read of one sum of code 0, given as Python ints, one
         per word: for one value they read faster than numpy."""
@@ -478,6 +520,20 @@ class LaneLayout:
             (sums[w] >> shift & mask) // lane % radix % p * weight
             for w, shift, lane, weight in self._digits
         )
+
+
+class _FieldSum:
+    """read[s] of a lane sum s of several fields: each field's lookup in
+    its weighted reduce table, added up."""
+
+    __slots__ = ("tables", "width", "mask")
+
+    def __init__(self, tables, width: int, mask: int):
+        self.tables, self.width, self.mask = tables, width, mask
+
+    def __getitem__(self, s: int) -> int:
+        width, mask = self.width, self.mask
+        return sum(table[s >> f * width & mask] for f, table in enumerate(self.tables))
 
 
 def parse_descriptor(text: str) -> Field:

