@@ -67,6 +67,8 @@ from .rm import (
 from .ctrw import walk_sample
 
 MATERIALIZE_LIMIT = 50_000_000
+# proof keys per chunk of materialize's (dir1, dir2) pairs
+CHUNK = 1 << 12
 # LRU bounds of the lazy oracle's memos.  A correction rereads only the
 # m + 2 or fewer proof blocks it touches, and independent corrections at
 # S1 share almost none, so 32 blocks (about 0.6 MB at S1, 20 kB a block)
@@ -328,50 +330,42 @@ def materialize(layout: ComposedLayout, message) -> np.ndarray:
     out = np.empty(layout.length, dtype=np.int16)
     # broadcast assignments into views of out: no tiled temporaries
     out[: layout.rm_length].reshape(layout.repetitions, -1)[:] = rm_tab
+    step = max(1, CHUNK // layout.rm_points)
     for region in (POINT_REGION, LINE_REGION):
-        base = layout.block_address(region, 0)
-        tris = _batched_proofs(layout, rm_tab, region)
-        blocks = out[base : base + len(tris) * layout.proof_len]
-        blocks.reshape(len(tris), -1, layout.coeff_len)[:] = tris[:, None, :]
+        pairs = layout.key_tables[region].dir1_count * layout.h_count
+        # key i < pairs is (dir1, dir2) pair i at anchor 0
+        planes = [layout.key_plane(region, i)[0] for i in range(pairs)]
+        live = [i for i, plane in enumerate(planes) if plane is not None]
+        lo = layout.block_address(region, 0)
+        blocks = out[lo : lo + layout.rm_points * pairs * layout.proof_len]
+        blocks = blocks.reshape(layout.rm_points, pairs, layout.proof_len)
+        for i in range(0, len(live), step):
+            chunk = live[i : i + step]
+            values = rm_tab[lattice_codes(layout, [planes[j] for j in chunk])]
+            tris = interpolate_lattice(layout.rm.bivariate(), values)
+            # side by side, not broadcast: a broadcast copy's inner loop
+            # is one k_2-symbol copy, and at T2 took 3x as long
+            blocks[:, chunk] = np.tile(tris, layout.pcpp.repetitions)
+        blocks[:, [plane is None for plane in planes]] = 0
     return out
 
 
-def _batched_proofs(layout, rm_tab, region) -> np.ndarray:
-    """Coefficient triangles of every key in a region, degenerate keys zero.
-
-    Vectorized: gathers each live key's k_2 degree-lattice values from
-    the RM table and interpolates all keys at once.
-    """
-    live, codes = key_subgrids(layout, region)
-    tris = np.zeros((live.size, layout.coeff_len), dtype=np.int64)
-    if codes.size:
-        values = np.asarray(rm_tab, dtype=np.int64)[codes]
-        tris[live] = interpolate_lattice(layout.rm.bivariate(), values)
-    return tris
-
-
-def key_subgrids(layout: ComposedLayout, region: str):
-    """Live mask over every key of a proof region, and the point codes of
-    each live key's k_2 degree-lattice points, shape (live, k_2).
-
-    The numpy form of key_plane followed by
-    point_code(plane_point_at(plane, j, k)) for (j, k) in
-    monomial_basis(2, d) order, the lattice interpolate_lattice reads.
-    """
-    ctx = layout.ctx
-    table = layout.key_tables[region]
-    dir1 = [table.dir1_of(i) for i in range(table.dir1_count)]
-    dir2 = [ctx.coeffs_of(i) for i in range(layout.h_count)]
-    spans = np.array([[spans_plane(ctx, u, v) for v in dir2] for u in dir1])
-    count = layout.rm_points * spans.size
-    anchor, d1, d2 = layout.key_fields(region, np.arange(count, dtype=np.int64))
-    live = spans[d1, d2]
-    anchor, d1, d2 = anchor[live], d1[live], d2[live]
-    js, ks = np.array(layout.rm.bivariate().basis, dtype=np.int64).T
-    u = np.array(dir1, dtype=np.int64)[d1].T[:, :, None]
-    v = np.array(dir2, dtype=np.int64)[d2].T[:, :, None]
-    anchors = point_from_code(ctx, anchor[:, None])
-    return live, codes_of(ctx, points_at(ctx, anchors, (u, v), (js, ks)))
+def lattice_codes(layout: ComposedLayout, planes) -> np.ndarray:
+    """Point codes of the k_2 degree-lattice points of the planes with
+    the given planes' directions through every anchor, shape
+    (rm_points, len(planes), k_2): point_code(plane_point_at(..., j, k))
+    for (j, k) in monomial_basis(2, d) order, which interpolate_lattice
+    reads.  The anchors run over F^m in point-code order, so coordinate
+    c of lattice point (j, k) is an n-entry row x -> x + w_c from
+    points_at, and the m rows add up to point codes as an outer sum."""
+    ctx, n = layout.ctx, layout.ctx.n
+    u = np.array([plane.dir1 for plane in planes]).T[..., None]
+    v = np.array([plane.dir2 for plane in planes]).T[..., None]
+    js, ks = np.array(layout.rm.bivariate().basis).T
+    rows = points_at(ctx, (np.arange(n)[:, None, None],) * ctx.m, (u, v), (js, ks))
+    # coordinate c on anchor axis -3 - c: codes run with coordinate 0 fastest
+    axes = [r.reshape((n,) + (1,) * c + r.shape[1:]) for c, r in enumerate(rows)]
+    return codes_of(ctx, axes).reshape(layout.rm_points, len(planes), -1)
 
 
 # ---------------------------------------------------------------------------

@@ -456,7 +456,11 @@ def _far_families(rm2d: RmParams, pcpp: PcppParams, rng):
         v = base_q(i)
         return (v + delta0) % ctx.n if i == 0 else v
 
-    shift = delta0  # constant polynomial shift matches the flipped tail
+    # family tail-flip/shifted-proof: a proof that check (b) rejects at
+    # every base point but (0, 0).  Its polynomial is q + delta0 in the
+    # field, while flipped_read adds delta0 as an integer mod n, so even
+    # (0, 0) agrees only when no base-p digit carries
+    shift = delta0
     q_shift = q.copy()
     q_shift[0] = ctx.add(int(q_shift[0]), shift)
     shifted = proof_of(q_shift)

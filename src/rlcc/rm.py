@@ -320,7 +320,7 @@ def interpolate_lattice(params2d: RmParams, values: np.ndarray) -> np.ndarray:
     diff, newton = _newton_operators(ctx, d)
     a, b = _exponent_matrix(2, d).T
     # keys on the last axis: a leading one makes each product a batch of
-    # small ones, and T2 materialize took 0.74-1.03 s, not 0.59-0.62 s
+    # small ones, and T2 materialize's 69 chunks took 0.27 s, not 0.08 s
     grid = np.zeros((d + 1, d + 1, values.size // len(a)), dtype=np.int64)
     grid[a, b] = values.reshape(-1, len(a)).T
     grid[a, b] = _contract(ctx, diff, grid, 2)[a, b]

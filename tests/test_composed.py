@@ -1,5 +1,6 @@
 import gc
 import random
+import tracemalloc
 import weakref
 from fractions import Fraction
 
@@ -193,11 +194,12 @@ def test_degenerate_blocks_are_zero(t1):
 
 
 def _scalar_lattices(layout, region, d):
-    """Reference for key_subgrids, one (dir1, dir2) pair at a time: the
+    """Reference for lattice_codes, one (dir1, dir2) pair at a time: the
     scalar key plane of the pair at anchor 0, its plane_point_at offsets
     at the degree-d lattice points (j, k) in monomial_basis(2, d) order,
-    added to every anchor's base-p digits mod p, then point codes; keys
-    in key-index order."""
+    added to every anchor's base-p digits mod p, then point codes.
+    Returns the live mask over pairs and the codes, shape (anchor, pair,
+    lattice point), zero at degenerate pairs."""
     ctx, p, m = layout.ctx, layout.ctx.p, layout.ctx.m
     dir1_count = layout.key_tables[region].dir1_count
     lattice = rm.monomial_basis(2, d)
@@ -209,8 +211,8 @@ def _scalar_lattices(layout, region, d):
         ],
         dtype=np.int64,
     )
-    live = np.zeros((layout.rm_points, dir1_count, layout.h_count), dtype=bool)
-    codes = np.zeros(live.shape + (len(lattice),), dtype=np.int64)
+    live = np.zeros((dir1_count, layout.h_count), dtype=bool)
+    codes = np.zeros((layout.rm_points,) + live.shape + (len(lattice),), dtype=np.int64)
     for d1 in range(dir1_count):
         for d2 in range(layout.h_count):
             plane, _ = layout.key_plane(region, layout.key_index(region, 0, d1, d2))
@@ -226,15 +228,15 @@ def _scalar_lattices(layout, region, d):
             )
             # coords[a, l, i]: coordinate i of lattice point l of anchor a
             coords = (digits[:, None] + offsets) % p @ (p ** np.arange(m))
-            live[:, d1, d2] = True
+            live[d1, d2] = True
             codes[:, d1, d2] = coords @ (ctx.n ** np.arange(m))
-    return live.reshape(-1), codes[live]
+    return live.reshape(-1), codes.reshape(layout.rm_points, live.size, -1)
 
 
 # T1, T2 and GF(3^2): with p = 3, v = 2u is a colinear H-pair
 @pytest.mark.parametrize("p, m", [(2, 2), (2, 3), (3, 2)])
 @pytest.mark.parametrize("region", [composed.POINT_REGION, composed.LINE_REGION])
-def test_key_subgrids_match_scalar_key_planes(p, m, region):
+def test_lattice_codes_match_scalar_key_planes(p, m, region):
     ctx = Field(p, m)
     layouts = {
         d: composed.ComposedLayout(rm.RmParams(ctx, m, d), PcppParams(4))
@@ -244,13 +246,47 @@ def test_key_subgrids_match_scalar_key_planes(p, m, region):
     # lattice first in the d = 2 one, so one scalar pass serves both degrees
     ref_live, ref_codes = _scalar_lattices(layouts[2], region, 2)
     for d, layout in layouts.items():
-        live, codes = composed.key_subgrids(layout, region)
-        assert live.dtype == bool
-        assert np.array_equal(live, ref_live)
-        assert np.array_equal(codes, ref_codes[:, : layout.coeff_len])
+        # key i below the pair count is (dir1, dir2) pair i at anchor 0
+        planes = [layout.key_plane(region, i)[0] for i in range(len(ref_live))]
+        live = np.flatnonzero(ref_live)
+        assert [i for i, plane in enumerate(planes) if plane is not None] == live.tolist()
+        ref = ref_codes[:, live, : layout.coeff_len]
+        got = composed.lattice_codes(layout, [planes[i] for i in live])
+        assert np.array_equal(got, ref)
+        # a chunk is any run of live pairs, down to one
+        for i in (0, len(live) // 2, len(live) - 1):
+            got = composed.lattice_codes(layout, [planes[live[i]]])
+            assert np.array_equal(got, ref[:, i : i + 1])
     if p == 3 and region == composed.POINT_REGION:
         # u = (1, 0) has H-index 1 and v = 2u = (2, 0) has H-index 2
-        assert not live[layouts[1].key_index(region, 0, 1, 2)]
+        assert not ref_live[layouts[1].key_index(region, 0, 1, 2)]
+        assert planes[layouts[1].key_index(region, 0, 1, 2)] is None
+
+
+@pytest.mark.parametrize("p, m, d", [(2, 2, 1), (3, 2, 2)])
+def test_materialize_does_not_depend_on_the_chunk_size(p, m, d, monkeypatch):
+    ctx = Field(p, m)
+    layout = composed.ComposedLayout(rm.RmParams(ctx, m, d), PcppParams(4))
+    r = random.Random(26)
+    message = [r.randrange(ctx.n) for _ in range(layout.rm.k)]
+    word = composed.materialize(layout, message)
+    # one pair a chunk, then every region in one chunk
+    for chunk in (1, layout.predicate_count):
+        monkeypatch.setattr(composed, "CHUNK", chunk)
+        assert np.array_equal(composed.materialize(layout, message), word)
+
+
+def test_materialize_working_memory_is_bounded(t2):
+    # chunked: about 1 MB above the 36 MB word at T2, where interpolating
+    # a whole region at once held 87 MB of temporaries
+    layout, message, word = t2
+    tracemalloc.start()
+    try:
+        composed.materialize(layout, message)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= word.nbytes + 8 * 2**20
 
 
 # T2, and GF(3^2) at d = 2, where the lattice is not the whole node grid
