@@ -11,8 +11,7 @@ column k = 0, is the line anchor + elem(j) * dir1.  The vectorized maps
 (points_at, plane_codes_at) add an anchor and two products in the
 lanes of gf.LaneLayout, and so do plane_point_at and add_points, one
 point at a time on Python ints (Field.scalar_tables); scale_point and
-is_colinear work on logs.  Fields without log tables take Field.add
-and Field.mul per coordinate.
+is_colinear work on logs.
 """
 
 from __future__ import annotations
@@ -43,20 +42,14 @@ def point_from_code(ctx: Field, code: int):
 
 
 def add_points(ctx: Field, a, b):
-    tables = ctx.scalar_tables
-    if tables is None:
-        return tuple([ctx.add(x, y) for x, y in zip(a, b)])
-    _, _, put, _, read = tables
+    _, _, put, _, read = ctx.scalar_tables
     return tuple([read[put[x] + put[y]] for x, y in zip(a, b)])
 
 
 def scale_point(ctx: Field, t: int, a):
-    tables = ctx.scalar_tables
-    if tables is None:
-        return tuple([ctx.mul(t, x) for x in a])
     if not t:
         return (0,) * len(a)
-    log, exp, _, _, _ = tables
+    log, exp, _, _, _ = ctx.scalar_tables
     lt = log[t]
     return tuple([exp[lt + log[x]] if x else 0 for x in a])
 
@@ -66,19 +59,14 @@ def is_zero(point) -> bool:
 
 
 def is_colinear(ctx: Field, base, other) -> bool:
-    """Whether other lies in F * base; base must be nonzero.  With log
-    tables: whether both have their zeros at the same coordinates and
-    log o - log b is one value mod n - 1 over the others."""
+    """Whether other lies in F * base; base must be nonzero: whether
+    both have their zeros at the same coordinates and log o - log b is
+    one value mod n - 1 over the others."""
     if is_zero(base):
         raise ValueError("colinearity test needs a nonzero base vector")
     if is_zero(other):
         return True
-    tables = ctx.scalar_tables
-    if tables is None:
-        j = next(i for i, c in enumerate(base) if c)
-        lam = ctx.mul(other[j], ctx.inv(base[j]))
-        return all(ctx.mul(lam, b) == o for b, o in zip(base, other))
-    log, order = tables[0], ctx.n - 1
+    log, order = ctx.scalar_tables[0], ctx.n - 1
     ratio = None
     for b, o in zip(base, other):
         if not (b and o):
@@ -112,14 +100,9 @@ class PlaneRep:
 
 
 def plane_point_at(ctx: Field, plane: PlaneRep, j: int, k: int):
-    """anchor + elem(j) * dir1 + elem(k) * dir2.  With log tables, each
-    coordinate is one lane sum of the anchor and the nonzero products,
-    read back once."""
-    tables = ctx.scalar_tables
-    if tables is None:
-        pt = add_points(ctx, plane.anchor, scale_point(ctx, j, plane.dir1))
-        return add_points(ctx, pt, scale_point(ctx, k, plane.dir2))
-    log, _, put, prod, read = tables
+    """anchor + elem(j) * dir1 + elem(k) * dir2.  Each coordinate is one
+    lane sum of the anchor and the nonzero products, read back once."""
+    log, _, put, prod, read = ctx.scalar_tables
     lj, lk = log[j], log[k]
     out = []
     for a, u, v in zip(plane.anchor, plane.dir1, plane.dir2):

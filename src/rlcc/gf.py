@@ -11,20 +11,18 @@ The subfield H = GF(p) embeds as the constant polynomials, so the code
 of an embedded scalar equals the scalar itself and membership in the
 embedded H is exactly ``code < p``.
 
-Multiplication and inversion go through log/antilog tables over a fixed
-primitive element whenever the field is small enough to cache them
-(n <= 2**20); schoolbook polynomial arithmetic is kept as the fallback
-and as the reference the tables are cross-checked against.  Past that
-limit, addition and subtraction go digit by digit.
+All arithmetic goes through log/antilog tables over a fixed primitive
+element, built with the field from schoolbook products.  A field past
+n = 2**20 elements still gives its size and codecs, but arithmetic on
+it raises one ValueError that names the limit.
 
-Every sum of field elements with log tables, of arrays or of single
-codes, adds them as integers: LaneLayout packs their base-p digits in
-unsigned lanes wide enough for a known largest lane sum, in int64 or
-float64 words, and reads the sums back to codes.  It is the package's
-one such format.  For one element at a time, Field.scalar_tables holds
-every code's lanes as Python ints and reads a sum back by one lookup per
-field, so Field.add and geometry's point arithmetic cost a few
-subscripts.
+Every sum of field elements, of arrays or of single codes, adds them as
+integers: LaneLayout packs their base-p digits in unsigned lanes wide
+enough for a known largest lane sum, in int64 or float64 words, and
+reads the sums back to codes.  It is the package's one such format.
+For one element at a time, Field.scalar_tables holds every code's
+lanes as Python ints and reads a sum back by one lookup per field, so
+Field.add and geometry's point arithmetic cost a few subscripts.
 """
 
 from __future__ import annotations
@@ -36,6 +34,8 @@ from math import prod
 import numpy as np
 
 _TABLE_LIMIT = 1 << 20
+# divisors of degree m // 2 that an irreducibility test may try
+_SEARCH_LIMIT = 10**6
 
 
 # the package's one workspace: arrays by role (distinct in every module),
@@ -135,6 +135,8 @@ class Field:
             raise ValueError(f"p = {p} is not prime")
         if m < 2:
             raise ValueError(f"extension degree m = {m} must be >= 2")
+        if p ** (m // 2) > _SEARCH_LIMIT:
+            raise ValueError(f"GF({p}^{m}): its irreducibility test tries {p}^{m // 2} divisors")
         if irreducible is None:
             irreducible = find_irreducible(p, m)
         else:
@@ -158,11 +160,11 @@ class Field:
             lead = cur.pop()
             if lead:
                 cur = [(cur[i] + lead * tail[i]) % p for i in range(m)]
-        self._log = None
-        self._exp = None
+        # eagerly, so that no timed first operation pays for them
         if self.n <= _TABLE_LIMIT:
             self._build_tables()
-        self._np = None
+        else:
+            self._log = self._exp = _NoLogTables(self)
 
     # -- codecs -------------------------------------------------------------
 
@@ -191,30 +193,15 @@ class Field:
     # -- arithmetic -----------------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        tables = self.scalar_tables
-        if tables is None:
-            return self._add_digits(a, b, 1)
-        _, _, put, _, read = tables
+        _, _, put, _, read = self.scalar_tables
         return read[put[a] + put[b]]
 
     def sub(self, a: int, b: int) -> int:
-        tables = self.scalar_tables
-        if tables is None:
-            return self._add_digits(a, b, -1)
         if not b:
             return a
         # -b = antilog(log b + log(-1)), and -1 is the code p - 1
-        log, _, put, prod, read = tables
+        log, _, put, prod, read = self.scalar_tables
         return read[put[a] + prod[log[b] + log[self.p - 1]]]
-
-    def _add_digits(self, a: int, b: int, sign: int) -> int:
-        p = self.p
-        out, x, y = 0, a, b
-        for w in self._pw:
-            out += ((x + sign * y) % p) * w
-            x //= p
-            y //= p
-        return out
 
     def _mul_schoolbook(self, a: int, b: int) -> int:
         ca, cb = self.coeffs_of(a), self.coeffs_of(b)
@@ -234,30 +221,17 @@ class Field:
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        if self._log is not None:
-            return self._exp[self._log[a] + self._log[b]]
-        return self._mul_schoolbook(a, b)
+        return self._exp[self._log[a] + self._log[b]]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inversion of zero field element")
-        if self._log is not None:
-            return self._exp[self.n - 1 - self._log[a]]
-        return self.pow(a, self.n - 2)
+        return self._exp[self.n - 1 - self._log[a]]
 
     def pow(self, a: int, e: int) -> int:
         if a == 0:
             return 1 if e == 0 else 0
-        e %= self.n - 1
-        if self._log is not None:
-            return self._exp[(self._log[a] * e) % (self.n - 1)]
-        out, base = 1, a
-        while e:
-            if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return out
+        return self._exp[(self._log[a] * e) % (self.n - 1)]
 
     def rand_element(self, rng) -> int:
         return rng.randrange(self.n)
@@ -281,8 +255,7 @@ class Field:
             cur = self._mul_schoolbook(cur, g)
         for i in range(n - 1, 2 * (n - 1)):
             exp[i] = exp[i - (n - 1)]
-        self._exp = exp
-        self._log = log
+        self._exp, self._log = exp, log
 
     def _pow_schoolbook(self, a: int, e: int) -> int:
         out, base = 1, a
@@ -295,7 +268,7 @@ class Field:
 
     # -- vectorized views -------------------------------------------------------
 
-    @property
+    @cached_property
     def tables(self):
         """Numpy views used by the vectorized fast paths.
 
@@ -305,36 +278,27 @@ class Field:
         product read with mode="clip" is 0 for a zero factor; and the
         n x m matrix of every code's base-p digits.
         """
-        if self._np is None:
-            if self._log is None:
-                raise ValueError("field too large for cached tables")
-            n, m, p = self.n, self.m, self.p
-            codes = np.arange(n, dtype=np.int64)
-            digits = np.empty((n, m), dtype=np.int32)
-            rem = codes.copy()
-            for i in range(m):
-                digits[:, i] = rem % p
-                rem //= p
-            exp = np.array(self._exp, dtype=np.int64)
-            exp[-1] = 0
-            log = np.array(self._log, dtype=np.int64)
-            log[0] = len(exp) - 1
-            self._np = (exp, log, digits)
-        return self._np
+        exp = np.array(self._exp, dtype=np.int64)
+        exp[-1] = 0
+        log = np.array(self._log, dtype=np.int64)
+        log[0] = len(exp) - 1
+        digits = np.empty((self.n, self.m), dtype=np.int32)
+        rem = np.arange(self.n, dtype=np.int64)
+        for i in range(self.m):
+            digits[:, i] = rem % self.p
+            rem //= self.p
+        return exp, log, digits
 
     @cached_property
     def scalar_tables(self):
-        """The tables of arithmetic on one element at a time, or None
-        without log tables: (log, exp, put, prod, read).  log and exp are
-        the log and antilog lists (log[0] is not a log: check for zero
-        first); put, prod and read are LaneLayout.scalar for sums of three
-        elements, so that a + t*u + s*v, per coordinate of a point, is
+        """The tables of arithmetic on one element at a time: (log, exp,
+        put, prod, read).  log and exp are the log and antilog lists
+        (log[0] is not a log: check for zero first); put, prod and read
+        are LaneLayout.scalar for sums of three elements, so that
+        a + t*u + s*v, per coordinate of a point, is
         read[put[a] + prod[log t + log u] + prod[log s + log v]] over the
         nonzero products."""
-        if self._log is None:
-            return None
-        lanes = LaneLayout(self, 3 * (self.p - 1))
-        return (self._log, self._exp, *lanes.scalar)
+        return (self._log, self._exp, *LaneLayout(self, 3 * (self.p - 1)).scalar)
 
     def sum_elements(self, arr: np.ndarray, axis: int) -> np.ndarray:
         """Sum field elements (codes) along an axis of an int array, in
@@ -355,6 +319,20 @@ class Field:
 
     def __hash__(self):
         return hash((self.p, self.m, self.irreducible))
+
+
+class _NoLogTables:
+    """The log tables of a field past _TABLE_LIMIT, which has no
+    arithmetic: any read, by index or by numpy, raises one ValueError."""
+
+    def __init__(self, ctx: Field):
+        limit = f"the {_TABLE_LIMIT}-entry log-table limit"
+        self.error = f"GF({ctx.p}^{ctx.m}) has no arithmetic past {limit}"
+
+    def _refuse(self, *args, **kwargs):
+        raise ValueError(self.error)
+
+    __getitem__ = __array__ = _refuse
 
 
 def _prime_factors(x: int):

@@ -609,18 +609,18 @@ GATED_KINDS = ("soundness", "mixing", "alg2")
 def check_runnable(config: ExperimentConfig):
     """ConfigError for a run that would fail or not finish on its field:
     completeness tabulates F^m, sampling and calibration walk the whole
-    n^2 plane grid, the soundness, alg2 and correct vector ops need the
-    field's log tables, soundness and alg2 also int64 point codes, and
-    alg2 and correct draw a message of k symbols, at most
-    MATERIALIZE_LIMIT.  Mixing and matrix runs work at any field."""
+    n^2 plane grid, the soundness, mixing, alg2 and correct runs need
+    the field's log tables (its arithmetic), soundness and alg2 also
+    int64 point codes, and alg2 and correct draw a message of k
+    symbols, at most MATERIALIZE_LIMIT.  Matrix runs work at any field."""
     n = config.ctx.n
     size, limit, what = {
         "completeness": (config.rm.length, ENUM_BUDGET, "points of F^m"),
         "sampling": (n * n, composed.MATERIALIZE_LIMIT, "plane grid points"),
         "calibrate": (n * n, composed.MATERIALIZE_LIMIT, "plane grid points"),
-        "soundness": (n, _TABLE_LIMIT, "log-table entries"),
-        "alg2": (n, _TABLE_LIMIT, "log-table entries"),
-        "correct": (n, _TABLE_LIMIT, "log-table entries"),
+        **dict.fromkeys(
+            ("soundness", "mixing", "alg2", "correct"), (n, _TABLE_LIMIT, "log-table entries")
+        ),
     }.get(config.kind, (0, 0, ""))
     if size > limit:
         raise ConfigError(f"{config.kind} needs {size} {what}, above {limit}")

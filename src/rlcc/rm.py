@@ -37,7 +37,7 @@ from math import comb
 
 import numpy as np
 
-from .gf import _TABLE_LIMIT, Field, LaneLayout, scratch
+from .gf import Field, LaneLayout, scratch
 from .geometry import PlaneRep, points_at
 
 ENUM_BUDGET = 10**7
@@ -102,21 +102,20 @@ _BULK_DEGREE = 8
 def evaluate(params: RmParams, coeffs, point) -> int:
     """Value of the polynomial at one point of F^dim.
 
-    Low degrees, and fields too large for log tables, use the
-    per-monomial loop.  From d = 8 on, the sum runs in the log domain
-    over the live monomials only, those with exponent 0 at every zero
-    coordinate (_live_monomials), so the origin reads the constant
-    coefficient.  Term i is antilog(log c_i + sum over the nonzero
-    coordinates x_c of (E_ic log x_c mod n-1)), gathered from the d+1
-    reduced powers of each coordinate, so the sum needs no modulo.  The
-    terms' base-p digits add up in the lanes of a LaneLayout for k
-    digits, read from its zero-ended table, whose zero last entry is
-    where the log of a zero coefficient lands.  A coefficient tuple, or
-    an array of another dtype, is converted on every call, so hot
-    callers hold int64 arrays.
+    Low degrees use the per-monomial loop.  From d = 8 on, the sum runs
+    in the log domain over the live monomials only, those with exponent
+    0 at every zero coordinate (_live_monomials), so the origin reads
+    the constant coefficient.  Term i is antilog(log c_i + sum over the
+    nonzero coordinates x_c of (E_ic log x_c mod n-1)), gathered from
+    the d+1 reduced powers of each coordinate, so the sum needs no
+    modulo.  The terms' base-p digits add up in the lanes of a
+    LaneLayout for k digits, read from its zero-ended table, whose zero
+    last entry is where the log of a zero coefficient lands.  A
+    coefficient tuple, or an array of another dtype, is converted on
+    every call, so hot callers hold int64 arrays.
     """
     ctx, d = params.ctx, params.d
-    if d >= _BULK_DEGREE and ctx.n <= _TABLE_LIMIT:
+    if d >= _BULK_DEGREE:
         live, columns = _live_monomials(params.dim, d, tuple(x == 0 for x in point))
         if not columns:
             return int(coeffs[0])

@@ -57,6 +57,17 @@ def mul_ref(ctx, a, b):
     return ctx.code_of(prod[:m])
 
 
+def pow_ref(ctx, a, e):
+    """a^e by square and multiply over mul_ref, e >= 0."""
+    out = 1
+    while e:
+        if e & 1:
+            out = mul_ref(ctx, out, a)
+        a = mul_ref(ctx, a, a)
+        e >>= 1
+    return out
+
+
 def add_points_ref(ctx, a, b):
     return tuple(add_ref(ctx, x, y) for x, y in zip(a, b))
 

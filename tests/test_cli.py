@@ -218,6 +218,10 @@ CODE_OVERFLOW = ["p = 2", "m = 10", "d = 40", "trials = 3"]
         (["correct", "--address", "5"], ["p = 1031", "m = 2", "d = 3"], "log-table entries"),
         # k = 10,272,278,170: refused before the message is drawn
         (["correct", "--address", "5"], CODE_OVERFLOW, "message of k = 10272278170"),
+        # the walk needs arithmetic, which a field past 2^20 does not have
+        (["mixing-exp"], BIG_FIELD, "log-table entries"),
+        # GF(17^21): its irreducibility test would try 17^10 divisors
+        (["sweep", "--ps", "17", "--ms", "21"], ["preset = T1"], "17^10 divisors"),
     ],
 )
 def test_unrunnable_inputs_exit_two(argv, lines, message, tmp_path, capsys):
@@ -230,8 +234,10 @@ def test_unrunnable_inputs_exit_two(argv, lines, message, tmp_path, capsys):
     assert "config error" in err and message in err
 
 
+# sizes and codecs only: GF(2^21) and GF(17^5) are past the table limit
 @pytest.mark.parametrize(
-    "argv", [["mixing-exp"], ["layout-report"], ["sweep", "--ps", "2", "--ms", "21"]]
+    "argv",
+    [["layout-report"], ["sweep", "--ps", "2", "--ms", "21"], ["sweep", "--ps", "17", "--ms", "5"]],
 )
 def test_big_fields_still_run_where_they_can(argv, tmp_path, capsys):
     cfg = tmp_path / "c.cfg"

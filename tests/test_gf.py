@@ -1,10 +1,11 @@
 import random
+import time
 from itertools import product
 
 import numpy as np
 import pytest
 
-from rlcc.geometry import points_at
+from rlcc.geometry import PlaneRep, plane_point_at, points_at
 from rlcc.gf import Field, find_irreducible, is_irreducible, parse_descriptor
 
 from reference import matrix_rep, point_from_matrix
@@ -174,3 +175,37 @@ def test_irreducibility_checker_agrees_with_known_counts():
         if is_irreducible((c0, c1, c2, 1), 5)
     )
     assert count == (5**3 - 5) // 3
+
+
+def test_field_past_the_table_limit_has_codecs_but_no_arithmetic():
+    start = time.monotonic()
+    f = Field(2, 21)
+    assert time.monotonic() - start < 1
+    assert f.n == 1 << 21
+    assert parse_descriptor(f.descriptor) == f
+    assert f.code_of(f.coeffs_of(12345)) == 12345
+    plane = PlaneRep((1, 2), (1, 0), (0, 1))
+    calls = [
+        lambda: f.add(3, 5),
+        lambda: f.sub(3, 5),
+        lambda: f.mul(3, 5),
+        lambda: f.inv(3),
+        lambda: f.pow(3, 5),
+        lambda: f.tables,
+        lambda: f.scalar_tables,
+        lambda: plane_point_at(f, plane, 1, 1),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="1048576-entry log-table limit"):
+            call()
+
+
+def test_irreducible_search_is_refused_past_its_budget():
+    # both paths: the search and a given reduction polynomial; GF(17^8)
+    # tries 17^4 divisors and builds
+    for args in ((17, 10), (17, 21), (17, 10, (3,) + (0,) * 9 + (1,))):
+        start = time.monotonic()
+        with pytest.raises(ValueError, match=r"17\^\d+ divisors"):
+            Field(*args)
+        assert time.monotonic() - start < 1
+    assert Field(17, 8).n == 17**8

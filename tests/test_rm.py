@@ -172,18 +172,6 @@ def test_point_tables_stay_small():
     assert peak < 64 * 1024
 
 
-def test_evaluate_without_log_tables(rng):
-    # 2^21 elements is past the table limit: only the scalar loop runs there
-    ctx = field(2, 21)
-    params = rm.RmParams(ctx, 2, 8)
-    coeffs = [rng.randrange(ctx.n) for _ in range(params.k)]
-    for _ in range(5):
-        point = sample_point(ctx, rng)[:2]
-        assert rm.evaluate(params, coeffs, point) == brute_evaluate(
-            ctx, params.basis, coeffs, point
-        )
-
-
 def brute_matmul(ctx, a, b):
     out = []
     for row in a:
