@@ -417,18 +417,9 @@ def _far_families(rm2d: RmParams, pcpp: PcppParams, rng):
     honest = proof_of(q)
     forged = proof_of(q_alt)
 
-    def table_read(coeffs):
-        cache = {}
+    # the honest word, each grid point evaluated once
+    base_q = lru_cache(maxsize=None)(lambda i: evaluate(rm2d, q, divmod(i, n)))
 
-        def read(i):
-            if i not in cache:
-                jj, kk = divmod(i, n)
-                cache[i] = evaluate(rm2d, coeffs, (jj, kk))
-            return cache[i]
-
-        return read
-
-    base_q = table_read(q)
     # family noisy-base: keyed noise at rate rho/2 whose exact hit count
     # is measured by one pass over the grid
     noise_prefix = chain(rng.randrange(2**63), 0xFA)
@@ -459,10 +450,11 @@ def _far_families(rm2d: RmParams, pcpp: PcppParams, rng):
     # family tail-flip/shifted-proof: a proof that check (b) rejects at
     # every base point but (0, 0).  Its polynomial is q + delta0 in the
     # field, while flipped_read adds delta0 as an integer mod n, so even
-    # (0, 0) agrees only when no base-p digit carries
-    shift = delta0
+    # (0, 0) agrees only when no base-p digit carries.  The sum goes digit
+    # by digit: Field.add would build scalar lane tables nothing else reads
     q_shift = q.copy()
-    q_shift[0] = ctx.add(int(q_shift[0]), shift)
+    digits = zip(ctx.coeffs_of(int(q[0])), ctx.coeffs_of(delta0))
+    q_shift[0] = ctx.code_of([(a + b) % ctx.p for a, b in digits])
     shifted = proof_of(q_shift)
 
     def span(proof):

@@ -13,7 +13,8 @@ operators per (field, d): divided differences and the Newton-to-monomial
 map.
 
 Whole grids are evaluated in one way too: grid_values contracts every
-axis of the coefficient tensor with the Vandermonde matrix.  A
+axis of the coefficient tensor with the Vandermonde matrix, and from
+d = 3 on one point by one float64 product of exponents and logs.  A
 polynomial is restricted to a plane in one way, by partial evaluation
 (PlaneRestrictor; restrict_to_plane for one plane): its slices in two
 pivot coordinates are evaluated on the lattice once per message and
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import combinations, product
 from math import comb
 
@@ -84,6 +85,17 @@ class RmParams:
     def length(self) -> int:
         return self.ctx.n**self.dim
 
+    @cached_property
+    def _point_tables(self):
+        """evaluate's (exps, lam, lanes, log, table), kept here so that a
+        call hashes nothing: float64 exponents and logs, (d+2)(n-1) at 0,
+        and the lanes for k digits with their zero-ended log and table."""
+        lanes = LaneLayout(self.ctx, self.k * (self.ctx.p - 1))
+        log, table = lanes.zero_ended(2)
+        lam = log.astype(np.float64)
+        lam[0] = (self.d + 2) * (self.ctx.n - 1)
+        return _exponent_matrix(self.dim, self.d, np.float64), lam, lanes, log, table
+
 
 def encode(params: RmParams, message):
     """Message -> coefficient vector (identity onto graded-lex coefficients)."""
@@ -94,39 +106,46 @@ def encode(params: RmParams, message):
     return tuple(message)
 
 
-# from this degree on, the log-domain sum over the live monomials beats
-# the per-monomial loop
-_BULK_DEGREE = 8
+# from this degree on, the log-domain sum beats the per-monomial loop;
+# T1 and T2 (d = 1) keep the loop.  µs per point, loop/sum at d = 1..4
+# (best of 7 x 200 points, none with a zero coordinate, 2-vCPU VM):
+#   dim 2, GF(8)      3.1/7.8   6.0/7.5   9.5/7.5  14.5/7.8
+#   dim 2, GF(17^3)   4.0/7.9   7.2/8.1  12.4/8.1  19.0/7.7
+#   dim 3, GF(8)      4.5/8.1  10.4/8.2  21.3/8.0  37.4/8.0
+#   dim 3, GF(17^3)   4.7/7.5  11.9/7.6  25.3/7.2  46.0/8.2
+_BULK_DEGREE = 3
 
 
 def evaluate(params: RmParams, coeffs, point) -> int:
     """Value of the polynomial at one point of F^dim.
 
-    Low degrees use the per-monomial loop.  From d = 8 on, the sum runs
-    in the log domain over the live monomials only, those with exponent
-    0 at every zero coordinate (_live_monomials), so the origin reads
-    the constant coefficient.  Term i is antilog(log c_i + sum over the
-    nonzero coordinates x_c of (E_ic log x_c mod n-1)), gathered from
-    the d+1 reduced powers of each coordinate, so the sum needs no
-    modulo.  The terms' base-p digits add up in the lanes of a
-    LaneLayout for k digits, read from its zero-ended table, whose zero
-    last entry is where the log of a zero coefficient lands.  A
-    coefficient tuple, or an array of another dtype, is converted on
-    every call, so hot callers hold int64 arrays.
+    Low degrees use the per-monomial loop.  From d = 3 on, the origin
+    reads the constant coefficient, and term i of another point is
+    antilog(log c_i + (E_i . lambda mod n-1)), E the float64 exponent
+    matrix and lambda the coordinates' logs: one matrix-vector product,
+    exact, as every partial sum is an integer below 2^53, then a floor
+    division.  A zero coordinate's lambda is (d+2)(n-1), so the other
+    quotients stay below d, and capped at d, a term with a positive
+    exponent there keeps a remainder past the zero-ended lane table,
+    where a zero coefficient's log lands too.  The terms' digits add up
+    in a LaneLayout for k digits.  Hot callers hold int64 coefficient
+    arrays: anything else is converted on every call.
     """
     ctx, d = params.ctx, params.d
     if d >= _BULK_DEGREE:
-        live, columns = _live_monomials(params.dim, d, tuple(x == 0 for x in point))
-        if not columns:
+        if not any(point):
             return int(coeffs[0])
-        lanes = LaneLayout(ctx, params.k * (ctx.p - 1))
-        log, table = lanes.zero_ended(params.dim + 1)
-        cvec = np.asarray(coeffs, dtype=np.int64)
-        logs = log[cvec[live]]
-        steps = np.arange(d + 1)
-        for x, col in zip((x for x in point if x), columns):
-            logs += (steps * log[x] % (ctx.n - 1))[col]
-        return lanes.code(table.take(logs, axis=1, mode="clip").sum(axis=1).tolist())
+        exps, lam, lanes, log, table = params._point_tables
+        logs = np.dot(exps, lam.take(point)).astype(np.int64)
+        wraps = logs // (ctx.n - 1)
+        if 0 in point:
+            np.minimum(wraps, d, out=wraps)
+        wraps *= ctx.n - 1
+        logs -= wraps
+        logs += log[np.asarray(coeffs, dtype=np.int64)]
+        # np.add.reduce: ndarray.sum's Python wrapper costs about 0.3 µs
+        terms = table.take(logs, axis=1, mode="clip")
+        return lanes.code(np.add.reduce(terms, axis=1).tolist())
     acc = 0
     for c, exps in zip(coeffs, params.basis):
         if c == 0:
@@ -142,20 +161,8 @@ def evaluate(params: RmParams, coeffs, point) -> int:
 
 
 @lru_cache(maxsize=64)
-def _exponent_matrix(dim: int, d: int):
-    return np.array(monomial_basis(dim, d), dtype=np.int64)
-
-
-@lru_cache(maxsize=256)
-def _live_monomials(dim: int, d: int, zero: tuple):
-    """(live, columns) at the points whose coordinate c is 0 exactly when
-    zero[c]: an index of the monomials with exponent 0 at every zero
-    coordinate, and each nonzero coordinate's exponents over them.  With
-    no zero coordinate every monomial is live, and the index is a slice,
-    so the columns are views of _exponent_matrix."""
-    E = _exponent_matrix(dim, d)
-    live = np.flatnonzero(~E[:, list(zero)].any(axis=1)) if any(zero) else slice(None)
-    return live, tuple(E[live, c] for c in range(dim) if not zero[c])
+def _exponent_matrix(dim: int, d: int, dtype=np.int64):
+    return np.array(monomial_basis(dim, d), dtype=dtype)
 
 
 @lru_cache(maxsize=64)

@@ -81,15 +81,17 @@ def test_evaluate_matches_bruteforce(gf27, rng):
         )
 
 
-# (p, m, dim, d): T1, T2 and T3 sit below evaluate's d = 8 cutoff; above
-# it are the S1 bivariate code, the S1 trivariate code that gives the
-# oracle its point values (three lanes of 14 and 17 bits in one int64),
-# GF(3^4) (two fields of two lanes), GF(17^4) and S2's GF(13^4) (four
-# one-lane fields) and GF(2^10) (four fields in two words).  GF(257^2)
-# at d = 36 has k (p - 1) >= 2^21, so its lanes are 22 bits wide
+# (p, m, dim, d): T1 and T2 sit below evaluate's d = 3 cutoff, with
+# GF(27) at d = 2, and GF(4) at d = 3 sits on it; above it are T3, the
+# S1 bivariate code, the S1 trivariate code that gives the oracle its
+# point values (three lanes of 14 and 17 bits in one int64), GF(3^4)
+# (two fields of two lanes), GF(17^4) and S2's GF(13^4) (four one-lane
+# fields) and GF(2^10) (four fields in two words).  GF(257^2) at d = 36
+# has k (p - 1) >= 2^21, so its lanes are 22 bits wide
 EVAL_CASES = [
     (2, 2, 2, 1), (2, 3, 3, 1), (3, 3, 3, 4), (17, 3, 2, 32), (17, 3, 3, 32),
     (3, 4, 2, 8), (17, 4, 2, 32), (2, 10, 2, 8), (257, 2, 3, 36), (13, 4, 2, 32),
+    (3, 3, 2, 2), (2, 2, 2, 3),
 ]
 
 
@@ -140,23 +142,55 @@ def test_evaluate_at_every_zero_pattern(case):
     )
 
 
+# the worst magnitudes of evaluate's product: every coordinate and every
+# coefficient is the element of log n - 2, so each term's log sum reaches
+# 2n - 4, one below the zero-ended table's zero entry, and E . lambda
+# reaches d (n - 2).  The S1 codes, the largest EVAL_CASES entry, and
+# GF(257^2) at d = 255, whose d (n - 2) = 16,841,985 is past 2^24, where
+# a float32 product rounds
+WORST_CASES = [(17, 3, 2, 32), (17, 3, 3, 32), (257, 2, 3, 36), (257, 2, 2, 255)]
+
+
+def pow_evaluate(ctx, basis, coeffs, point):
+    # one Field.pow per coordinate: brute_evaluate's repeated products
+    # would take seconds at d = 255
+    acc = 0
+    for c, exps in zip(coeffs, basis):
+        for x, e in zip(point, exps):
+            c = ctx.mul(c, ctx.pow(x, e))
+        acc = ctx.add(acc, c)
+    return acc
+
+
+@pytest.mark.parametrize("case", WORST_CASES)
+def test_evaluate_at_worst_magnitudes(case):
+    p, m, dim, d = case
+    ctx = field(p, m)
+    params = rm.RmParams(ctx, dim, d)
+    w = int(ctx.tables[0][ctx.n - 2])
+    assert ctx.tables[1][w] == ctx.n - 2
+    coeffs = np.full(params.k, w, dtype=np.int64)
+    # every zero pattern, the origin and no zero coordinate included
+    for zero in product([False, True], repeat=dim):
+        point = tuple(0 if z else w for z in zero)
+        assert rm.evaluate(params, coeffs, point) == pow_evaluate(
+            ctx, params.basis, coeffs.tolist(), point
+        ), point
+
+
 def test_point_tables_stay_small():
     # evaluate's cached tables at S1, the bivariate verifier code and the
-    # trivariate oracle code together; with every coordinate nonzero the
-    # exponent columns are views of _exponent_matrix, not copies
+    # trivariate oracle code together: the float64 exponent matrices,
+    # shared by equal parameters, and each code's float64 logs and
+    # zero-ended log and table
     ctx = field(17, 3)
     total = 0
     for dim in (2, 3):
-        k = rm.RmParams(ctx, dim, 32).k
-        log, table = LaneLayout(ctx, k * (ctx.p - 1)).zero_ended(dim + 1)
-        total += log.nbytes + table.nbytes
-        for zero in product([False, True], repeat=dim):
-            live, columns = rm._live_monomials(dim, 32, zero)
-            if not any(zero):
-                exponents = rm._exponent_matrix(dim, 32)
-                assert all(np.shares_memory(col, exponents) for col in columns)
-            else:
-                total += live.nbytes + sum(col.nbytes for col in columns)
+        params = rm.RmParams(ctx, dim, 32)
+        exps, lam, _, log, table = params._point_tables
+        assert exps is rm._exponent_matrix(dim, 32, np.float64)
+        assert exps.shape == (params.k, dim)
+        total += exps.nbytes + lam.nbytes + log.nbytes + table.nbytes
     assert total <= 512 * 1024
     # and a warmed bivariate call allocates little
     params = rm.RmParams(ctx, 2, 32)
