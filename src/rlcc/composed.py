@@ -111,10 +111,6 @@ class ComposedLayout:
         return self.rm.ctx
 
     @cached_property
-    def coeff_len(self) -> int:
-        return self.rm.bivariate().k
-
-    @cached_property
     def proof_len(self) -> int:
         return self.pcpp.proof_length(self.rm.bivariate())
 

@@ -32,7 +32,6 @@ import numpy as np
 from .gf import Field
 from .geometry import (
     PlaneRep,
-    add_points,
     codes_of,
     is_colinear,
     is_zero,
@@ -42,7 +41,6 @@ from .geometry import (
     points_at,
     sample_h_direction,
     sample_point,
-    scale_point,
 )
 from .prf import KeyedNoise, chain
 from .rm import ENUM_BUDGET, RmParams, is_low_degree_on_plane
@@ -85,11 +83,11 @@ def walk_sample(params: RmParams, x, rng) -> WalkTranscript:
         rs = 0
         s, sp = ctx.rand_element(rng), ctx.rand_element(rng)
         xi = plane_point_at(ctx, prev, s, sp)
+        # the step direction t u + t' v: a point of prev's parallel through 0
+        through_zero = PlaneRep((0,) * ctx.m, prev.dir1, prev.dir2)
         while True:
             t, tp = ctx.rand_element(rng), ctx.rand_element(rng)
-            hi = add_points(
-                ctx, scale_point(ctx, t, prev.dir1), scale_point(ctx, tp, prev.dir2)
-            )
+            hi = plane_point_at(ctx, through_zero, t, tp)
             if not is_zero(hi):
                 break
             rs += 1

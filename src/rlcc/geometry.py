@@ -9,9 +9,8 @@ anchor + elem(j) * dir1 + elem(k) * dir2.  Every restriction index in
 the package uses this one grid order.  A plane's anchor line, its grid
 column k = 0, is the line anchor + elem(j) * dir1.  The vectorized maps
 (points_at, plane_codes_at) add an anchor and two products in the
-lanes of gf.LaneLayout, and so do plane_point_at and add_points, one
-point at a time on Python ints (Field.scalar_tables); scale_point and
-is_colinear work on logs.
+lanes of gf.LaneLayout, and so does plane_point_at, one point at a time
+on Python ints (Field.scalar_tables); is_colinear works on logs.
 """
 
 from __future__ import annotations
@@ -39,19 +38,6 @@ def point_from_code(ctx: Field, code: int):
         # not in place, so a code array passed in is left as it was
         code = code // ctx.n
     return tuple(out)
-
-
-def add_points(ctx: Field, a, b):
-    _, _, put, _, read = ctx.scalar_tables
-    return tuple([read[put[x] + put[y]] for x, y in zip(a, b)])
-
-
-def scale_point(ctx: Field, t: int, a):
-    if not t:
-        return (0,) * len(a)
-    log, exp, _, _, _ = ctx.scalar_tables
-    lt = log[t]
-    return tuple([exp[lt + log[x]] if x else 0 for x in a])
 
 
 def is_zero(point) -> bool:

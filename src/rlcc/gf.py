@@ -300,13 +300,6 @@ class Field:
         nonzero products."""
         return (self._log, self._exp, *LaneLayout(self, 3 * (self.p - 1)).scalar)
 
-    def sum_elements(self, arr: np.ndarray, axis: int) -> np.ndarray:
-        """Sum field elements (codes) along an axis of an int array, in
-        digit lanes wide enough for that many digits."""
-        axis %= arr.ndim
-        lanes = LaneLayout(self, arr.shape[axis] * (self.p - 1))
-        return lanes.codes(np.take(lanes.packed, arr, axis=1).sum(axis=axis + 1))
-
     def __repr__(self):
         return f"Field({self.p}^{self.m}, X-poly {list(self.irreducible)})"
 

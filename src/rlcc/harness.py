@@ -486,7 +486,9 @@ def calibrate_pcpp(config: ExperimentConfig) -> dict:
     """Smallest q_v whose worst-family far-acceptance clears 1/2.
 
     Results persist in a JSON sidecar keyed by a hash of (field, d, R,
-    rho_prox); reruns with a matching key reuse the cached entry.
+    rho_prox).  The 3-SE rule depends on the trial count, so a rerun
+    reuses an entry only if it has the same key and trial count; else it
+    recalibrates and overwrites the entry.
     """
     rm2d = config.rm.bivariate()
     pcpp0 = PcppParams(1, rho_prox=config.alpha)
@@ -495,9 +497,9 @@ def calibrate_pcpp(config: ExperimentConfig) -> dict:
     ).hexdigest()[:16]
     side = Path(config.sidecar)
     if side.exists():
-        table = json.loads(side.read_text())
-        if key in table:
-            return {"q_v": table[key]["q_v"], "cached": True, **table[key]}
+        cached = json.loads(side.read_text()).get(key)
+        if cached is not None and cached["trials"] == config.trials:
+            return {"q_v": cached["q_v"], "cached": True, **cached}
     rng = trial_rng(config.seed, "calibrate", 0)
     families = _far_families(rm2d, pcpp0, rng)
     history = {}

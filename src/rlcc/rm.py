@@ -16,16 +16,17 @@ Whole grids are evaluated in one way too: grid_values contracts every
 axis of the coefficient tensor with the Vandermonde matrix, and from
 d = 3 on one point by one float64 product of exponents and logs.  A
 polynomial is restricted to a plane in one way, by partial evaluation
-(PlaneRestrictor; restrict_to_plane for one plane): its slices in two
-pivot coordinates are evaluated on the lattice once per message and
-pivot pair, a plane sums them times powers of the other coordinates'
-affine forms, and a bivariate affine change of variables takes the
-interpolated result to the plane's own parameters.  Field sums and
-digit products go through gf.LaneLayout: integer lanes for evaluate
-and the restriction's sums, float64 lanes for fmatmul, which pairs
-a's base-p digits with the lanes of X^i b, both gathered from tables
-built once per field and inner dimension (_digit_tables).  Every lane
-sum is read back by LaneLayout.codes, one pass per field.
+(PlaneRestrictor): its slices in two pivot coordinates are evaluated
+on the lattice once per message and pivot pair, a plane sums them
+times powers of the other coordinates' affine forms, and a bivariate
+affine change of variables takes the interpolated result to the
+plane's own parameters.  Field sums and digit products go through
+gf.LaneLayout: integer lanes for evaluate and the restriction's sums,
+float64 lanes for fmatmul, the one matrix product over F at every
+inner dimension, which pairs a's base-p digits with the lanes of
+X^i b, both gathered from tables built once per field and inner
+dimension (_digit_tables).  Every lane sum is read back by
+LaneLayout.codes, one pass per field.
 """
 
 from __future__ import annotations
@@ -206,42 +207,15 @@ def _newton_operators(ctx: Field, d: int):
     return diff, newton
 
 
-# from this inner dimension on, fmatmul multiplies base-p digits through
-# BLAS; below it the log-domain broadcast.  Square products, log/digit
-# path in µs (median of three runs of best of 31 x 50 calls, one BLAS
-# thread, 2-vCPU VM), at inner 2, 5, 9, 15, 16 and 33:
-#   GF(8)     14/11  16/11  20/12  34/14  38/14  326/33
-#   GF(27)    14/11  26/14  27/26  39/18  45/29  402/37
-#   GF(125)   15/14  15/14  20/18  38/21  43/21  344/37
-#   GF(17^3)  22/16  19/17  24/20  37/21  42/21  366/58
-# With its tables built once, the digit path wins from 5 on (and on
-# 5 x 2,000 and 9 x 2,000 outputs, 2-8x); T2's products (inner <= 2)
-# keep the log path, and 3-4 are not measured
-_DIGIT_INNER = 5
-
-
-def fmatmul(ctx: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product over F of integer-code matrices; like ``a @ b``, it
-    broadcasts over leading batch axes."""
-    if a.shape[-1] >= _DIGIT_INNER:
-        return _fmatmul_digits(ctx, a, b)
-    exp_t, log_t, _ = ctx.tables
-    a = a[..., :, :, None]
-    b = b[..., None, :, :]
-    # the antilog table spans 2(n-1) entries, so summed logs need no modulo
-    prod = np.take(exp_t, log_t[a] + log_t[b], mode="clip")
-    return ctx.sum_elements(prod, axis=-2)
-
-
 @lru_cache(maxsize=16)
 def _digit_tables(ctx: Field, inner: int):
-    """(lanes, digits, times) of fmatmul's digit path at this inner
-    dimension: its unsigned float64 LaneLayout (a lane sums m * inner
-    products of two digits below p), every code's m base-p digits, and
-    per word the packed lanes of X^i c for every code c and i < m.  A
-    code's m float64 entries are one void item of digits and of each
-    word of times, so that one take gathers them all, and a float64
-    view lays them side by side."""
+    """(lanes, digits, times) of fmatmul at this inner dimension: its
+    unsigned float64 LaneLayout (a lane sums m * inner products of two
+    digits below p), every code's m base-p digits, and per word the
+    packed lanes of X^i c for every code c and i < m.  A code's m
+    float64 entries are one void item of digits and of each word of
+    times, so that one take gathers them all, and a float64 view lays
+    them side by side."""
     exp_t, log_t, digits = ctx.tables
     lanes = LaneLayout(ctx, ctx.m * inner * (ctx.p - 1) ** 2, np.float64)
     # X^i has code p^i
@@ -254,15 +228,16 @@ def _digit_tables(ctx: Field, inner: int):
     )
 
 
-def _fmatmul_digits(ctx: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """fmatmul through float64 products over base-p digits: with
-    a = sum_i a_i X^i for digit matrices a_i over GF(p), a b is
-    sum_i a_i (X^i b), and a matrix over GF(p) acts on each digit of
-    X^i b alone.  So entry (j, i) of the inner axis pairs digit i of
-    a's column j with the lanes of X^i b's row j, both gathered from
-    _digit_tables, and one product per word of the unsigned float64
-    LaneLayout adds every digit's lane; at S1 that is one product in
-    all.  Exact: every partial sum is an integer below 2^53.
+def fmatmul(ctx: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix product over F of integer-code matrices; like ``a @ b``, it
+    broadcasts over leading batch axes.  With a = sum_i a_i X^i for
+    digit matrices a_i over GF(p), a b is sum_i a_i (X^i b), and a
+    matrix over GF(p) acts on each digit of X^i b alone.  So entry
+    (j, i) of the inner axis pairs digit i of a's column j with the
+    lanes of X^i b's row j, both gathered from _digit_tables, and one
+    float64 product per word of the unsigned LaneLayout adds every
+    digit's lane; at S1 that is one product in all.  Exact: every
+    partial sum is an integer below 2^53.
     """
     lanes, digits, times = _digit_tables(ctx, a.shape[-1])
     da = digits.take(a).view(np.float64)
@@ -527,30 +502,6 @@ class PlaneRestrictor:
         return fmatmul(ctx, _substitution(ctx, d, lam), graded)[a, degree]
 
 
-def restrict_to_plane(params: RmParams, coeffs, plane: PlaneRep):
-    """Bivariate triangle vector (graded-lex, a tuple) of the restriction
-    of a polynomial to a plane, whose directions must span one
-    (ValueError otherwise).  A one-off PlaneRestrictor: callers that
-    restrict one polynomial to many planes keep their own, which keeps
-    the slices."""
-    return tuple(PlaneRestrictor(params, coeffs).restrict(plane).tolist())
-
-
 # the two augmentation kinds of a plane language (pcpp)
 POINT_KIND = "point"
 LINE_KIND = "line"
-
-
-def min_nonzero_weight(params: RmParams) -> int:
-    """Exhaustive minimum Hamming weight over all nonzero codewords."""
-    total = params.ctx.n**params.k
-    if total > ENUM_BUDGET:
-        raise ValueError("weight enumeration exceeds the budget")
-    best = None
-    for coeffs in product(range(params.ctx.n), repeat=params.k):
-        if all(c == 0 for c in coeffs):
-            continue
-        w = int(np.count_nonzero(grid_values(params, coeffs)))
-        if best is None or w < best:
-            best = w
-    return best

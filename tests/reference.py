@@ -23,6 +23,7 @@ from rlcc.rm import (
     POINT_KIND,
     eval_table,
     evaluate,
+    grid_values,
     interpolate_lattice,
     is_low_degree_on_plane,
     monomial_basis,
@@ -222,6 +223,21 @@ def enumerate_codewords(params2d):
         raise ValueError("codeword enumeration exceeds the budget")
     for coeffs in product(range(params2d.ctx.n), repeat=params2d.k):
         yield coeffs, eval_table(params2d, coeffs)
+
+
+def min_nonzero_weight(params):
+    """Exhaustive minimum Hamming weight over all nonzero codewords."""
+    total = params.ctx.n**params.k
+    if total > ENUM_BUDGET:
+        raise ValueError("weight enumeration exceeds the budget")
+    best = None
+    for coeffs in product(range(params.ctx.n), repeat=params.k):
+        if all(c == 0 for c in coeffs):
+            continue
+        w = int(np.count_nonzero(grid_values(params, coeffs)))
+        if best is None or w < best:
+            best = w
+    return best
 
 
 def nearest_codeword_bruteforce(params2d, values):

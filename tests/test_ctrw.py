@@ -6,10 +6,10 @@ import pytest
 
 from rlcc import ctrw, rm
 from rlcc.geometry import (
-    add_points,
     is_colinear,
     is_zero,
     plane_codes_at,
+    plane_point_at,
     point_code,
     sample_point,
 )
@@ -40,7 +40,7 @@ def test_walk_invariants(gf8, rng):
             # the line of step i, plane i's anchor line, lies in P_{i-1}
             prev_points = set(plane_points(gf8, prev))
             assert plane.anchor in prev_points
-            assert add_points(gf8, plane.anchor, plane.dir1) in prev_points
+            assert plane_point_at(gf8, plane, 1, 0) in prev_points
             assert not is_zero(plane.dir1)
             # a fresh H^m second direction off the line
             assert all(c < gf8.p for c in plane.dir2)

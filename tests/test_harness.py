@@ -94,9 +94,25 @@ def test_s1_calibration_key_unchanged(tmp_path):
     # entries written before alpha and R became constants still hit
     side = tmp_path / "cal.json"
     side.write_text(json.dumps({"caf40218e59c1cf4": {"q_v": 7, "trials": 300}}))
-    cfg = harness.make_config(preset="S1", kind="calibrate", sidecar=str(side))
+    cfg = harness.make_config(preset="S1", kind="calibrate", trials=300, sidecar=str(side))
     entry = harness.calibrate_pcpp(cfg)
     assert entry["cached"] and entry["q_v"] == 7
+
+
+def test_calibration_reruns_at_another_trial_count(tmp_path):
+    # the 3-SE rule depends on the trial count, so an entry computed with
+    # 40 trials does not answer a 300-trial calibration: that one runs
+    # and overwrites it
+    side = tmp_path / "cal.json"
+    for trials in (40, 300):
+        cfg = harness.make_config(
+            preset="T2", kind="calibrate", trials=trials, seed=801, sidecar=str(side)
+        )
+        entry = harness.calibrate_pcpp(cfg)
+        assert not entry["cached"] and entry["trials"] == trials
+        (stored,) = json.loads(side.read_text()).values()
+        assert stored["trials"] == trials
+    assert harness.calibrate_pcpp(cfg)["cached"]
 
 
 def test_config_file_parsing(tmp_path):

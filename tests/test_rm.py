@@ -229,7 +229,8 @@ def test_batched_interpolate_matches_per_grid_and_bruteforce(case, batch, r):
     ctx = field(p, m)
     params2d = rm.RmParams(ctx, 2, d)
     lattice = np.array(params2d.basis, dtype=np.int64).T
-    # about 30% of the values are zero, which the log-domain product masks
+    # about 30% of the values are zero, which the product reads through
+    # the log table's zero sentinel when it multiplies by X^i
     values = np.array(
         [
             [r.randrange(ctx.n) if r.random() < 0.7 else 0 for _ in params2d.basis]
@@ -278,25 +279,25 @@ def test_substitution_maps_f_to_f_at_an_affine_point(p, m, d):
             assert brute_evaluate(ctx, basis, g, (x,)) == brute_evaluate(ctx, basis, f, (at,))
 
 
-# inner dimensions on both sides of fmatmul's digit-plane cutoff
-FMATMUL_INNER = [1, 2, rm._DIGIT_INNER - 1, rm._DIGIT_INNER, 40]
+# inner dimensions: T1's and T2's products are at 2, S1's at 33
+FMATMUL_INNER = [1, 2, 3, 4, 5, 40]
 
 
 @CROSS_CHECK
 @given(
-    st.sampled_from([(2, 3), (3, 2), (5, 2), (2, 4), (17, 3)]),
+    st.sampled_from([(2, 3), (3, 2), (5, 2), (2, 4), (17, 3), (2, 2)]),
     st.sampled_from(FMATMUL_INNER),
     st.integers(1, 4),
     st.integers(1, 4),
     st.booleans(),
     st.randoms(use_true_random=False),
 )
-def test_fmatmul_matches_scalar_product_across_cutoff(pm, inner, rows, cols, batched, r):
+def test_fmatmul_matches_scalar_product(pm, inner, rows, cols, batched, r):
     ctx = field(*pm)
 
     def draw(shape):
-        # about 30% zeros, which both paths read through the log table's
-        # zero sentinel (the digit path when it multiplies b by X^i)
+        # about 30% zeros, which the product reads through the log
+        # table's zero sentinel when it multiplies b by X^i
         flat = [r.randrange(ctx.n) if r.random() < 0.7 else 0 for _ in range(np.prod(shape))]
         return np.array(flat, dtype=np.int64).reshape(shape)
 
@@ -310,31 +311,31 @@ def test_fmatmul_matches_scalar_product_across_cutoff(pm, inner, rows, cols, bat
         assert gw.tolist() == brute_matmul(ctx, aw.tolist(), bw.tolist())
 
 
-# fmatmul's digit path: S1's GF(17^3), p = 2 (digits 0 and 1 only) with
-# few and many digits, small odd p, and S2's GF(13^4)
-DIGIT_FIELDS = [(17, 3), (2, 3), (3, 4), (5, 2), (2, 8), (13, 4)]
+# fmatmul's fields: S1's GF(17^3), p = 2 (digits 0 and 1 only) with
+# few and many digits, small odd p, S2's GF(13^4) and T1's GF(4)
+DIGIT_FIELDS = [(17, 3), (2, 3), (3, 4), (5, 2), (2, 8), (13, 4), (2, 2)]
 # inner dimensions tested stop here: GF(5^2) packs both digits up to 2^21
 DIGIT_INNER_CAP = 1 << 16
 
 
 def float_layout(ctx, inner):
     """(field width, digits per float64) of the stacked X^i b's lanes in
-    fmatmul's digit path at this inner dimension: a lane sums m * inner
-    products of two digits below p."""
+    fmatmul at this inner dimension: a lane sums m * inner products of
+    two digits below p."""
     lanes = LaneLayout(ctx, ctx.m * inner * (ctx.p - 1) ** 2, np.float64)
     return lanes.width, min(ctx.m, lanes.per * lanes.group)
 
 
 @lru_cache(maxsize=None)
 def digit_inners(ctx):
-    """The digit path's least inner dimension, and the last one with as
-    many of b's digits per float64 as at that one and the first with
-    fewer (or the cap)."""
-    lanes = float_layout(ctx, rm._DIGIT_INNER)[1]
-    last = rm._DIGIT_INNER
+    """The least inner dimension, 1, and the last one with as many of
+    b's digits per float64 as at 1 and the first with fewer (or the
+    cap)."""
+    lanes = float_layout(ctx, 1)[1]
+    last = 1
     while last < DIGIT_INNER_CAP and float_layout(ctx, last + 1)[1] == lanes:
         last += 1
-    return [rm._DIGIT_INNER, last, last + 1]
+    return [1, last, last + 1]
 
 
 def assert_fmatmul_matches_scalar(ctx, a, b, lead_a, lead_b):
@@ -357,7 +358,7 @@ def assert_fmatmul_matches_scalar(ctx, a, b, lead_a, lead_b):
 def test_fmatmul_digit_path_matches_scalar_product(pm, data):
     ctx = field(*pm)
     inner = data.draw(
-        st.one_of(st.sampled_from(digit_inners(ctx)), st.integers(rm._DIGIT_INNER, 600))
+        st.one_of(st.sampled_from(digit_inners(ctx)), st.integers(1, 600))
     )
     # small products at the largest inner dimensions keep the scalar reference quick
     top = 3 if inner <= 600 else 1
@@ -409,7 +410,7 @@ def test_s1_digit_product_is_one_float64_word(monkeypatch):
         return made[-1]
 
     monkeypatch.setattr(rm, "LaneLayout", record)
-    # the digit path builds its layout once per field and inner dimension
+    # fmatmul builds its layout once per field and inner dimension
     rm._digit_tables.cache_clear()
     for pm, words in [((17, 3), 1), ((13, 4), 2)]:
         ctx = field(*pm)
@@ -434,13 +435,13 @@ def test_fmatmul_results_outlive_the_next_product():
 
 def test_lane_codes_read_random_lane_sums():
     # LaneLayout.codes, LaneLayout.code and the digit formula agree on
-    # random lane sums of fmatmul's float64 layouts, at the least inner
-    # dimension of the digit path, at S1's and at the cap; some of these
-    # read grouped lanes (p = 2) and some lanes past the reduce table
+    # random lane sums of fmatmul's float64 layouts, at inner dimension
+    # 1, at S1's and at the cap; some of these read grouped lanes (p = 2)
+    # and some lanes past the reduce table
     grouped = unreduced = 0
     for pm in DIGIT_FIELDS:
         ctx = field(*pm)
-        for inner in (rm._DIGIT_INNER, 33, DIGIT_INNER_CAP):
+        for inner in (1, 33, DIGIT_INNER_CAP):
             lanes = LaneLayout(ctx, ctx.m * inner * (ctx.p - 1) ** 2, np.float64)
             grouped += lanes.group > 1
             unreduced += lanes.reduce is None
@@ -475,8 +476,8 @@ def test_batched_fmatmul_takes_the_digit_path(monkeypatch):
 
 
 # (p, m) fields for the restriction cross-check; at the high degree the
-# slices' contractions and the substitutions reach fmatmul's digit path
-# (16 or more nodes) where the field allows
+# slices' contractions and the substitutions multiply 16 or more nodes
+# where the field allows
 RESTRICT_FIELDS = [(2, 3), (3, 2), (5, 2), (2, 4), (17, 3)]
 
 
@@ -512,7 +513,7 @@ def test_evaluate_many_matches_bruteforce(pm, dim, high, data):
     r = random.Random(data.draw(st.integers(0, 2**32)))
     coeffs = draw_coeffs(params, r, data.draw(st.sampled_from([0.0, 0.5, 0.9])))
     plane = draw_plane(ctx, dim, r)
-    got = rm.restrict_to_plane(params, coeffs, plane)
+    got = tuple(rm.PlaneRestrictor(params, coeffs).restrict(plane).tolist())
     assert got == reference.restriction(params, coeffs, plane)
     coord = st.one_of(st.just(0), st.integers(0, ctx.n - 1))
     points = data.draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=6))
@@ -580,9 +581,8 @@ def test_restriction_matches_reference_on_edge_planes(case):
         want = reference.restriction(params, dense, plane)
         assert tuple(restrictor.restrict(plane).tolist()) == want, name
         pattern, coeffs = patterns[i % len(patterns)]
-        assert rm.restrict_to_plane(params, coeffs, plane) == reference.restriction(
-            params, coeffs, plane
-        ), (name, pattern)
+        got = rm.PlaneRestrictor(params, coeffs).restrict(plane)
+        assert tuple(got.tolist()) == reference.restriction(params, coeffs, plane), (name, pattern)
 
 
 def test_restriction_rejects_directions_that_span_no_plane(gf27):
@@ -592,7 +592,7 @@ def test_restriction_rejects_directions_that_span_no_plane(gf27):
     u = (1, 2, 3)
     for v in (tuple(gf27.mul(5, x) for x in u), (0, 0, 0)):
         with pytest.raises(ValueError, match="span a plane"):
-            rm.restrict_to_plane(params, coeffs, PlaneRep((1, 1, 1), u, v))
+            rm.PlaneRestrictor(params, coeffs).restrict(PlaneRep((1, 1, 1), u, v))
 
 
 def test_s1_restriction_reuses_its_scratch():
@@ -606,7 +606,7 @@ def test_s1_restriction_reuses_its_scratch():
     def message():
         return np.array([r.randrange(ctx.n) for _ in range(params.k)], dtype=np.int64)
 
-    rm.restrict_to_plane(params, message(), random_plane(ctx, r))
+    rm.PlaneRestrictor(params, message()).restrict(random_plane(ctx, r))
     restrictor = rm.PlaneRestrictor(params, message())
     for step in ("cold", "warm"):
         plane = random_plane(ctx, r)
@@ -619,8 +619,8 @@ def test_s1_restriction_reuses_its_scratch():
         assert peak < 561 * 561 * 8, step
 
 
-# (p, m, dim, d): the grid contraction's inner dimension d + 1 on both
-# sides of _DIGIT_INNER, for dim 2 to 4
+# (p, m, dim, d): the grid contraction's inner dimension d + 1 from 4
+# to 21, for dim 2 to 4
 GRID_CASES = [(2, 4, 2, 15), (17, 2, 2, 20), (3, 3, 3, 4), (2, 4, 4, 3)]
 
 
@@ -675,7 +675,7 @@ def test_distance_law_tiny(gf4):
     # min weight = (1 - d/n) * n^dim for every tiny configuration
     for dim, d in [(2, 1), (2, 2)]:
         params = rm.RmParams(gf4, dim, d)
-        w = rm.min_nonzero_weight(params)
+        w = reference.min_nonzero_weight(params)
         assert w == (gf4.n - d) * gf4.n ** (dim - 1)
 
 
@@ -683,10 +683,10 @@ def test_restriction_constant_and_coordinate(gf8):
     params = rm.RmParams(gf8, 3, 1)
     plane = PlaneRep.make(gf8, (0, 0, 0), (1, 0, 0), (0, 1, 0))
     const = rm.encode(params, [6, 0, 0, 0])
-    assert rm.restrict_to_plane(params, const, plane) == (6, 0, 0)
+    assert rm.PlaneRestrictor(params, const).restrict(plane).tolist() == [6, 0, 0]
     # basis order is [(0,0,0), (0,0,1), (0,1,0), (1,0,0)]: x1 is the last slot
     x1 = rm.encode(params, [0, 0, 0, 1])
-    assert rm.restrict_to_plane(params, x1, plane) == (0, 0, 1)  # the t monomial
+    assert rm.PlaneRestrictor(params, x1).restrict(plane).tolist() == [0, 0, 1]  # the t monomial
 
 
 def test_restriction_agrees_with_direct_evaluation(gf8, rng):
@@ -694,7 +694,7 @@ def test_restriction_agrees_with_direct_evaluation(gf8, rng):
     for _ in range(100):
         coeffs = tuple(rng.randrange(gf8.n) for _ in range(params.k))
         plane = random_plane(gf8, rng)
-        tri = rm.restrict_to_plane(params, coeffs, plane)
+        tri = rm.PlaneRestrictor(params, coeffs).restrict(plane).tolist()
         for t in range(gf8.n):
             for s in range(gf8.n):
                 pt = plane_point_at(gf8, plane, t, s)
@@ -708,7 +708,7 @@ def test_restriction_degree4(gf27, rng):
     for _ in range(5):
         coeffs = tuple(rng.randrange(gf27.n) for _ in range(params.k))
         plane = random_plane(gf27, rng)
-        tri = rm.restrict_to_plane(params, coeffs, plane)
+        tri = rm.PlaneRestrictor(params, coeffs).restrict(plane).tolist()
         for _ in range(40):
             t, s = rng.randrange(gf27.n), rng.randrange(gf27.n)
             pt = plane_point_at(gf27, plane, t, s)
@@ -729,7 +729,7 @@ def test_restriction_every_element_a_node(gf4, rng):
             continue
         planes += 1
         coeffs = tuple(rng.randrange(gf4.n) for _ in range(params.k))
-        tri = rm.restrict_to_plane(params, coeffs, plane)
+        tri = rm.PlaneRestrictor(params, coeffs).restrict(plane).tolist()
         for t, s in product(range(gf4.n), repeat=2):
             pt = plane_point_at(gf4, plane, t, s)
             assert brute_evaluate(gf4, params.bivariate().basis, tri, (t, s)) == (
@@ -757,7 +757,7 @@ def test_restriction_s1_key_planes(kind, seed):
     if kind == "line":
         assert not all(c < ctx.p for c in plane.dir1)
     coeffs = [r.randrange(ctx.n) for _ in range(params.k)]
-    tri = rm.restrict_to_plane(params, coeffs, plane)
+    tri = rm.PlaneRestrictor(params, coeffs).restrict(plane).tolist()
     bivariate = params.bivariate()
     for t, s in [(0, 0), (1, 0)] + [(r.randrange(ctx.n), r.randrange(ctx.n)) for _ in range(2)]:
         pt = plane_point_at(ctx, plane, t, s)
